@@ -303,84 +303,3 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
 
     return (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason)
 
-
-@njit
-def grid_counts_core(g, cand1, cand2, pax, pbx, mu3, p1, p2, p3,
-                     p_d, p_ec, qber_i, p_ap, n_pulses,
-                     n_x_out, qber_out):
-    """Pass 1 of the worst-case grid: totals per true-intensity combination.
-
-    The g^8 true combinations are indexed row-major over the dimensions
-    (H:mu1, H:mu2, V:mu1, V:mu2, D:mu1, D:mu2, A:mu1, A:mu2).
-    """
-    n_true = g ** 8
-    for t in range(n_true):
-        r = t
-        a2 = r % g; r //= g
-        a1 = r % g; r //= g
-        d2 = r % g; r //= g
-        d1 = r % g; r //= g
-        v2 = r % g; r //= g
-        v1 = r % g; r //= g
-        h2 = r % g; r //= g
-        h1 = r
-        (n_x1, n_x2, n_x3, _nz1, _nz2, _nz3,
-         m_x1, m_x2, m_x3, _mz1, _mz2, _mz3) = counts_core(
-            pax, pbx,
-            cand1[h1], cand2[h2], cand1[v1], cand2[v2],
-            cand1[d1], cand2[d2], cand1[a1], cand2[a2],
-            mu3, p1, p2, p3, p_d, p_ec, qber_i, p_ap, n_pulses)
-        n_x = n_x1 + n_x2 + n_x3
-        n_x_out[t] = n_x
-        if n_x > 0.0:
-            qber_out[t] = (m_x1 + m_x2 + m_x3) / n_x
-        else:
-            qber_out[t] = 0.0
-
-
-@njit
-def grid_min_core(g, cand1, cand2, pax, pbx, mu3, p1, p2, p3,
-                  p_d, p_ec, qber_i, p_ap, n_pulses,
-                  beta, eps_s, eps_c, ec_mode, f_ec, f_inv_by_true):
-    """Pass 2 of the worst-case grid: minimum key length over g^10 points.
-
-    Grid points are visited row-major over (H:mu1, H:mu2, V:mu1, V:mu2,
-    D:mu1, D:mu2, A:mu1, A:mu2, est:mu1, est:mu2); ties keep the first
-    point encountered.  Returns (min_ell, argmin_flat_index, n_evals).
-    """
-    n_total = g ** 10
-    g2 = g * g
-    best = math.inf
-    best_idx = -1
-    evals = 0
-    for j in range(n_total):
-        t = j // g2
-        rem = j % g2
-        e1 = rem // g
-        e2 = rem % g
-        r = t
-        a2 = r % g; r //= g
-        a1 = r % g; r //= g
-        d2 = r % g; r //= g
-        d1 = r % g; r //= g
-        v2 = r % g; r //= g
-        v1 = r % g; r //= g
-        h2 = r % g; r //= g
-        h1 = r
-        (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-         m_x1, m_x2, m_x3, m_z1, m_z2, m_z3) = counts_core(
-            pax, pbx,
-            cand1[h1], cand2[h2], cand1[v1], cand2[v2],
-            cand1[d1], cand2[d2], cand1[a1], cand2[a2],
-            mu3, p1, p2, p3, p_d, p_ec, qber_i, p_ap, n_pulses)
-        out = bounds_ell_core(
-            n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-            m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
-            cand1[e1], cand2[e2], mu3, p1, p2, p3,
-            beta, eps_s, eps_c, ec_mode, f_ec, f_inv_by_true[t])
-        evals += 1
-        ell = out[0]
-        if ell < best:
-            best = ell
-            best_idx = j
-    return best, best_idx, evals

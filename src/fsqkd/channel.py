@@ -50,10 +50,11 @@ class ChannelConditions:
             raise ParameterError(f"qber_i must be in [0, 0.5), got {self.qber_i}")
         if not 0.0 <= self.p_ap < 1.0:
             raise ParameterError(f"p_ap must be in [0, 1), got {self.p_ap}")
-        if not self.f_s > 0.0:
-            raise ParameterError(f"f_s must be positive, got {self.f_s}")
-        if not self.integration_time_s >= 0.0:
-            raise ParameterError(f"integration_time_s must be >= 0, got {self.integration_time_s}")
+        if not (math.isfinite(self.f_s) and self.f_s > 0.0):
+            raise ParameterError(f"f_s must be finite and positive, got {self.f_s}")
+        if not (math.isfinite(self.integration_time_s) and self.integration_time_s >= 0.0):
+            raise ParameterError(
+                f"integration_time_s must be finite and >= 0, got {self.integration_time_s}")
 
     @property
     def transmittance(self) -> float:

@@ -71,28 +71,3 @@ def test_full_chain_matches():
         for a, b in zip(out_jit, out_py):
             assert _rel_close(a, b, tol=1e-11)
 
-
-def test_grid_kernels_match():
-    g = 3
-    cand1 = 0.5 * (1.0 + 0.05 * (2.0 * np.arange(g) / (g - 1) - 1.0))
-    cand2 = 0.1 * (1.0 + 0.05 * (2.0 * np.arange(g) / (g - 1) - 1.0))
-    beta = math.log(21.0 / 1e-9)
-    common = (0.7, 0.5, 0.0, 0.8, 0.13, 0.07, 1e-3, 1e-6, 0.01, 1e-3, 6e9)
-
-    nx_jit = np.empty(g ** 8)
-    q_jit = np.empty(g ** 8)
-    k.grid_counts_core(g, cand1, cand2, *common, nx_jit, q_jit)
-    nx_py = np.empty(g ** 8)
-    q_py = np.empty(g ** 8)
-    plain(k.grid_counts_core)(g, cand1, cand2, *common, nx_py, q_py)
-    np.testing.assert_allclose(nx_jit, nx_py, rtol=1e-12)
-    np.testing.assert_allclose(q_jit, q_py, rtol=1e-12)
-
-    f_inv = np.zeros(g ** 8)
-    out_jit = k.grid_min_core(g, cand1, cand2, *common, beta, 1e-9, 1e-15,
-                              1, 1.16, f_inv)
-    out_py = plain(k.grid_min_core)(g, cand1, cand2, *common, beta, 1e-9,
-                                    1e-15, 1, 1.16, f_inv)
-    assert out_jit[0] == out_py[0]
-    assert out_jit[1] == out_py[1]
-    assert out_jit[2] == out_py[2] == g ** 10

@@ -194,6 +194,14 @@ class TestValidation:
             ChannelConditions(eta_loss_db=10.0, p_ec=1e-6, qber_i=0.01,
                               integration_time_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["integration_time_s", "f_s"])
+    def test_window_and_rate_must_be_finite(self, field):
+        kwargs = dict(eta_loss_db=10.0, p_ec=1e-6, qber_i=0.01,
+                      integration_time_s=1.0)
+        kwargs[field] = math.inf
+        with pytest.raises(ParameterError, match=field):
+            ChannelConditions(**kwargs)
+
     def test_block_counts_totals_are_sums(self):
         c = BlockCounts(n_x=(1.0, 2.0, 3.0), n_z=(4.0, 5.0, 6.0),
                         m_x=(0.1, 0.2, 0.3), m_z=(0.4, 0.5, 0.6))

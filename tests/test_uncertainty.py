@@ -1,13 +1,18 @@
 """Worst-case key length under bounded intensity uncertainty."""
 import itertools
 
+import numpy as np
 import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    ParameterError, ProtocolParams, SecurityParams,
                    key_length_for_channel, key_length_for_intensities,
                    worst_case_key_length)
-from fsqkd.uncertainty import GRID_DIMS, decode_grid_index
+from fsqkd import _kernels as k
+from fsqkd._quantile import binom_ppf
+from fsqkd.uncertainty import (GRID_DIMS, _binary_entropy, _fluct_gamma,
+                               bounds_ell_array, decode_grid_index,
+                               grid_key_lengths)
 
 # fixed-hardware point with a comfortable key margin
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
@@ -125,3 +130,175 @@ class TestWorstCase:
         again = key_length_for_intensities(res.argmin, PARAMS, CHANNEL, SEC,
                                            ec_method="rate-factor")
         assert again == res.min_ell
+
+    def test_denser_grid_runs(self):
+        model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS,
+                                          grid_points_per_dim=4)
+        res = worst_case_key_length(model, CHANNEL, SEC)
+        assert res.evaluations == 4 ** 10
+        again = key_length_for_intensities(res.argmin, PARAMS, CHANNEL, SEC)
+        assert again == res.min_ell
+
+    def test_single_point_grid_is_nominal(self):
+        model = IntensityUncertaintyModel(f=0.0, nominal=PARAMS,
+                                          grid_points_per_dim=1)
+        res = worst_case_key_length(model, CHANNEL, SEC)
+        assert res.evaluations == 1
+        assert res.argmin_index == 0
+        assert res.min_ell == res.nominal_ell == key_length_for_channel(
+            PARAMS, CHANNEL, SEC).ell
+
+
+def scalar_grid(model, channel, sec, ec_method):
+    """Reference: the scalar counts -> quantile -> bounds chain at every grid
+    point, row-major over GRID_DIMS.  Returns (ell, reason) arrays."""
+    params, g = model.nominal, model.grid_points_per_dim
+    cand1 = model.candidates(params.mu[0])
+    cand2 = model.candidates(params.mu[1])
+    mu3 = params.mu[2]
+    p1, p2, p3 = params.p_mu
+    ec_mode = 0 if ec_method == "binomial" else 1
+    ell = np.empty(g ** 10)
+    reason = np.empty(g ** 10)
+    for t in range(g ** 8):
+        h1, h2, v1, v2, d1, d2, a1, a2 = decode_grid_index(t, g)[2:]
+        c = k.counts_core(params.pax, params.pbx,
+                          cand1[h1], cand2[h2], cand1[v1], cand2[v2],
+                          cand1[d1], cand2[d2], cand1[a1], cand2[a2],
+                          mu3, p1, p2, p3, channel.transmittance, channel.p_ec,
+                          channel.qber_i, channel.p_ap, channel.n_pulses)
+        f_inv = 0.0
+        n_x = c[0] + c[1] + c[2]
+        if ec_mode == 0 and n_x > 0.0:
+            q = (c[6] + c[7] + c[8]) / n_x
+            if q > 0.0:
+                f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
+        for e1, e2 in itertools.product(range(g), repeat=2):
+            out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
+                                    sec.beta, sec.eps_s, sec.eps_c, ec_mode,
+                                    1.16, f_inv)
+            j = t * g * g + e1 * g + e2
+            ell[j], reason[j] = out[0], out[10]
+    return ell, reason
+
+
+def loss_channel(eta_loss_db, integration_time_s=60.0):
+    return ChannelConditions(eta_loss_db=eta_loss_db, p_ec=1e-6, qber_i=0.01,
+                             integration_time_s=integration_time_s)
+
+
+class TestArrayGridExactness:
+    """The array grid reproduces the scalar chain at every point, bit for bit."""
+
+    @staticmethod
+    def check(model, channel, ec_method):
+        ell = np.stack(list(grid_key_lengths(model, channel, SEC, ec_method)),
+                       axis=1).ravel()
+        ref, reason = scalar_grid(model, channel, SEC, ec_method)
+        assert np.array_equal(ell, ref)
+        res = worst_case_key_length(model, channel, SEC, ec_method=ec_method)
+        assert res.evaluations == ref.size
+        assert res.min_ell == ref.min()
+        assert res.argmin_index == int(np.argmin(ref))
+        return ref, reason, res
+
+    @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+    @pytest.mark.parametrize("f", [0.0, 0.05, 0.1])
+    def test_two_point_grid(self, f, ec_method):
+        model = IntensityUncertaintyModel(f=f, nominal=PARAMS,
+                                          grid_points_per_dim=2)
+        _, _, res = self.check(model, CHANNEL, ec_method)
+        assert res.min_ell > 0
+
+    def test_three_point_grid(self):
+        model = IntensityUncertaintyModel(f=0.1, nominal=PARAMS)
+        self.check(model, CHANNEL, "binomial")
+
+    def test_single_photon_clamp_ties_at_zero(self):
+        # at 44 dB most points lose their single-photon bound and the rest
+        # have a negative key expression: every point ties at ell = 0
+        model = IntensityUncertaintyModel(f=0.1, nominal=PARAMS,
+                                          grid_points_per_dim=2)
+        ref, reason, res = self.check(model, loss_channel(44.0), "binomial")
+        assert np.all(ref == 0.0)
+        assert np.any(reason == k.REASON_NO_SINGLE_PHOTON)
+        assert res.min_ell == 0 and res.argmin_index == 0
+
+    def test_zero_ties_among_positive_points(self):
+        # the first of several zero-key points wins the tie
+        model = IntensityUncertaintyModel(f=0.1, nominal=PARAMS,
+                                          grid_points_per_dim=2)
+        ref, _, res = self.check(model, loss_channel(35.5), "binomial")
+        assert np.sum(ref == 0.0) > 1 and np.any(ref > 0.0)
+        assert res.min_ell == 0 and res.argmin_index > 0
+        assert res.nominal_ell > 0
+
+    def test_empty_window(self):
+        model = IntensityUncertaintyModel(f=0.1, nominal=PARAMS,
+                                          grid_points_per_dim=2)
+        _, reason, res = self.check(model, loss_channel(30.0, 0.0), "binomial")
+        assert np.all(reason == k.REASON_ZERO_COUNTS)
+        assert res.min_ell == 0 and res.argmin_index == 0
+
+
+def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
+    """Twelve expected counts: from ``counts_core`` at a random channel, or,
+    to reach every clamp of the chain, drawn independently."""
+    if not consistent:
+        return tuple(10.0 ** rng.uniform(-2, 8, 12))
+    return k.counts_core(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95),
+                         *(mu * rng.uniform(0.9, 1.1) for mu in (mu1, mu2) * 4),
+                         mu3, p1, p2, p3, 10.0 ** -rng.uniform(1, 6),
+                         10.0 ** -rng.uniform(3, 8), rng.uniform(0, 0.05),
+                         1e-3, 10.0 ** rng.uniform(4, 12))
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_bounds_ell_array_matches_scalar_kernel(consistent):
+    """Every element of the array chain equals ``bounds_ell_core``, including
+    the unfloored key expression."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(8):
+        mu1 = rng.uniform(0.3, 0.9)
+        mu2 = mu1 * rng.uniform(0.1, 0.5)
+        mu3 = float(rng.choice([0.0, 1e-9]))
+        p1 = rng.uniform(0.3, 0.7)
+        p2 = rng.uniform(0.1, 0.25)
+        p3 = 1.0 - p1 - p2
+        est = (mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1), mu3)
+        counts, lam, want = [], [], []
+        for _ in range(200):
+            c = random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent)
+            ec_mode = int(rng.integers(2))
+            n_x = c[0] + c[1] + c[2]
+            qber_x = (c[6] + c[7] + c[8]) / n_x
+            f_inv = binom_ppf(SEC.eps_c, n_x, 1.0 - min(qber_x, 0.5))
+            counts.append(c)
+            lam.append(k.ec_leakage_core(n_x, qber_x, SEC.eps_c, ec_mode, 1.16,
+                                         f_inv))
+            want.append(k.bounds_ell_core(*c, *est, p1, p2, p3, SEC.beta,
+                                          SEC.eps_s, SEC.eps_c, ec_mode, 1.16,
+                                          f_inv))
+        cols = np.array(counts).T
+        ell, raw = bounds_ell_array(cols[0:3], cols[3:6], cols[9:12], est,
+                                    (p1, p2, p3), SEC.beta, SEC.eps_s,
+                                    SEC.eps_c, np.array(lam))
+        want = np.array(want).T
+        assert np.array_equal(ell, want[0])
+        assert np.array_equal(raw, want[1])
+
+
+def test_array_logarithmic_terms_match_scalar_kernels():
+    """NumPy's own log differs from libm in the last bit on some inputs;
+    the array entropy and fluctuation terms must not."""
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 20000), [-0.1, 0.0, 0.5, 1.0]])
+    assert np.array_equal(_binary_entropy(x),
+                          [k.binary_entropy(v) for v in x])
+    b = np.concatenate([rng.uniform(0.0, 0.5, 20000), [-0.1, 0.0, 1.0]])
+    c = 10.0 ** rng.uniform(-1, 8, b.size)
+    d = 10.0 ** rng.uniform(-1, 8, b.size)
+    c[:3] = 0.0
+    a = SEC.eps_s + SEC.eps_c
+    assert np.array_equal(_fluct_gamma(a, b, c, d),
+                          [k.fluct_gamma(a, *t) for t in zip(b, c, d)])
