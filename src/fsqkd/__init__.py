@@ -6,7 +6,6 @@ answers the system-design questions that follow from it: how much key a
 given window yields, which protocol settings maximize it, how much loss a
 link can tolerate, and how badly pulse-intensity uncertainty hurts.
 """
-from ._accel import using_numba
 from .channel import (BlockCounts, ChannelConditions, ParameterError,
                       ProtocolParams, detection_probability,
                       error_probability, expected_block_counts,
@@ -25,6 +24,15 @@ from .uncertainty import (IntensityUncertaintyModel, WorstCaseResult,
                           key_length_for_intensities, worst_case_key_length)
 
 __version__ = "0.1.0"
+
+
+def using_numba() -> bool:
+    """Always False: the kernels run as plain Python and NumPy.
+
+    Kept for callers that record which backend produced their numbers.
+    """
+    return False
+
 
 __all__ = [
     "BlockCounts", "ChannelConditions", "IntensityUncertaintyModel",

@@ -1,12 +1,13 @@
 """Scalar numeric kernels for the decoy-state finite-key chain.
 
-Everything here is straight-line float64 math so the functions behave the
-same whether or not numba compiles them (see :mod:`fsqkd._accel`).  The
-kernels are generalized to per-signal-state pulse intensities: each basis
-uses the mean of its two signal states' detection/error statistics, while
-the decoy estimation step uses the (possibly different) intensity pair
-assumed by the receiver.  With all intensities equal this reduces exactly
-to the plain three-intensity protocol chain.
+Everything here is straight-line float64 math on Python floats; the
+worst-case grid in :mod:`fsqkd.uncertainty` mirrors it over NumPy arrays
+expression for expression.  The kernels are generalized to
+per-signal-state pulse intensities: each basis uses the mean of its two
+signal states' detection/error statistics, while the decoy estimation
+step uses the (possibly different) intensity pair assumed by the
+receiver.  With all intensities equal this reduces exactly to the plain
+three-intensity protocol chain.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-from ._accel import njit
-
 LN2 = 0.6931471805599453
 
 REASON_OK = 0.0
@@ -28,26 +27,22 @@ REASON_NO_SINGLE_PHOTON = 2.0
 REASON_NEGATIVE_KEY = 3.0
 
 
-@njit
 def db_to_transmittance(eta_loss_db):
     """Linear system transmittance from total loss in dB."""
     return 10.0 ** (-eta_loss_db / 10.0)
 
 
-@njit
 def detection_prob(k, p_d, p_ec, p_ap):
     """Per-pulse detection probability for mean photon number k."""
     return (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * math.exp(-p_d * k))
 
 
-@njit
 def error_prob(k, p_d, p_ec, p_ap, qber_i):
     """Per-pulse error probability for mean photon number k."""
     d_k = detection_prob(k, p_d, p_ec, p_ap)
     return p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - math.exp(-p_d * k))
 
 
-@njit
 def binary_entropy(x):
     """Binary entropy in bits, with h(0) = h(1) = 0 by continuity."""
     if x <= 0.0 or x >= 1.0:
@@ -55,19 +50,16 @@ def binary_entropy(x):
     return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / LN2
 
 
-@njit
 def chernoff_delta_plus(y, beta):
     """Upper-tail concentration correction for an expected count y."""
     return beta + math.sqrt(2.0 * beta * y + beta * beta)
 
 
-@njit
 def chernoff_delta_minus(y, beta):
     """Lower-tail concentration correction for an expected count y."""
     return 0.5 * beta + math.sqrt(2.0 * beta * y + 0.25 * beta * beta)
 
 
-@njit
 def poisson_tau(n, mu1, mu2, mu3, p1, p2, p3):
     """Probability that a transmitted pulse contains n photons (n in {0, 1})."""
     if n == 0:
@@ -77,7 +69,6 @@ def poisson_tau(n, mu1, mu2, mu3, p1, p2, p3):
             + p3 * math.exp(-mu3) * mu3)
 
 
-@njit
 def fluct_gamma(a, b, c, d):
     """Statistical-fluctuation term added to the single-photon error ratio."""
     if b <= 0.0 or b >= 1.0 or c <= 0.0 or d <= 0.0:
@@ -92,7 +83,6 @@ def fluct_gamma(a, b, c, d):
     return math.sqrt(v)
 
 
-@njit
 def counts_core(pax, pbx,
                 mu1_h, mu2_h, mu1_v, mu2_v,
                 mu1_d, mu2_d, mu1_a, mu2_a,
@@ -155,7 +145,6 @@ def counts_core(pax, pbx,
             m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
 
 
-@njit
 def scaled_bounds_core(c1, c2, c3, mu1, mu2, mu3, p1, p2, p3, beta):
     """Concentration-corrected, intensity-rescaled counts.
 
@@ -179,7 +168,6 @@ def scaled_bounds_core(c1, c2, c3, mu1, mu2, mu3, p1, p2, p3, beta):
     return lo1, lo2, lo3, hi1, hi2, hi3
 
 
-@njit
 def vacuum_bound_core(lo3, hi2, tau0, mu2, mu3, total):
     """Lower bound on vacuum-origin events, capped by the basis total."""
     s0 = tau0 * (mu2 * lo3 - mu3 * hi2) / (mu2 - mu3)
@@ -190,7 +178,6 @@ def vacuum_bound_core(lo3, hi2, tau0, mu2, mu3, total):
     return s0
 
 
-@njit
 def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total):
     """Lower bound on single-photon events, capped so s0 + s1 <= total."""
     den = mu1 * (mu2 - mu3) - mu2 * mu2 + mu3 * mu3
@@ -206,7 +193,6 @@ def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total
     return s1
 
 
-@njit
 def ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv):
     """Reconciliation leakage in bits.
 
@@ -232,7 +218,6 @@ def ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv):
     return lam
 
 
-@njit
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
                     m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
                     mu1, mu2, mu3, p1, p2, p3,

@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--out", type=str, default=None, help="output path (stdout when absent)")
     common.add_argument("--seed", type=int, default=None, help="optimizer seed override")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap for sweeps")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("keylength", parents=[common],
@@ -125,10 +124,7 @@ def _cmd_optimize(cfg: RunConfig, args) -> str:
     method, f_ec = cfg.ec_method()
     spec = cfg.opt_spec(seed_override=args.seed)
     res = optimize(spec, channel, sec, ec_method=method, f_ec=f_ec)
-    result = key_length_for_channel(res.best_params, channel, sec,
-                                    ec_method=method, f_ec=f_ec,
-                                    with_diagnostics=False)
-    obj = _result_obj(result, res.best_params)
+    obj = _result_obj(res.result, res.best_params)
     obj["evaluations"] = res.evaluations
     obj["regime"] = spec.regime.value
     obj["seed"] = spec.seed
@@ -136,12 +132,11 @@ def _cmd_optimize(cfg: RunConfig, args) -> str:
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> str:
-    base = cfg.channel() if cfg.has("channel.eta_loss_db") else cfg._channel_without_loss()
+    base = cfg.channel(loss_optional=True)
     sec = cfg.security()
     method, f_ec = cfg.ec_method()
     spec = cfg.sweep_spec(seed_override=args.seed)
-    rows = sweep(spec, base, sec, ec_method=method, f_ec=f_ec,
-                 threads=max(args.threads, 1))
+    rows = sweep(spec, base, sec, ec_method=method, f_ec=f_ec)
     if args.format == "json":
         return _dump_json([{**_result_obj(r.result, r.params),
                             "eta_loss_db": r.eta_loss_db,

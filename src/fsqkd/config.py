@@ -28,8 +28,6 @@ from .scenarios import LossBudgetQuery, SweepSpec
 from .uncertainty import IntensityUncertaintyModel
 
 ENV_PREFIX = "FSQKD_"
-# control variables that are not configuration overrides
-ENV_RESERVED = {"FSQKD_NUMBA"}
 
 FLOAT, INT, STR, FLOATLIST = "float", "int", "str", "floatlist"
 
@@ -183,7 +181,7 @@ class RunConfig:
                     raw[key.strip()] = value.strip()
         env = os.environ if env is None else env
         for name, value in env.items():
-            if not name.startswith(ENV_PREFIX) or name in ENV_RESERVED:
+            if not name.startswith(ENV_PREFIX):
                 continue
             rest = name[len(ENV_PREFIX):].lower()
             if "_" not in rest:
@@ -210,10 +208,14 @@ class RunConfig:
         return self.values[key]
 
     # --- section builders -------------------------------------------------
-    def channel(self) -> ChannelConditions:
+    def channel(self, loss_optional: bool = False) -> ChannelConditions:
+        """The channel section; with ``loss_optional`` (the loss is swept or
+        searched) a missing ``channel.eta_loss_db`` reads as 0 dB."""
+        eta = (self.get("channel.eta_loss_db", 0.0) if loss_optional
+               else self.require("channel.eta_loss_db"))
         try:
             return ChannelConditions(
-                eta_loss_db=self.require("channel.eta_loss_db"),
+                eta_loss_db=eta,
                 p_ec=self.require("channel.p_ec"),
                 qber_i=self.require("channel.qber_i"),
                 integration_time_s=self.require("channel.integration_time_s"),
@@ -278,55 +280,46 @@ class RunConfig:
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def sweep_spec(self, seed_override: int | None = None) -> SweepSpec:
+    def _fixed_or_optimize(self, seed_override: int | None
+                           ) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
+        """The (params, opt_spec) policy of a sweep or budget.
+
+        A complete protocol section fixes the parameters; an
+        ``optimize.regime`` re-optimizes at every point.  Giving both is an
+        error; giving neither is left to the spec's own validation.
+        """
         fixed = all(self.has(k) for k in
                     ("protocol.pax", "protocol.pbx", "protocol.mu1",
                      "protocol.mu2", "protocol.p_mu1", "protocol.p_mu2"))
         use_opt = self.has("optimize.regime")
         if use_opt and fixed:
             raise ConfigError("give either a protocol section or an optimize.regime, not both")
+        return (self.protocol() if fixed else None,
+                self.opt_spec(seed_override) if use_opt else None)
+
+    def sweep_spec(self, seed_override: int | None = None) -> SweepSpec:
+        params, opt_spec = self._fixed_or_optimize(seed_override)
         try:
             return SweepSpec(
                 eta_loss_db=self.require("sweep.eta_loss_db"),
                 log10_pec=self.require("sweep.log10_pec"),
                 qber_i=self.require("sweep.qber_i"),
                 tau_s=self.require("sweep.tau_s"),
-                params=self.protocol() if fixed else None,
-                opt_spec=self.opt_spec(seed_override) if use_opt else None,
+                params=params, opt_spec=opt_spec,
             )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
     def budget_query(self, seed_override: int | None = None) -> LossBudgetQuery:
-        fixed = all(self.has(k) for k in
-                    ("protocol.pax", "protocol.pbx", "protocol.mu1",
-                     "protocol.mu2", "protocol.p_mu1", "protocol.p_mu2"))
-        use_opt = self.has("optimize.regime")
-        if use_opt and fixed:
-            raise ConfigError("give either a protocol section or an optimize.regime, not both")
+        params, opt_spec = self._fixed_or_optimize(seed_override)
         try:
             return LossBudgetQuery(
-                conditions=self.channel() if self.has("channel.eta_loss_db")
-                else self._channel_without_loss(),
+                conditions=self.channel(loss_optional=True),
                 target_bits=self.get("budget.target_bits"),
                 eta_min_db=self.get("budget.eta_min_db"),
                 eta_max_db=self.get("budget.eta_max_db"),
                 resolution_db=self.get("budget.resolution_db"),
-                params=self.protocol() if fixed else None,
-                opt_spec=self.opt_spec(seed_override) if use_opt else None,
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def _channel_without_loss(self) -> ChannelConditions:
-        try:
-            return ChannelConditions(
-                eta_loss_db=0.0,
-                p_ec=self.require("channel.p_ec"),
-                qber_i=self.require("channel.qber_i"),
-                integration_time_s=self.require("channel.integration_time_s"),
-                p_ap=self.get("channel.p_ap"),
-                f_s=self.get("channel.f_s"),
+                params=params, opt_spec=opt_spec,
             )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc

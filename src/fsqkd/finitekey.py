@@ -176,6 +176,15 @@ def phase_error(s_z1: float, v_z1: float, s_x1: float, sec: SecurityParams) -> f
     return min(0.5, ratio + k.fluct_gamma(sec.eps, ratio, s_z1, s_x1))
 
 
+def _ec_mode(method: str) -> int:
+    """Kernel code of an EC leakage method; unknown names raise ParameterError."""
+    if method == "binomial":
+        return 0
+    if method == "rate-factor":
+        return 1
+    raise ParameterError(f"unknown EC leakage method {method!r}")
+
+
 def ec_leakage(n_x: float, qber_x: float, eps_c: float,
                method: EcMethod = "binomial", f_ec: float = 1.16) -> float:
     """Reconciliation leakage estimate in bits.
@@ -183,26 +192,42 @@ def ec_leakage(n_x: float, qber_x: float, eps_c: float,
     ``binomial`` uses the finite-size estimate built on the inverse
     binomial CDF; ``rate-factor`` uses ``f_ec * n_x * h(qber_x)``.
     """
+    ec_mode = _ec_mode(method)
     if n_x < 0.0:
         raise ParameterError(f"n_x must be >= 0, got {n_x}")
     if not 0.0 <= qber_x <= 0.5:
         raise ParameterError(f"qber_x must be in [0, 0.5], got {qber_x}")
     if n_x == 0.0:
         return 0.0
-    if method == "rate-factor":
-        return k.ec_leakage_core(n_x, qber_x, eps_c, 1, f_ec, 0.0)
-    if method != "binomial":
-        raise ParameterError(f"unknown EC leakage method {method!r}")
-    f_inv = _ec_quantile(n_x, qber_x, eps_c)
-    return k.ec_leakage_core(n_x, qber_x, eps_c, 0, f_ec, f_inv)
+    f_inv = _ec_quantile(n_x, qber_x, eps_c) if ec_mode == 0 else 0.0
+    return k.ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv)
 
 
 def _ec_quantile(n_x: float, qber_x: float, eps_c: float) -> float:
-    """Inverse binomial CDF term feeding the leakage estimate."""
+    """Inverse binomial CDF term feeding the binomial leakage estimate."""
     if n_x <= 0.0 or qber_x <= 0.0:
         return 0.0
-    q = min(qber_x, 0.5)
-    return binom_ppf(eps_c, n_x, 1.0 - q)
+    return binom_ppf(eps_c, n_x, 1.0 - min(qber_x, 0.5))
+
+
+def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
+               p1: float, p2: float, p3: float,
+               beta: float, eps_s: float, eps_c: float,
+               ec_mode: int, f_ec: float) -> tuple[tuple, float]:
+    """Leakage quantile, then the estimation chain, for one count vector.
+
+    ``c`` holds the 12 expected counts in ``counts_core`` order; the
+    intensities and probabilities are the estimator's.  Returns the
+    ``bounds_ell_core`` tuple and the quantile it was given (0 in
+    rate-factor mode).
+    """
+    f_inv = 0.0
+    if ec_mode == 0:
+        n_x = c[0] + c[1] + c[2]
+        if n_x > 0.0:
+            f_inv = _ec_quantile(n_x, (c[6] + c[7] + c[8]) / n_x, eps_c)
+    return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3,
+                             beta, eps_s, eps_c, ec_mode, f_ec, f_inv), f_inv
 
 
 def secure_key_length(counts: BlockCounts, params: ProtocolParams,
@@ -215,23 +240,10 @@ def secure_key_length(counts: BlockCounts, params: ProtocolParams,
     Every failure mode (no detections, degenerate single-photon estimate,
     negative key expression) maps to ``ell = 0`` with a reason string.
     """
-    mu1, mu2, mu3 = params.mu
-    p1, p2, p3 = params.p_mu
-    ec_mode = 0 if ec_method == "binomial" else 1
-    if ec_method not in ("binomial", "rate-factor"):
-        raise ParameterError(f"unknown EC leakage method {ec_method!r}")
-
-    n_x = counts.n_x_total
-    qber_x = counts.m_x_total / n_x if n_x > 0.0 else 0.0
-    f_inv = _ec_quantile(n_x, qber_x, sec.eps_c) if ec_mode == 0 else 0.0
-
-    out = k.bounds_ell_core(
-        counts.n_x[0], counts.n_x[1], counts.n_x[2],
-        counts.n_z[0], counts.n_z[1], counts.n_z[2],
-        counts.m_x[0], counts.m_x[1], counts.m_x[2],
-        counts.m_z[0], counts.m_z[1], counts.m_z[2],
-        mu1, mu2, mu3, p1, p2, p3,
-        sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec, f_inv)
+    ec_mode = _ec_mode(ec_method)
+    out, f_inv = _key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
+                            *params.mu, *params.p_mu,
+                            sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
     (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x_out, reason) = out
 
     diagnostics: dict = {}
@@ -258,6 +270,7 @@ def key_length_for_channel(params: ProtocolParams,
                            f_ec: float = 1.16,
                            with_diagnostics: bool = True) -> KeyLengthResult:
     """Expected-count evaluation of the secure key length for one window."""
+    _ec_mode(ec_method)  # reject an unknown method before counting
     counts = expected_block_counts(params, channel)
     return secure_key_length(counts, params, sec, ec_method=ec_method,
                              f_ec=f_ec, with_diagnostics=with_diagnostics)
@@ -271,19 +284,10 @@ def _evaluate_flat(pax: float, pbx: float,
                    ec_mode: int, f_ec: float) -> tuple:
     """Hot-path evaluation on plain floats; returns the kernel result tuple.
 
-    Identical arithmetic to :func:`key_length_for_channel` (same kernels in
-    the same order), without dataclass construction.
+    The same chain as :func:`key_length_for_channel`, without dataclass
+    construction.
     """
     c = k.counts_core(pax, pbx, mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2,
                       mu3, p1, p2, p3, p_d, p_ec, qber_i, p_ap, n_pulses)
-    f_inv = 0.0
-    if ec_mode == 0:
-        n_x = c[0] + c[1] + c[2]
-        if n_x > 0.0:
-            q = (c[6] + c[7] + c[8]) / n_x
-            if q > 0.0:
-                f_inv = binom_ppf(eps_c, n_x, 1.0 - min(q, 0.5))
-    return k.bounds_ell_core(c[0], c[1], c[2], c[3], c[4], c[5],
-                             c[6], c[7], c[8], c[9], c[10], c[11],
-                             mu1, mu2, mu3, p1, p2, p3,
-                             beta, eps_s, eps_c, ec_mode, f_ec, f_inv)
+    return _key_chain(c, mu1, mu2, mu3, p1, p2, p3,
+                      beta, eps_s, eps_c, ec_mode, f_ec)[0]

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channel import ChannelConditions, ParameterError, ProtocolParams
-from .finitekey import SecurityParams, _evaluate_flat, key_length_for_channel
+from .finitekey import (KeyLengthResult, SecurityParams, _ec_mode, _evaluate_flat,
+                        key_length_for_channel)
 
 
 class Regime(str, Enum):
@@ -80,29 +81,36 @@ class OptimizationSpec:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best point found and its key length, evaluated once."""
+
     best_params: ProtocolParams
-    best_ell: int
-    best_raw: float
+    result: KeyLengthResult
     evaluations: int
     restart_trace: tuple[dict, ...]
 
+    @property
+    def best_ell(self) -> int:
+        return self.result.ell
+
+    @property
+    def best_raw(self) -> float:
+        return self.result.raw
+
 
 def feasible(params: ProtocolParams | tuple) -> bool:
-    """True iff intensity ordering, sum constraint and simplex constraints hold.
+    """True iff the point passes ``ProtocolParams`` validation.
 
-    Accepts a ``ProtocolParams`` or a raw ``(pax, pbx, mu, p_mu)`` tuple, so
-    candidate points can be screened without triggering constructor errors.
+    Accepts a ``ProtocolParams`` (feasible by construction) or a raw
+    ``(pax, pbx, mu, p_mu)`` tuple, so candidate points can be screened
+    without triggering constructor errors.
     """
     if isinstance(params, ProtocolParams):
-        pax, pbx, mu, p_mu = params.pax, params.pbx, params.mu, params.p_mu
-    else:
-        pax, pbx, mu, p_mu = params
-    mu1, mu2, mu3 = mu
-    p1, p2, p3 = p_mu
-    return (0.0 < pax < 1.0 and 0.0 < pbx < 1.0
-            and mu1 > mu2 > mu3 >= 0.0 and mu1 > mu2 + mu3
-            and p1 > 0.0 and p2 > 0.0 and p3 > 0.0
-            and abs(p1 + p2 + p3 - 1.0) <= 1e-9)
+        return True
+    try:
+        ProtocolParams(*params)
+    except ParameterError:
+        return False
+    return True
 
 
 def _sigmoid(t: float) -> float:
@@ -177,9 +185,9 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     yields zero key, the result carries ``best_ell = 0`` at the least
     infeasible point found (largest key expression).
     """
+    ec_mode = _ec_mode(ec_method)
     p_d = channel.transmittance
     n_pulses = channel.n_pulses
-    ec_mode = 0 if ec_method == "binomial" else 1
     n_evals = 0
 
     def neg_raw(t: np.ndarray) -> float:
@@ -204,7 +212,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
                                 "maxfev": spec.max_evals_per_restart,
                                 "initial_simplex": None})
         cand_t = np.asarray(res.x, dtype=float)
-        cand_fun = float(neg_raw(cand_t))
+        cand_fun = float(res.fun)
         trace.append({"restart": r, "start": tuple(float(v) for v in t0),
                       "raw": -cand_fun, "nfev": int(res.nfev)})
         better = cand_fun < best_fun
@@ -218,10 +226,9 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     pax, pbx, mu1, mu2, mu3, p1, p2, p3 = dec
     best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3),
                                  p_mu=(p1, p2, p3))
-    # authoritative re-evaluation through the standard path
+    # authoritative evaluation through the standard path
     result = key_length_for_channel(best_params, channel, sec,
                                     ec_method=ec_method, f_ec=f_ec,
                                     with_diagnostics=False)
-    return OptimizationResult(best_params=best_params, best_ell=result.ell,
-                              best_raw=result.raw, evaluations=n_evals,
-                              restart_trace=tuple(trace))
+    return OptimizationResult(best_params=best_params, result=result,
+                              evaluations=n_evals, restart_trace=tuple(trace))

@@ -7,7 +7,6 @@ basis-bias sifting equivalence identity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -120,34 +119,23 @@ def _evaluate_point(channel: ChannelConditions, sec: SecurityParams,
                                               with_diagnostics=False)
     res: OptimizationResult = optimize(opt_spec, channel, sec,
                                        ec_method=ec_method, f_ec=f_ec)
-    kl = key_length_for_channel(res.best_params, channel, sec,
-                                ec_method=ec_method, f_ec=f_ec,
-                                with_diagnostics=False)
-    return res.best_params, kl
+    return res.best_params, res.result
 
 
 def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams,
-          ec_method: str = "binomial", f_ec: float = 1.16,
-          threads: int = 1) -> list[SweepRow]:
+          ec_method: str = "binomial", f_ec: float = 1.16) -> list[SweepRow]:
     """Evaluate (and optionally re-optimize) the key length on the grid.
 
-    Rows are independent and returned in grid order regardless of the
-    number of worker threads.
+    Rows are returned in grid order.
     """
-    points = spec.grid
-
-    def run(point: tuple[float, float, float, float]) -> SweepRow:
-        eta, lp, q, tau = point
+    rows = []
+    for eta, lp, q, tau in spec.grid:
         cond = replace(base, eta_loss_db=eta, p_ec=10.0 ** lp, qber_i=q,
                        integration_time_s=tau)
         params, result = _evaluate_point(cond, sec, spec.params,
                                          spec.opt_spec, ec_method, f_ec)
-        return SweepRow(eta, lp, q, tau, params, result)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, points))
-    return [run(p) for p in points]
+        rows.append(SweepRow(eta, lp, q, tau, params, result))
+    return rows
 
 
 def max_loss(query: LossBudgetQuery, sec: SecurityParams,

@@ -41,7 +41,7 @@ from . import _kernels as k
 from ._kernels import LN2
 from ._quantile import binom_ppf
 from .channel import ChannelConditions, ParameterError, ProtocolParams
-from .finitekey import SecurityParams
+from .finitekey import SecurityParams, _ec_mode, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
              "a_mu1", "a_mu2", "est_mu1", "est_mu2")
@@ -103,6 +103,7 @@ def key_length_for_intensities(state_mu: dict[str, float],
         if name not in vals:
             raise ParameterError(f"unknown intensity dimension {name!r}")
         vals[name] = float(v)
+    ec_mode = _ec_mode(ec_method)
     p1, p2, p3 = params.p_mu
     c = k.counts_core(params.pax, params.pbx,
                       vals["h_mu1"], vals["h_mu2"], vals["v_mu1"], vals["v_mu2"],
@@ -110,18 +111,8 @@ def key_length_for_intensities(state_mu: dict[str, float],
                       mu3, p1, p2, p3,
                       channel.transmittance, channel.p_ec, channel.qber_i,
                       channel.p_ap, channel.n_pulses)
-    ec_mode = 0 if ec_method == "binomial" else 1
-    f_inv = 0.0
-    if ec_mode == 0:
-        n_x = c[0] + c[1] + c[2]
-        if n_x > 0.0:
-            q = (c[6] + c[7] + c[8]) / n_x
-            if q > 0.0:
-                f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
-    out = k.bounds_ell_core(c[0], c[1], c[2], c[3], c[4], c[5],
-                            c[6], c[7], c[8], c[9], c[10], c[11],
-                            vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3,
-                            sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec, f_inv)
+    out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3,
+                        sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
     return int(out[0])
 
 
@@ -285,6 +276,7 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     g^2 arrays as columns gives the whole grid in row-major order over
     ``GRID_DIMS``.
     """
+    ec_mode = _ec_mode(ec_method)
     params = model.nominal
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu
@@ -324,7 +316,6 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     counted = n_x_tot > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         qber_x = np.where(counted, (m_x[0] + m_x[1] + m_x[2]) / n_x_tot, 0.0)
-    ec_mode = 0 if ec_method == "binomial" else 1
     f_inv = np.zeros(n_x_tot.shape)
     if ec_mode == 0:
         erred = counted & (qber_x > 0.0)

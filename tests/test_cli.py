@@ -162,18 +162,6 @@ class TestSweepCommand:
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        path = tmp_path / "sweep.cfg"
-        path.write_text(BASE_CONFIG + "\n"
-                        "sweep.eta_loss_db = 10, 25, 40\n"
-                        "sweep.log10_pec = -6, -4\n"
-                        "sweep.qber_i = 0.01\n"
-                        "sweep.tau_s = 60\n")
-        _, out1, _ = run_cli(capsys, ["sweep", "--config", str(path)])
-        _, out4, _ = run_cli(capsys, ["sweep", "--config", str(path),
-                                      "--threads", "4"])
-        assert out1 == out4
-
 
 class TestEntryPoint:
     def test_console_script(self):

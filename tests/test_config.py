@@ -31,9 +31,10 @@ class TestLoad:
         cfg = RunConfig.load(None, env={"FSQKD_CHANNEL_P_EC": "1e-5"})
         assert cfg.get("channel.p_ec") == 1e-5
 
-    def test_reserved_backend_variable_ignored(self):
-        cfg = RunConfig.load(None, env={"FSQKD_NUMBA": "0"})
-        assert not cfg.has("numba.0")
+    def test_former_backend_variable_rejected(self):
+        # every FSQKD_ name is an override; one without a section is malformed
+        with pytest.raises(ConfigError, match="FSQKD_NUMBA"):
+            RunConfig.load(None, env={"FSQKD_NUMBA": "0"})
 
     def test_unknown_env_key_named(self):
         with pytest.raises(ConfigError, match="channel.warp"):

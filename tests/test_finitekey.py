@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsqkd import (ChannelConditions, NoKeySignal, ParameterError,
-                   ProtocolParams, SecurityParams, binary_entropy,
-                   chernoff_delta, decoy_tau, ec_leakage,
-                   expected_block_counts, key_length_for_channel,
-                   phase_error, scaled_count_bounds, secure_key_length,
-                   single_photon_bound, vacuum_bound)
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, NoKeySignal,
+                   OptimizationSpec, ParameterError, ProtocolParams,
+                   SecurityParams, binary_entropy, chernoff_delta, decoy_tau,
+                   ec_leakage, expected_block_counts, key_length_for_channel,
+                   key_length_for_intensities, optimize, phase_error,
+                   scaled_count_bounds, secure_key_length,
+                   single_photon_bound, vacuum_bound, worst_case_key_length)
+from fsqkd import _kernels
 from fsqkd.channel import BlockCounts
+from fsqkd.finitekey import _REASONS, _evaluate_flat
 
 BETA_REF = math.log(1.0 / (1e-9 + 1e-15))
 
@@ -332,3 +335,62 @@ class TestSecurityParams:
             SecurityParams(eps_c=2.0)
         with pytest.raises(ParameterError):
             SecurityParams(beta=-1.0)
+
+
+class TestOneScalarChain:
+    """The optimizer objective, the dataclass path and the per-state
+    intensity path share one counts -> quantile -> bounds chain."""
+
+    @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+    @pytest.mark.parametrize("eta, reason", [(30.0, None), (50.0, "no-single-photon-bound")])
+    def test_callers_agree_bitwise(self, reference_params, security, ec_method, eta, reason):
+        channel = ChannelConditions(eta_loss_db=eta, p_ec=1e-6, qber_i=0.01,
+                                    integration_time_s=60.0)
+        ref = key_length_for_channel(reference_params, channel, security,
+                                     ec_method=ec_method, with_diagnostics=False)
+        assert ref.reason == reason
+        assert ref.lambda_ec > 0.0
+
+        par = reference_params
+        flat = _evaluate_flat(par.pax, par.pbx, *par.mu, *par.p_mu,
+                              channel.transmittance, channel.p_ec, channel.qber_i,
+                              channel.p_ap, channel.n_pulses, security.beta,
+                              security.eps_s, security.eps_c,
+                              {"binomial": 0, "rate-factor": 1}[ec_method], 1.16)
+        ell, raw, s_x0, s_x1, _, _, _, phi_x, lam, qber_x, code = flat
+        assert (int(ell), raw.hex(), s_x0.hex(), s_x1.hex(), phi_x.hex(),
+                lam.hex(), qber_x.hex(), _REASONS.get(code)) == (
+            ref.ell, ref.raw.hex(), ref.s_x0.hex(), ref.s_x1.hex(), ref.phi_x.hex(),
+            ref.lambda_ec.hex(), ref.qber_x.hex(), ref.reason)
+
+        assert key_length_for_intensities({}, par, channel, security,
+                                          ec_method=ec_method) == ref.ell
+
+
+def _entry_points(params, channel, sec):
+    model = IntensityUncertaintyModel(f=0.1, nominal=params, grid_points_per_dim=2)
+    return {
+        "key_length_for_channel":
+            lambda m: key_length_for_channel(params, channel, sec, ec_method=m),
+        "optimize":
+            lambda m: optimize(OptimizationSpec(restarts=1), channel, sec, ec_method=m),
+        "worst_case_key_length":
+            lambda m: worst_case_key_length(model, channel, sec, ec_method=m),
+        "key_length_for_intensities":
+            lambda m: key_length_for_intensities({}, params, channel, sec, ec_method=m),
+    }
+
+
+@pytest.mark.parametrize("method", ["Binomial", "bogus"])
+@pytest.mark.parametrize("entry", ["key_length_for_channel", "optimize",
+                                   "worst_case_key_length", "key_length_for_intensities"])
+def test_unknown_ec_method_rejected_before_evaluation(
+        monkeypatch, reference_params, reference_channel, security, entry, method):
+    call = _entry_points(reference_params, reference_channel, security)[entry]
+
+    def evaluated(*args):
+        raise AssertionError("the model was evaluated before ec_method was checked")
+
+    monkeypatch.setattr(_kernels, "detection_prob", evaluated)
+    with pytest.raises(ParameterError, match="unknown EC leakage method"):
+        call(method)

@@ -37,13 +37,6 @@ class TestSweep:
             (10.0, -6.0), (10.0, -5.0), (20.0, -6.0), (20.0, -5.0),
             (30.0, -6.0), (30.0, -5.0)]
 
-    def test_threaded_rows_match_serial(self):
-        spec = SweepSpec(eta_loss_db=(10.0, 25.0, 40.0), log10_pec=(-6.0, -4.0),
-                         qber_i=(0.005, 0.01), tau_s=(60.0,), params=PARAMS)
-        serial = sweep(spec, BASE, SEC, threads=1)
-        threaded = sweep(spec, BASE, SEC, threads=4)
-        assert [r.result.ell for r in serial] == [r.result.ell for r in threaded]
-
     def test_requires_exactly_one_policy(self):
         with pytest.raises(ParameterError):
             SweepSpec(eta_loss_db=(10.0,), log10_pec=(-6.0,), qber_i=(0.01,),
