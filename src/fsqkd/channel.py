@@ -21,6 +21,60 @@ class ParameterError(ValueError):
     """Raised when a physical or protocol parameter is out of domain."""
 
 
+#: The input domain, each range stated once: name -> interval.
+#: Every comparison with NaN is false, so NaN fails every range, and an
+#: open ``inf`` end rejects the infinities.
+DOMAIN: dict[str, tuple[str, float, float, str]] = {
+    "eta_loss_db": ("[", 0.0, math.inf, ")"),
+    "p_ec": ("[", 0.0, 0.5, ")"),
+    "qber_i": ("[", 0.0, 0.5, ")"),
+    "p_ap": ("[", 0.0, 1.0, ")"),
+    "transmittance": ("(", 0.0, 1.0, "]"),
+    "basis probability": ("(", 0.0, 1.0, ")"),
+    "intensity": ("[", 0.0, math.inf, ")"),
+    "intensity probability": ("(", 0.0, 1.0, ")"),
+    "eps": ("(", 0.0, 1.0, ")"),
+    "beta": ("[", 0.0, math.inf, ")"),
+    "f_ec": ("[", 1.0, math.inf, ")"),
+    "qber": ("[", 0.0, 0.5, "]"),
+    "entropy argument": ("[", 0.0, 1.0, "]"),
+    "f": ("[", 0.0, 0.5, ")"),
+    "non-negative": ("[", 0.0, math.inf, ")"),
+    "positive": ("(", 0.0, math.inf, ")"),
+    "positive integer": ("[", 1, math.inf, ")"),
+}
+
+
+def check_range(name: str, value: float, domain: str | None = None) -> None:
+    """Raise ParameterError unless ``value`` lies in the range of ``domain``
+    (default: the range named ``name``) in :data:`DOMAIN`."""
+    left, lo, hi, right = DOMAIN[name if domain is None else domain]
+    above = lo <= value if left == "[" else lo < value
+    below = value <= hi if right == "]" else value < hi
+    if not (above and below):
+        raise ParameterError(f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {value}")
+
+
+def check_intensities(mu: tuple[float, float, float]) -> None:
+    """The decoy-state intensity domain of Lim et al., PRA 89, 032332 (2014).
+
+    mu1 > mu2 > mu3 >= 0 and mu1 > mu2 + mu3, all finite, and the decoy
+    denominator of the single-photon bound, computed exactly as
+    ``_kernels.single_photon_bound_core`` computes it, is positive.
+    """
+    mu1, mu2, mu3 = mu
+    for i, v in enumerate(mu, start=1):
+        check_range(f"mu{i}", v, "intensity")
+    if not mu1 > mu2 > mu3:
+        raise ParameterError(f"intensities must satisfy mu1 > mu2 > mu3 >= 0, got {mu}")
+    if not mu1 > mu2 + mu3:
+        raise ParameterError(f"intensities must satisfy mu1 > mu2 + mu3, got {mu}")
+    if not mu1 * (mu2 - mu3) - mu2 * mu2 + mu3 * mu3 > 0.0:
+        raise ParameterError(
+            f"intensities give a decoy denominator mu1*(mu2-mu3) - mu2^2 + mu3^2 "
+            f"that is not positive in floating point, got {mu}")
+
+
 @dataclass(frozen=True)
 class ChannelConditions:
     """Environment and fixed hardware constants for one transmission window.
@@ -42,19 +96,12 @@ class ChannelConditions:
     f_s: float = 1e8
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta_loss_db) and self.eta_loss_db >= 0.0):
-            raise ParameterError(f"eta_loss_db must be finite and >= 0, got {self.eta_loss_db}")
-        if not 0.0 <= self.p_ec < 0.5:
-            raise ParameterError(f"p_ec must be in [0, 0.5), got {self.p_ec}")
-        if not 0.0 <= self.qber_i < 0.5:
-            raise ParameterError(f"qber_i must be in [0, 0.5), got {self.qber_i}")
-        if not 0.0 <= self.p_ap < 1.0:
-            raise ParameterError(f"p_ap must be in [0, 1), got {self.p_ap}")
-        if not (math.isfinite(self.f_s) and self.f_s > 0.0):
-            raise ParameterError(f"f_s must be finite and positive, got {self.f_s}")
-        if not (math.isfinite(self.integration_time_s) and self.integration_time_s >= 0.0):
-            raise ParameterError(
-                f"integration_time_s must be finite and >= 0, got {self.integration_time_s}")
+        check_range("eta_loss_db", self.eta_loss_db)
+        check_range("p_ec", self.p_ec)
+        check_range("qber_i", self.qber_i)
+        check_range("p_ap", self.p_ap)
+        check_range("integration_time_s", self.integration_time_s, "non-negative")
+        check_range("f_s", self.f_s, "positive")
 
     @property
     def transmittance(self) -> float:
@@ -69,10 +116,9 @@ class ChannelConditions:
 class ProtocolParams:
     """Tunable protocol knobs of the three-intensity efficient protocol.
 
-    ``mu`` must be strictly ordered (mu1 > mu2 > mu3 >= 0) with
-    mu1 > mu2 + mu3; ``p_mu`` must be a strictly positive probability
-    vector.  ``mu3`` is normally a small floor value (default style 1e-9)
-    or exactly zero.
+    ``mu`` must lie in the decoy domain of :func:`check_intensities`;
+    ``p_mu`` must be a strictly positive probability vector.  ``mu3`` is
+    normally a small floor value (default style 1e-9) or exactly zero.
     """
 
     pax: float
@@ -81,20 +127,14 @@ class ProtocolParams:
     p_mu: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pax < 1.0:
-            raise ParameterError(f"pax must be in (0, 1), got {self.pax}")
-        if not 0.0 < self.pbx < 1.0:
-            raise ParameterError(f"pbx must be in (0, 1), got {self.pbx}")
-        mu1, mu2, mu3 = self.mu
-        if not (mu1 > mu2 > mu3 >= 0.0):
-            raise ParameterError(f"intensities must satisfy mu1 > mu2 > mu3 >= 0, got {self.mu}")
-        if not mu1 > mu2 + mu3:
-            raise ParameterError(f"intensities must satisfy mu1 > mu2 + mu3, got {self.mu}")
-        p1, p2, p3 = self.p_mu
-        if min(p1, p2, p3) <= 0.0:
-            raise ParameterError(f"intensity probabilities must be positive, got {self.p_mu}")
-        if abs(p1 + p2 + p3 - 1.0) > 1e-9:
-            raise ParameterError(f"intensity probabilities must sum to 1, got sum {p1 + p2 + p3!r}")
+        check_range("pax", self.pax, "basis probability")
+        check_range("pbx", self.pbx, "basis probability")
+        check_intensities(self.mu)
+        for i, p in enumerate(self.p_mu, start=1):
+            check_range(f"p_mu{i}", p, "intensity probability")
+        total = sum(self.p_mu)
+        if abs(total - 1.0) > 1e-9:
+            raise ParameterError(f"intensity probabilities must sum to 1, got sum {total!r}")
 
 
 @dataclass(frozen=True)
@@ -125,33 +165,29 @@ class BlockCounts:
 
 def transmittance_from_loss(eta_loss_db: float) -> float:
     """Linear transmittance 10^(-eta/10) of a total loss in dB."""
-    if not (math.isfinite(eta_loss_db) and eta_loss_db >= 0.0):
-        raise ParameterError(f"eta_loss_db must be finite and >= 0, got {eta_loss_db}")
+    check_range("eta_loss_db", eta_loss_db)
     return k.db_to_transmittance(eta_loss_db)
+
+
+def _check_pulse(mean_photons: float, p_d: float, p_ec: float, p_ap: float) -> None:
+    check_range("mean photon number", mean_photons, "intensity")
+    check_range("transmittance", p_d)
+    check_range("p_ec", p_ec)
+    check_range("p_ap", p_ap)
 
 
 def detection_probability(mean_photons: float, p_d: float, p_ec: float, p_ap: float) -> float:
     """Per-pulse click probability for a pulse of the given mean photon number."""
-    if mean_photons < 0.0:
-        raise ParameterError(f"mean photon number must be >= 0, got {mean_photons}")
-    if not 0.0 < p_d <= 1.0:
-        raise ParameterError(f"transmittance must be in (0, 1], got {p_d}")
-    if not 0.0 <= p_ec < 0.5:
-        raise ParameterError(f"p_ec must be in [0, 0.5), got {p_ec}")
-    if not 0.0 <= p_ap < 1.0:
-        raise ParameterError(f"p_ap must be in [0, 1), got {p_ap}")
+    _check_pulse(mean_photons, p_d, p_ec, p_ap)
     return k.detection_prob(mean_photons, p_d, p_ec, p_ap)
 
 
 def error_probability(mean_photons: float, p_d: float, p_ec: float, p_ap: float,
-                      qber_i: float, d_k: float | None = None) -> float:
-    """Per-pulse error probability; ``d_k`` may supply a precomputed click rate."""
-    if not 0.0 <= qber_i < 0.5:
-        raise ParameterError(f"qber_i must be in [0, 0.5), got {qber_i}")
-    if d_k is None:
-        return k.error_prob(mean_photons, p_d, p_ec, p_ap, qber_i)
-    detection_probability(mean_photons, p_d, p_ec, p_ap)  # domain checks
-    return p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - math.exp(-p_d * mean_photons))
+                      qber_i: float) -> float:
+    """Per-pulse error probability for a pulse of the given mean photon number."""
+    _check_pulse(mean_photons, p_d, p_ec, p_ap)
+    check_range("qber_i", qber_i)
+    return k.error_prob(mean_photons, p_d, p_ec, p_ap, qber_i)
 
 
 Slots = Sequence[tuple[float, ChannelConditions]]
@@ -174,8 +210,7 @@ def expected_block_counts(params: ProtocolParams,
     p1, p2, p3 = params.p_mu
     acc = [0.0] * 12
     for dt, cond in slots:
-        if dt < 0.0:
-            raise ParameterError(f"slot duration must be >= 0, got {dt}")
+        check_range("slot duration", dt, "non-negative")
         out = k.counts_core(
             params.pax, params.pbx,
             mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .channel import ChannelConditions, ParameterError, ProtocolParams
+from .channel import ChannelConditions, ProtocolParams
 from .finitekey import SecurityParams
 from .optimize import OptimizationSpec, Regime
 from .scenarios import LossBudgetQuery, SweepSpec
@@ -213,27 +213,21 @@ class RunConfig:
         searched) a missing ``channel.eta_loss_db`` reads as 0 dB."""
         eta = (self.get("channel.eta_loss_db", 0.0) if loss_optional
                else self.require("channel.eta_loss_db"))
-        try:
-            return ChannelConditions(
-                eta_loss_db=eta,
-                p_ec=self.require("channel.p_ec"),
-                qber_i=self.require("channel.qber_i"),
-                integration_time_s=self.require("channel.integration_time_s"),
-                p_ap=self.get("channel.p_ap"),
-                f_s=self.get("channel.f_s"),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ChannelConditions(
+            eta_loss_db=eta,
+            p_ec=self.require("channel.p_ec"),
+            qber_i=self.require("channel.qber_i"),
+            integration_time_s=self.require("channel.integration_time_s"),
+            p_ap=self.get("channel.p_ap"),
+            f_s=self.get("channel.f_s"),
+        )
 
     def security(self) -> SecurityParams:
-        try:
-            return SecurityParams(
-                eps_s=self.get("security.eps_s"),
-                eps_c=self.get("security.eps_c"),
-                beta=self.get("security.beta"),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SecurityParams(
+            eps_s=self.get("security.eps_s"),
+            eps_c=self.get("security.eps_c"),
+            beta=self.get("security.beta"),
+        )
 
     def protocol(self) -> ProtocolParams:
         p1 = self.require("protocol.p_mu1")
@@ -241,16 +235,13 @@ class RunConfig:
         p3 = self.get("protocol.p_mu3")
         if p3 is None:
             p3 = 1.0 - p1 - p2
-        try:
-            return ProtocolParams(
-                pax=self.require("protocol.pax"),
-                pbx=self.require("protocol.pbx"),
-                mu=(self.require("protocol.mu1"), self.require("protocol.mu2"),
-                    self.get("protocol.mu3", 0.0)),
-                p_mu=(p1, p2, p3),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ProtocolParams(
+            pax=self.require("protocol.pax"),
+            pbx=self.require("protocol.pbx"),
+            mu=(self.require("protocol.mu1"), self.require("protocol.mu2"),
+                self.get("protocol.mu3", 0.0)),
+            p_mu=(p1, p2, p3),
+        )
 
     def ec_method(self) -> tuple[str, float]:
         method = self.get("ec.method")
@@ -270,15 +261,12 @@ class RunConfig:
                   self.get("optimize.mu3"))
         pbx = self.get("optimize.pbx")
         seed = self.get("optimize.seed") if seed_override is None else seed_override
-        try:
-            return OptimizationSpec(
-                regime=regime, pbx=pbx, mu=mu, mu3=self.get("optimize.mu3"),
-                restarts=self.get("optimize.restarts"), seed=seed,
-                tolerance=self.get("optimize.tolerance"),
-                max_evals_per_restart=self.get("optimize.max_evals"),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return OptimizationSpec(
+            regime=regime, pbx=pbx, mu=mu, mu3=self.get("optimize.mu3"),
+            restarts=self.get("optimize.restarts"), seed=seed,
+            tolerance=self.get("optimize.tolerance"),
+            max_evals_per_restart=self.get("optimize.max_evals"),
+        )
 
     def _fixed_or_optimize(self, seed_override: int | None
                            ) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
@@ -299,37 +287,28 @@ class RunConfig:
 
     def sweep_spec(self, seed_override: int | None = None) -> SweepSpec:
         params, opt_spec = self._fixed_or_optimize(seed_override)
-        try:
-            return SweepSpec(
-                eta_loss_db=self.require("sweep.eta_loss_db"),
-                log10_pec=self.require("sweep.log10_pec"),
-                qber_i=self.require("sweep.qber_i"),
-                tau_s=self.require("sweep.tau_s"),
-                params=params, opt_spec=opt_spec,
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SweepSpec(
+            eta_loss_db=self.require("sweep.eta_loss_db"),
+            log10_pec=self.require("sweep.log10_pec"),
+            qber_i=self.require("sweep.qber_i"),
+            tau_s=self.require("sweep.tau_s"),
+            params=params, opt_spec=opt_spec,
+        )
 
     def budget_query(self, seed_override: int | None = None) -> LossBudgetQuery:
         params, opt_spec = self._fixed_or_optimize(seed_override)
-        try:
-            return LossBudgetQuery(
-                conditions=self.channel(loss_optional=True),
-                target_bits=self.get("budget.target_bits"),
-                eta_min_db=self.get("budget.eta_min_db"),
-                eta_max_db=self.get("budget.eta_max_db"),
-                resolution_db=self.get("budget.resolution_db"),
-                params=params, opt_spec=opt_spec,
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LossBudgetQuery(
+            conditions=self.channel(loss_optional=True),
+            target_bits=self.get("budget.target_bits"),
+            eta_min_db=self.get("budget.eta_min_db"),
+            eta_max_db=self.get("budget.eta_max_db"),
+            resolution_db=self.get("budget.resolution_db"),
+            params=params, opt_spec=opt_spec,
+        )
 
     def uncertainty_model(self) -> IntensityUncertaintyModel:
-        try:
-            return IntensityUncertaintyModel(
-                f=self.require("worstcase.f"),
-                nominal=self.protocol(),
-                grid_points_per_dim=self.get("worstcase.grid_points"),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return IntensityUncertaintyModel(
+            f=self.require("worstcase.f"),
+            nominal=self.protocol(),
+            grid_points_per_dim=self.get("worstcase.grid_points"),
+        )

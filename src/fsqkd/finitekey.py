@@ -21,7 +21,8 @@ from typing import Literal
 
 from . import _kernels as k
 from ._quantile import binom_ppf
-from .channel import BlockCounts, ChannelConditions, ParameterError, ProtocolParams, expected_block_counts
+from .channel import (BlockCounts, ChannelConditions, ParameterError, ProtocolParams,
+                      check_range, expected_block_counts)
 
 EcMethod = Literal["binomial", "rate-factor"]
 
@@ -51,14 +52,12 @@ class SecurityParams:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_s < 1.0:
-            raise ParameterError(f"eps_s must be in (0, 1), got {self.eps_s}")
-        if not 0.0 < self.eps_c < 1.0:
-            raise ParameterError(f"eps_c must be in (0, 1), got {self.eps_c}")
+        check_range("eps_s", self.eps_s, "eps")
+        check_range("eps_c", self.eps_c, "eps")
         if self.beta is None:
             object.__setattr__(self, "beta", math.log(21.0 / self.eps_s))
-        elif self.beta < 0.0:
-            raise ParameterError(f"beta must be >= 0, got {self.beta}")
+        else:
+            check_range("beta", self.beta)
 
     @property
     def eps(self) -> float:
@@ -82,17 +81,14 @@ class KeyLengthResult:
 
 def binary_entropy(x: float) -> float:
     """Binary entropy in bits; h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"entropy argument must be in [0, 1], got {x}")
+    check_range("entropy argument", x)
     return k.binary_entropy(x)
 
 
 def chernoff_delta(y: float, beta: float, side: str = "plus") -> float:
     """Two-sided concentration correction for an expected count y."""
-    if y < 0.0:
-        raise ParameterError(f"count must be >= 0, got {y}")
-    if beta < 0.0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
+    check_range("count", y, "non-negative")
+    check_range("beta", beta)
     if side == "plus":
         return k.chernoff_delta_plus(y, beta)
     if side == "minus":
@@ -137,9 +133,7 @@ def vacuum_bound(n_minus: tuple[float, float, float],
 
     ``total`` optionally caps the bound at the basis detection total.
     """
-    mu1, mu2, mu3 = params.mu
-    if not mu2 > mu3:
-        raise ParameterError(f"vacuum bound requires mu2 > mu3, got {params.mu}")
+    _, mu2, mu3 = params.mu
     tau0 = decoy_tau(0, params)
     cap = math.inf if total is None else total
     return k.vacuum_bound_core(n_minus[2], n_plus[1], tau0, mu2, mu3, cap)
@@ -151,9 +145,6 @@ def single_photon_bound(n_minus: tuple[float, float, float],
                         total: float | None = None) -> float:
     """Lower bound on single-photon events in one basis."""
     mu1, mu2, mu3 = params.mu
-    den = mu1 * (mu2 - mu3) - mu2 * mu2 + mu3 * mu3
-    if den <= 0.0:
-        raise ParameterError(f"degenerate decoy denominator for intensities {params.mu}")
     tau0 = decoy_tau(0, params)
     tau1 = decoy_tau(1, params)
     cap = math.inf if total is None else total
@@ -166,8 +157,7 @@ def phase_error(s_z1: float, v_z1: float, s_x1: float, sec: SecurityParams) -> f
 
     Raises :class:`NoKeySignal` when either single-photon bound vanishes.
     """
-    if v_z1 < 0.0:
-        raise ParameterError(f"v_z1 must be >= 0, got {v_z1}")
+    check_range("v_z1", v_z1, "non-negative")
     if s_z1 <= 0.0 or s_x1 <= 0.0:
         raise NoKeySignal("single-photon bound is zero; no key can be extracted")
     ratio = v_z1 / s_z1
@@ -176,13 +166,16 @@ def phase_error(s_z1: float, v_z1: float, s_x1: float, sec: SecurityParams) -> f
     return min(0.5, ratio + k.fluct_gamma(sec.eps, ratio, s_z1, s_x1))
 
 
-def _ec_mode(method: str) -> int:
-    """Kernel code of an EC leakage method; unknown names raise ParameterError."""
-    if method == "binomial":
-        return 0
-    if method == "rate-factor":
-        return 1
-    raise ParameterError(f"unknown EC leakage method {method!r}")
+def _ec_mode(method: str, f_ec: float) -> int:
+    """Kernel code of an EC leakage method.
+
+    Unknown names, and an ``f_ec`` below the Shannon limit of 1 or not
+    finite, raise ParameterError.
+    """
+    if method not in ("binomial", "rate-factor"):
+        raise ParameterError(f"unknown EC leakage method {method!r}")
+    check_range("f_ec", f_ec)
+    return 0 if method == "binomial" else 1
 
 
 def ec_leakage(n_x: float, qber_x: float, eps_c: float,
@@ -192,11 +185,9 @@ def ec_leakage(n_x: float, qber_x: float, eps_c: float,
     ``binomial`` uses the finite-size estimate built on the inverse
     binomial CDF; ``rate-factor`` uses ``f_ec * n_x * h(qber_x)``.
     """
-    ec_mode = _ec_mode(method)
-    if n_x < 0.0:
-        raise ParameterError(f"n_x must be >= 0, got {n_x}")
-    if not 0.0 <= qber_x <= 0.5:
-        raise ParameterError(f"qber_x must be in [0, 0.5], got {qber_x}")
+    ec_mode = _ec_mode(method, f_ec)
+    check_range("n_x", n_x, "non-negative")
+    check_range("qber_x", qber_x, "qber")
     if n_x == 0.0:
         return 0.0
     f_inv = _ec_quantile(n_x, qber_x, eps_c) if ec_mode == 0 else 0.0
@@ -240,7 +231,7 @@ def secure_key_length(counts: BlockCounts, params: ProtocolParams,
     Every failure mode (no detections, degenerate single-photon estimate,
     negative key expression) maps to ``ell = 0`` with a reason string.
     """
-    ec_mode = _ec_mode(ec_method)
+    ec_mode = _ec_mode(ec_method, f_ec)
     out, f_inv = _key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
                             *params.mu, *params.p_mu,
                             sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
@@ -270,7 +261,7 @@ def key_length_for_channel(params: ProtocolParams,
                            f_ec: float = 1.16,
                            with_diagnostics: bool = True) -> KeyLengthResult:
     """Expected-count evaluation of the secure key length for one window."""
-    _ec_mode(ec_method)  # reject an unknown method before counting
+    _ec_mode(ec_method, f_ec)  # reject bad EC inputs before counting
     counts = expected_block_counts(params, channel)
     return secure_key_length(counts, params, sec, ec_method=ec_method,
                              f_ec=f_ec, with_diagnostics=with_diagnostics)

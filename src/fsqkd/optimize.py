@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import ChannelConditions, ParameterError, ProtocolParams
+from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
+                      check_range)
 from .finitekey import (KeyLengthResult, SecurityParams, _ec_mode, _evaluate_flat,
                         key_length_for_channel)
 
@@ -45,7 +46,8 @@ class OptimizationSpec:
     Bounds keep probabilities inside ``prob_bounds`` and searched
     intensities inside ``intensity_bounds``; the intensity ordering
     constraints are built into the coordinate transform.  ``mu3`` stays
-    fixed at its configured floor during the search.
+    fixed at its configured floor during the search.  A ``pbx`` or ``mu``
+    that is given is checked in every regime.
     """
 
     regime: Regime = Regime.FULL
@@ -62,17 +64,27 @@ class OptimizationSpec:
     def __post_init__(self) -> None:
         regime = Regime(self.regime)
         object.__setattr__(self, "regime", regime)
-        if regime in (Regime.FIXED_PBX, Regime.FIXED_PBX_AND_MU):
-            if self.pbx is None or not 0.0 < self.pbx < 1.0:
-                raise ParameterError(f"regime {regime.value} requires pbx in (0, 1), got {self.pbx}")
-        if regime is Regime.FIXED_PBX_AND_MU:
-            if self.mu is None:
-                raise ParameterError("regime fixed_pbx_and_mu requires a fixed intensity triple")
-            mu1, mu2, mu3 = self.mu
-            if not (mu1 > mu2 > mu3 >= 0.0 and mu1 > mu2 + mu3):
-                raise ParameterError(f"fixed intensities infeasible: {self.mu}")
-        if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
+        if self.pbx is not None:
+            check_range("pbx", self.pbx, "basis probability")
+        elif regime is not Regime.FULL:
+            raise ParameterError(f"regime {regime.value} requires pbx")
+        if self.mu is not None:
+            check_intensities(self.mu)
+        elif regime is Regime.FIXED_PBX_AND_MU:
+            raise ParameterError("regime fixed_pbx_and_mu requires a fixed intensity triple")
+        check_range("mu3", self.mu3, "intensity")
+        check_range("restarts", self.restarts, "positive integer")
+        check_range("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
+        check_range("tolerance", self.tolerance, "positive")
+        plo, phi = self.prob_bounds
+        # the stick-breaking transform needs plo < 1 - 2 plo
+        if not (0.0 < plo < phi < 1.0 and plo < 1.0 / 3.0):
+            raise ParameterError(
+                f"prob_bounds must satisfy 0 < lo < hi < 1 and lo < 1/3, got {self.prob_bounds}")
+        mlo, mhi = self.intensity_bounds
+        if not 0.0 < mlo < mhi < math.inf:
+            raise ParameterError(
+                f"intensity_bounds must satisfy 0 < lo < hi < inf, got {self.intensity_bounds}")
 
     @property
     def ndim(self) -> int:
@@ -185,7 +197,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     yields zero key, the result carries ``best_ell = 0`` at the least
     infeasible point found (largest key expression).
     """
-    ec_mode = _ec_mode(ec_method)
+    ec_mode = _ec_mode(ec_method, f_ec)
     p_d = channel.transmittance
     n_pulses = channel.n_pulses
     n_evals = 0

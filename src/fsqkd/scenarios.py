@@ -10,9 +10,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .channel import ChannelConditions, ParameterError, ProtocolParams
+from .channel import ChannelConditions, ParameterError, ProtocolParams, check_range
 from .finitekey import KeyLengthResult, SecurityParams, key_length_for_channel
 from .optimize import OptimizationSpec, OptimizationResult, optimize
+
+
+def _check_one_policy(params: ProtocolParams | None,
+                      opt_spec: OptimizationSpec | None) -> None:
+    """Fixed parameters or per-point optimization: exactly one is given."""
+    if (params is None) == (opt_spec is None):
+        raise ParameterError("exactly one of params / opt_spec must be set")
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,7 @@ class SweepSpec:
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise ParameterError(f"sweep axis {name} must be non-decreasing")
             object.__setattr__(self, name, vals)
-        if (self.params is None) == (self.opt_spec is None):
-            raise ParameterError("exactly one of params / opt_spec must be set")
+        _check_one_policy(self.params, self.opt_spec)
 
     @property
     def grid(self) -> list[tuple[float, float, float, float]]:
@@ -81,14 +87,13 @@ class LossBudgetQuery:
     opt_spec: OptimizationSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.target_bits < 0:
-            raise ParameterError(f"target_bits must be >= 0, got {self.target_bits}")
+        check_range("target_bits", self.target_bits, "non-negative")
+        check_range("eta_min_db", self.eta_min_db, "eta_loss_db")
+        check_range("eta_max_db", self.eta_max_db, "eta_loss_db")
         if not self.eta_max_db > self.eta_min_db:
             raise ParameterError("eta_max_db must exceed eta_min_db")
-        if not self.resolution_db > 0.0:
-            raise ParameterError("resolution_db must be positive")
-        if (self.params is None) == (self.opt_spec is None):
-            raise ParameterError("exactly one of params / opt_spec must be set")
+        check_range("resolution_db", self.resolution_db, "positive")
+        _check_one_policy(self.params, self.opt_spec)
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,7 @@ def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
     times = [float(t) for t in times_s]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ParameterError("times must be sorted ascending")
-    if (params is None) == (opt_spec is None):
-        raise ParameterError("exactly one of params / opt_spec must be set")
+    _check_one_policy(params, opt_spec)
     out = []
     for tau in times:
         cond = replace(base, integration_time_s=tau)
@@ -218,8 +222,8 @@ def sifting_equivalence(pax: float, pbx: float) -> SiftingEquivalence:
     ``k_ratio`` of X to Z sifted bits while retaining at least as large a
     total sifted fraction (``f_symmetric >= f_asymmetric``).
     """
-    if not (0.0 < pax < 1.0 and 0.0 < pbx < 1.0):
-        raise ParameterError(f"basis probabilities must be in (0, 1), got {(pax, pbx)}")
+    check_range("pax", pax, "basis probability")
+    check_range("pbx", pbx, "basis probability")
     k_ratio = (pax * pbx) / ((1.0 - pax) * (1.0 - pbx))
     f_asym = pax * pbx + (1.0 - pax) * (1.0 - pbx)
     sqrt_k = math.sqrt(k_ratio)

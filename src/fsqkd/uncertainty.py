@@ -40,7 +40,7 @@ import numpy as np
 from . import _kernels as k
 from ._kernels import LN2
 from ._quantile import binom_ppf
-from .channel import ChannelConditions, ParameterError, ProtocolParams
+from .channel import ChannelConditions, ParameterError, ProtocolParams, check_range
 from .finitekey import SecurityParams, _ec_mode, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
@@ -56,12 +56,10 @@ class IntensityUncertaintyModel:
     grid_points_per_dim: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.f < 0.5:
-            raise ParameterError(f"fractional uncertainty must be in [0, 0.5), got {self.f}")
+        check_range("f", self.f)
+        check_range("grid_points_per_dim", self.grid_points_per_dim, "positive integer")
         if self.grid_points_per_dim < 2 and self.f > 0.0:
             raise ParameterError("need at least 2 grid points per dimension for f > 0")
-        if self.grid_points_per_dim < 1:
-            raise ParameterError("grid_points_per_dim must be >= 1")
 
     def candidates(self, mu: float) -> np.ndarray:
         """Candidate values for one intensity: endpoints and interior points.
@@ -103,7 +101,7 @@ def key_length_for_intensities(state_mu: dict[str, float],
         if name not in vals:
             raise ParameterError(f"unknown intensity dimension {name!r}")
         vals[name] = float(v)
-    ec_mode = _ec_mode(ec_method)
+    ec_mode = _ec_mode(ec_method, f_ec)
     p1, p2, p3 = params.p_mu
     c = k.counts_core(params.pax, params.pbx,
                       vals["h_mu1"], vals["h_mu2"], vals["v_mu1"], vals["v_mu2"],
@@ -276,7 +274,7 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     g^2 arrays as columns gives the whole grid in row-major order over
     ``GRID_DIMS``.
     """
-    ec_mode = _ec_mode(ec_method)
+    ec_mode = _ec_mode(ec_method, f_ec)
     params = model.nominal
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu

@@ -67,11 +67,6 @@ class TestErrorProbability:
         assert error_probability(0.5, 1e-3, 1e-6, 1e-3, 0.01) == pytest.approx(
             6.249938155857928e-06, rel=1e-12)
 
-    def test_precomputed_click_rate_is_used(self):
-        d = detection_probability(0.5, 1e-3, 1e-6, 1e-3)
-        assert error_probability(0.5, 1e-3, 1e-6, 1e-3, 0.01, d_k=d) == pytest.approx(
-            error_probability(0.5, 1e-3, 1e-6, 1e-3, 0.01), rel=1e-14)
-
 
 class TestExpectedBlockCounts:
     def test_zero_window_all_zero(self, reference_params):

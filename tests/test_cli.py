@@ -108,6 +108,35 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, ["keylength", "--config", str(path)])
         assert code == 2
 
+    # later lines override BASE_CONFIG's; the last row pins the text of an
+    # error that the library raises, unchanged from before the config layer
+    # stopped re-wrapping it
+    @pytest.mark.parametrize("command, lines, stderr", [
+        ("keylength", ["protocol.mu1 = 0.3565561566629704",
+                       "protocol.mu2 = 0.2586275262140931",
+                       "protocol.mu3 = 0.09792863044887731"], None),
+        ("keylength", ["ec.method = rate-factor", "ec.f_ec = -1"], None),
+        ("sweep", ["ec.f_ec = 0.5", "sweep.eta_loss_db = 30", "sweep.log10_pec = -6",
+                   "sweep.qber_i = 0.01", "sweep.tau_s = 60"], None),
+        ("worstcase", ["ec.f_ec = 0.5", "worstcase.f = 0.05"], None),
+        ("optimize", ["optimize.regime = full", "optimize.max_evals = 0"], None),
+        ("optimize", ["optimize.regime = full", "optimize.mu3 = -0.1"], None),
+        ("optimize", ["optimize.regime = full", "optimize.restarts = 1",
+                      "optimize.tolerance = -1"], None),
+        ("keylength", ["channel.p_ec = 0.7"],
+         "fsqkd: configuration error: p_ec must be in [0, 0.5), got 0.7\n"),
+    ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
+            "max_evals-zero", "mu3-negative", "tolerance-negative", "p_ec-pinned"])
+    def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert err.startswith("fsqkd: configuration error:")
+        assert out == ""
+        if stderr is not None:
+            assert err == stderr
+
 
 class TestJsonConfigAndEnv:
     def test_json_config(self, capsys, tmp_path):

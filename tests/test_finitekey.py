@@ -369,21 +369,31 @@ class TestOneScalarChain:
 
 def _entry_points(params, channel, sec):
     model = IntensityUncertaintyModel(f=0.1, nominal=params, grid_points_per_dim=2)
+    counts = BlockCounts(n_x=(1e4,) * 3, n_z=(1e4,) * 3, m_x=(1e2,) * 3, m_z=(1e2,) * 3)
     return {
         "key_length_for_channel":
-            lambda m: key_length_for_channel(params, channel, sec, ec_method=m),
+            lambda m, f=1.16: key_length_for_channel(params, channel, sec, ec_method=m, f_ec=f),
         "optimize":
-            lambda m: optimize(OptimizationSpec(restarts=1), channel, sec, ec_method=m),
+            lambda m, f=1.16: optimize(OptimizationSpec(restarts=1), channel, sec,
+                                       ec_method=m, f_ec=f),
         "worst_case_key_length":
-            lambda m: worst_case_key_length(model, channel, sec, ec_method=m),
+            lambda m, f=1.16: worst_case_key_length(model, channel, sec, ec_method=m, f_ec=f),
         "key_length_for_intensities":
-            lambda m: key_length_for_intensities({}, params, channel, sec, ec_method=m),
+            lambda m, f=1.16: key_length_for_intensities({}, params, channel, sec,
+                                                         ec_method=m, f_ec=f),
+        "secure_key_length":
+            lambda m, f=1.16: secure_key_length(counts, params, sec, ec_method=m, f_ec=f),
+        "ec_leakage":
+            lambda m, f=1.16: ec_leakage(1e6, 0.02, 1e-15, method=m, f_ec=f),
     }
 
 
+_ENTRIES = ["key_length_for_channel", "optimize", "worst_case_key_length",
+            "key_length_for_intensities"]
+
+
 @pytest.mark.parametrize("method", ["Binomial", "bogus"])
-@pytest.mark.parametrize("entry", ["key_length_for_channel", "optimize",
-                                   "worst_case_key_length", "key_length_for_intensities"])
+@pytest.mark.parametrize("entry", _ENTRIES)
 def test_unknown_ec_method_rejected_before_evaluation(
         monkeypatch, reference_params, reference_channel, security, entry, method):
     call = _entry_points(reference_params, reference_channel, security)[entry]
@@ -394,3 +404,20 @@ def test_unknown_ec_method_rejected_before_evaluation(
     monkeypatch.setattr(_kernels, "detection_prob", evaluated)
     with pytest.raises(ParameterError, match="unknown EC leakage method"):
         call(method)
+
+
+@pytest.mark.parametrize("method, f_ec", [("rate-factor", -1.0), ("rate-factor", 0.99),
+                                          ("rate-factor", math.nan), ("rate-factor", math.inf),
+                                          ("binomial", 0.5)])
+@pytest.mark.parametrize("entry", _ENTRIES + ["secure_key_length", "ec_leakage"])
+def test_f_ec_below_shannon_limit_rejected_before_evaluation(
+        monkeypatch, reference_params, reference_channel, security, entry, method, f_ec):
+    call = _entry_points(reference_params, reference_channel, security)[entry]
+
+    def evaluated(*args):
+        raise AssertionError("the model was evaluated before f_ec was checked")
+
+    for name in ("detection_prob", "bounds_ell_core", "ec_leakage_core"):
+        monkeypatch.setattr(_kernels, name, evaluated)
+    with pytest.raises(ParameterError, match="f_ec must be in"):
+        call(method, f_ec)
