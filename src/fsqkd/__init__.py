@@ -10,13 +10,10 @@ from .channel import (BlockCounts, ChannelConditions, ParameterError,
                       ProtocolParams, detection_probability,
                       error_probability, expected_block_counts,
                       transmittance_from_loss)
-from .finitekey import (KeyLengthResult, NoKeySignal, SecurityParams,
-                        binary_entropy, chernoff_delta, decoy_tau,
-                        ec_leakage, key_length_for_channel, phase_error,
-                        scaled_count_bounds, secure_key_length,
-                        single_photon_bound, vacuum_bound)
-from .optimize import (OptimizationResult, OptimizationSpec, Regime,
-                       feasible, optimize)
+from .finitekey import (KeyLengthResult, SecurityParams, binary_entropy,
+                        chernoff_delta, ec_leakage, key_length_for_channel,
+                        secure_key_length)
+from .optimize import OptimizationResult, OptimizationSpec, Regime, optimize
 from .scenarios import (LossBudgetQuery, LossBudgetResult,
                         SiftingEquivalence, SweepRow, SweepSpec, max_loss,
                         sifting_equivalence, skr_vs_time, sweep)
@@ -36,15 +33,13 @@ def using_numba() -> bool:
 
 __all__ = [
     "BlockCounts", "ChannelConditions", "IntensityUncertaintyModel",
-    "KeyLengthResult", "LossBudgetQuery", "LossBudgetResult", "NoKeySignal",
+    "KeyLengthResult", "LossBudgetQuery", "LossBudgetResult",
     "OptimizationResult", "OptimizationSpec", "ParameterError",
     "ProtocolParams", "Regime", "SecurityParams", "SiftingEquivalence",
     "SweepRow", "SweepSpec", "WorstCaseResult", "binary_entropy",
-    "chernoff_delta", "decoy_tau", "detection_probability", "ec_leakage",
-    "error_probability", "expected_block_counts", "feasible",
-    "key_length_for_channel", "key_length_for_intensities", "max_loss",
-    "optimize", "phase_error", "scaled_count_bounds", "secure_key_length",
-    "sifting_equivalence", "single_photon_bound", "skr_vs_time", "sweep",
-    "transmittance_from_loss", "using_numba", "vacuum_bound",
-    "worst_case_key_length",
+    "chernoff_delta", "detection_probability", "ec_leakage",
+    "error_probability", "expected_block_counts", "key_length_for_channel",
+    "key_length_for_intensities", "max_loss", "optimize", "secure_key_length",
+    "sifting_equivalence", "skr_vs_time", "sweep", "transmittance_from_loss",
+    "using_numba", "worst_case_key_length",
 ]

@@ -31,7 +31,7 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "p_ap": ("[", 0.0, 1.0, ")"),
     "transmittance": ("(", 0.0, 1.0, "]"),
     "basis probability": ("(", 0.0, 1.0, ")"),
-    "intensity": ("[", 0.0, math.inf, ")"),
+    "intensity": ("[", 0.0, 10.0, "]"),  # mean photon numbers; exp(mu) overflows past ~709
     "intensity probability": ("(", 0.0, 1.0, ")"),
     "eps": ("(", 0.0, 1.0, ")"),
     "beta": ("[", 0.0, math.inf, ")"),
@@ -170,7 +170,7 @@ def transmittance_from_loss(eta_loss_db: float) -> float:
 
 
 def _check_pulse(mean_photons: float, p_d: float, p_ec: float, p_ap: float) -> None:
-    check_range("mean photon number", mean_photons, "intensity")
+    check_range("mean photon number", mean_photons, "non-negative")
     check_range("transmittance", p_d)
     check_range("p_ec", p_ec)
     check_range("p_ap", p_ap)

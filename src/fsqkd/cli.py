@@ -108,8 +108,7 @@ def _cmd_keylength(cfg: RunConfig, args) -> str:
     sec = cfg.security()
     method, f_ec = cfg.ec_method()
     result = key_length_for_channel(params, channel, sec,
-                                    ec_method=method, f_ec=f_ec,
-                                    with_diagnostics=False)
+                                    ec_method=method, f_ec=f_ec)
     if args.format == "csv":
         import math
         row = SweepRow(channel.eta_loss_db, math.log10(channel.p_ec) if channel.p_ec > 0 else float("-inf"),

@@ -16,7 +16,7 @@ matching the 21-way failure-budget split that also produces the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from . import _kernels as k
@@ -31,10 +31,6 @@ _REASONS = {
     k.REASON_NO_SINGLE_PHOTON: "no-single-photon-bound",
     k.REASON_NEGATIVE_KEY: "negative-key-expression",
 }
-
-
-class NoKeySignal(ArithmeticError):
-    """Signals that an estimation step degenerated; callers map this to ell = 0."""
 
 
 @dataclass(frozen=True)
@@ -66,17 +62,30 @@ class SecurityParams:
 
 @dataclass(frozen=True)
 class KeyLengthResult:
-    """Secure key length plus every intermediate estimate for diagnostics."""
+    """Secure key length and the estimates it was computed from.
+
+    Built from the one ``_kernels.bounds_ell_core`` evaluation behind the
+    answer: the vacuum and single-photon lower bounds of both bases
+    (``s_x0``, ``s_x1``, ``s_z0``, ``s_z1``), the single-photon Z-basis
+    error upper bound ``v_z1``, the phase error ``phi_x``, the leakage
+    ``lambda_ec`` and the observed ``qber_x``.  ``raw`` is the unfloored
+    key expression and ``reason`` says why ``ell`` is 0 (None when it is
+    positive).  ``ec_quantile`` is the inverse-binomial quantile that the
+    binomial leakage used (0 in rate-factor mode or without errors).
+    """
 
     ell: int
     raw: float
     s_x0: float
     s_x1: float
+    s_z0: float
+    s_z1: float
+    v_z1: float
     phi_x: float
     lambda_ec: float
     qber_x: float
     reason: str | None
-    diagnostics: dict = field(default_factory=dict)
+    ec_quantile: float
 
 
 def binary_entropy(x: float) -> float:
@@ -94,76 +103,6 @@ def chernoff_delta(y: float, beta: float, side: str = "plus") -> float:
     if side == "minus":
         return k.chernoff_delta_minus(y, beta)
     raise ParameterError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
-def decoy_tau(n: int, params: ProtocolParams) -> float:
-    """Probability that a transmitted pulse carries n photons (n in {0, 1})."""
-    if n not in (0, 1):
-        raise ParameterError(f"n must be 0 or 1, got {n}")
-    mu1, mu2, mu3 = params.mu
-    p1, p2, p3 = params.p_mu
-    return k.poisson_tau(n, mu1, mu2, mu3, p1, p2, p3)
-
-
-def scaled_count_bounds(counts: BlockCounts, params: ProtocolParams,
-                        sec: SecurityParams) -> dict[str, tuple[float, float, float]]:
-    """Concentration-corrected, intensity-rescaled counts for all observables.
-
-    Returns a dict with keys ``n_x_minus``, ``n_x_plus``, ``n_z_minus``,
-    ``n_z_plus``, ``m_x_minus``, ``m_x_plus``, ``m_z_minus``, ``m_z_plus``,
-    each a per-intensity triple.  Lower bounds are floored at zero.
-    """
-    mu1, mu2, mu3 = params.mu
-    p1, p2, p3 = params.p_mu
-    out: dict[str, tuple[float, float, float]] = {}
-    for name, trip in (("n_x", counts.n_x), ("n_z", counts.n_z),
-                       ("m_x", counts.m_x), ("m_z", counts.m_z)):
-        lo1, lo2, lo3, hi1, hi2, hi3 = k.scaled_bounds_core(
-            trip[0], trip[1], trip[2], mu1, mu2, mu3, p1, p2, p3, sec.beta)
-        out[f"{name}_minus"] = (lo1, lo2, lo3)
-        out[f"{name}_plus"] = (hi1, hi2, hi3)
-    return out
-
-
-def vacuum_bound(n_minus: tuple[float, float, float],
-                 n_plus: tuple[float, float, float],
-                 params: ProtocolParams,
-                 total: float | None = None) -> float:
-    """Lower bound on vacuum-origin events in one basis.
-
-    ``total`` optionally caps the bound at the basis detection total.
-    """
-    _, mu2, mu3 = params.mu
-    tau0 = decoy_tau(0, params)
-    cap = math.inf if total is None else total
-    return k.vacuum_bound_core(n_minus[2], n_plus[1], tau0, mu2, mu3, cap)
-
-
-def single_photon_bound(n_minus: tuple[float, float, float],
-                        n_plus: tuple[float, float, float],
-                        s_0: float, params: ProtocolParams,
-                        total: float | None = None) -> float:
-    """Lower bound on single-photon events in one basis."""
-    mu1, mu2, mu3 = params.mu
-    tau0 = decoy_tau(0, params)
-    tau1 = decoy_tau(1, params)
-    cap = math.inf if total is None else total
-    return k.single_photon_bound_core(n_minus[1], n_plus[2], n_plus[0], s_0,
-                                      tau0, tau1, mu1, mu2, mu3, cap)
-
-
-def phase_error(s_z1: float, v_z1: float, s_x1: float, sec: SecurityParams) -> float:
-    """Phase error rate of the single-photon X-basis events, clamped to 0.5.
-
-    Raises :class:`NoKeySignal` when either single-photon bound vanishes.
-    """
-    check_range("v_z1", v_z1, "non-negative")
-    if s_z1 <= 0.0 or s_x1 <= 0.0:
-        raise NoKeySignal("single-photon bound is zero; no key can be extracted")
-    ratio = v_z1 / s_z1
-    if ratio >= 0.5:
-        return 0.5
-    return min(0.5, ratio + k.fluct_gamma(sec.eps, ratio, s_z1, s_x1))
 
 
 def _ec_mode(method: str, f_ec: float) -> int:
@@ -224,8 +163,7 @@ def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
 def secure_key_length(counts: BlockCounts, params: ProtocolParams,
                       sec: SecurityParams,
                       ec_method: EcMethod = "binomial",
-                      f_ec: float = 1.16,
-                      with_diagnostics: bool = True) -> KeyLengthResult:
+                      f_ec: float = 1.16) -> KeyLengthResult:
     """Composable secure key length for one block of expected counts.
 
     Every failure mode (no detections, degenerate single-photon estimate,
@@ -235,23 +173,11 @@ def secure_key_length(counts: BlockCounts, params: ProtocolParams,
     out, f_inv = _key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
                             *params.mu, *params.p_mu,
                             sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
-    (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x_out, reason) = out
-
-    diagnostics: dict = {}
-    if with_diagnostics:
-        diagnostics = dict(scaled_count_bounds(counts, params, sec))
-        diagnostics.update(
-            s_z0=s_z0, s_z1=s_z1, v_z1=v_z1,
-            n_x_total=counts.n_x_total, n_z_total=counts.n_z_total,
-            m_x_total=counts.m_x_total, m_z_total=counts.m_z_total,
-            tau_0=decoy_tau(0, params), tau_1=decoy_tau(1, params),
-            ec_quantile=f_inv, beta=sec.beta,
-        )
-
+    ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason = out
     return KeyLengthResult(
-        ell=int(ell), raw=raw, s_x0=s_x0, s_x1=s_x1, phi_x=phi_x,
-        lambda_ec=lam, qber_x=qber_x_out,
-        reason=_REASONS.get(reason), diagnostics=diagnostics)
+        ell=int(ell), raw=raw, s_x0=s_x0, s_x1=s_x1, s_z0=s_z0, s_z1=s_z1,
+        v_z1=v_z1, phi_x=phi_x, lambda_ec=lam, qber_x=qber_x,
+        reason=_REASONS.get(reason), ec_quantile=f_inv)
 
 
 def key_length_for_channel(params: ProtocolParams,
@@ -259,12 +185,16 @@ def key_length_for_channel(params: ProtocolParams,
                            sec: SecurityParams,
                            ec_method: EcMethod = "binomial",
                            f_ec: float = 1.16,
-                           with_diagnostics: bool = True) -> KeyLengthResult:
-    """Expected-count evaluation of the secure key length for one window."""
+                           with_diagnostics: bool | None = None) -> KeyLengthResult:
+    """Expected-count evaluation of the secure key length for one window.
+
+    ``with_diagnostics`` is accepted and ignored, because the benchmark
+    workloads in ``qkdbench/workloads.py`` still pass it; the returned
+    record carries every estimate of the one evaluation.
+    """
     _ec_mode(ec_method, f_ec)  # reject bad EC inputs before counting
     counts = expected_block_counts(params, channel)
-    return secure_key_length(counts, params, sec, ec_method=ec_method,
-                             f_ec=f_ec, with_diagnostics=with_diagnostics)
+    return secure_key_length(counts, params, sec, ec_method=ec_method, f_ec=f_ec)
 
 
 def _evaluate_flat(pax: float, pbx: float,

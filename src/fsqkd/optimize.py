@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
-                      check_range)
+from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
+                      check_intensities, check_range)
 from .finitekey import (KeyLengthResult, SecurityParams, _ec_mode, _evaluate_flat,
                         key_length_for_channel)
 
@@ -46,8 +46,9 @@ class OptimizationSpec:
     Bounds keep probabilities inside ``prob_bounds`` and searched
     intensities inside ``intensity_bounds``; the intensity ordering
     constraints are built into the coordinate transform.  ``mu3`` stays
-    fixed at its configured floor during the search.  A ``pbx`` or ``mu``
-    that is given is checked in every regime.
+    fixed at its configured floor during the search, and must leave some
+    start point a feasible intensity pair.  A ``pbx`` or ``mu`` that is
+    given is checked in every regime.
     """
 
     regime: Regime = Regime.FULL
@@ -82,9 +83,17 @@ class OptimizationSpec:
             raise ParameterError(
                 f"prob_bounds must satisfy 0 < lo < hi < 1 and lo < 1/3, got {self.prob_bounds}")
         mlo, mhi = self.intensity_bounds
-        if not 0.0 < mlo < mhi < math.inf:
+        if not 0.0 < mlo < mhi <= DOMAIN["intensity"][2]:
             raise ParameterError(
-                f"intensity_bounds must satisfy 0 < lo < hi < inf, got {self.intensity_bounds}")
+                f"intensity_bounds must satisfy 0 < lo < hi <= {DOMAIN['intensity'][2]:g}, "
+                f"got {self.intensity_bounds}")
+        # mu1 must exceed mu3 + max(mu3, lo); a mu3 that leaves no such mu1
+        # at any start point would leave the search nothing to decode
+        if all(_decode(t, self) is None for t in _start_points(self)):
+            raise ParameterError(
+                f"mu3 = {self.mu3} leaves no feasible start point: mu1 must exceed "
+                f"mu3 + max(mu3, lo) = {self.mu3 + max(self.mu3, mlo):g} "
+                f"within intensity_bounds {self.intensity_bounds}")
 
     @property
     def ndim(self) -> int:
@@ -107,22 +116,6 @@ class OptimizationResult:
     @property
     def best_raw(self) -> float:
         return self.result.raw
-
-
-def feasible(params: ProtocolParams | tuple) -> bool:
-    """True iff the point passes ``ProtocolParams`` validation.
-
-    Accepts a ``ProtocolParams`` (feasible by construction) or a raw
-    ``(pax, pbx, mu, p_mu)`` tuple, so candidate points can be screened
-    without triggering constructor errors.
-    """
-    if isinstance(params, ProtocolParams):
-        return True
-    try:
-        ProtocolParams(*params)
-    except ParameterError:
-        return False
-    return True
 
 
 def _sigmoid(t: float) -> float:
@@ -240,7 +233,6 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
                                  p_mu=(p1, p2, p3))
     # authoritative evaluation through the standard path
     result = key_length_for_channel(best_params, channel, sec,
-                                    ec_method=ec_method, f_ec=f_ec,
-                                    with_diagnostics=False)
+                                    ec_method=ec_method, f_ec=f_ec)
     return OptimizationResult(best_params=best_params, result=result,
                               evaluations=n_evals, restart_trace=tuple(trace))

@@ -48,6 +48,11 @@ class SweepSpec:
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise ParameterError(f"sweep axis {name} must be non-decreasing")
             object.__setattr__(self, name, vals)
+        for lp in self.log10_pec:
+            # p_ec is below 1: bound lp first, since 10**lp overflows above ~308
+            if lp > 0.0:
+                raise ParameterError(f"sweep axis log10_pec gives p_ec = 10**{lp}, above 1")
+            check_range("p_ec", 10.0 ** lp)
         _check_one_policy(self.params, self.opt_spec)
 
     @property
@@ -93,6 +98,11 @@ class LossBudgetQuery:
         if not self.eta_max_db > self.eta_min_db:
             raise ParameterError("eta_max_db must exceed eta_min_db")
         check_range("resolution_db", self.resolution_db, "positive")
+        # below the float spacing of the bracket, bisection stops shrinking it
+        if not self.resolution_db >= math.ulp(self.eta_max_db):
+            raise ParameterError(
+                f"resolution_db must be at least the float spacing at eta_max_db, "
+                f"{math.ulp(self.eta_max_db):g}, got {self.resolution_db}")
         _check_one_policy(self.params, self.opt_spec)
 
 
@@ -120,8 +130,7 @@ def _evaluate_point(channel: ChannelConditions, sec: SecurityParams,
                     ec_method: str, f_ec: float) -> tuple[ProtocolParams, KeyLengthResult]:
     if params is not None:
         return params, key_length_for_channel(params, channel, sec,
-                                              ec_method=ec_method, f_ec=f_ec,
-                                              with_diagnostics=False)
+                                              ec_method=ec_method, f_ec=f_ec)
     res: OptimizationResult = optimize(opt_spec, channel, sec,
                                        ec_method=ec_method, f_ec=f_ec)
     return res.best_params, res.result

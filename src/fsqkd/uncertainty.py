@@ -114,16 +114,6 @@ def key_length_for_intensities(state_mu: dict[str, float],
     return int(out[0])
 
 
-def decode_grid_index(index: int, g: int) -> tuple[int, ...]:
-    """Flat row-major grid index -> per-dimension candidate indices."""
-    digits = []
-    r = index
-    for _ in range(10):
-        digits.append(r % g)
-        r //= g
-    return tuple(reversed(digits))
-
-
 # --- array mirror of the scalar chain ---------------------------------
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -360,7 +350,7 @@ def worst_case_key_length(model: IntensityUncertaintyModel,
     params = model.nominal
     cand1 = model.candidates(params.mu[0])
     cand2 = model.candidates(params.mu[1])
-    digits = decode_grid_index(argmin_idx, g)
+    digits = np.unravel_index(argmin_idx, (g,) * len(GRID_DIMS))
     argmin = {}
     for name, digit in zip(GRID_DIMS, digits):
         cands = cand1 if name.endswith("mu1") else cand2

@@ -15,12 +15,12 @@ import pytest
 import oracles
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    LossBudgetQuery, OptimizationSpec, ProtocolParams, Regime,
-                   SecurityParams, binary_entropy, chernoff_delta, decoy_tau,
+                   SecurityParams, binary_entropy, chernoff_delta,
                    detection_probability, ec_leakage, error_probability,
                    expected_block_counts, key_length_for_channel, max_loss,
-                   optimize, scaled_count_bounds, secure_key_length,
-                   sifting_equivalence, skr_vs_time, transmittance_from_loss,
-                   worst_case_key_length)
+                   optimize, secure_key_length, sifting_equivalence,
+                   skr_vs_time, transmittance_from_loss, worst_case_key_length)
+from fsqkd import _kernels
 from fsqkd.channel import BlockCounts
 
 SEC = SecurityParams()
@@ -322,16 +322,19 @@ class TestOracleEquivalence:
         ]
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),
                                 p_mu=(1/3, 1/3, 1/3))
-        checks.append(("tau_0", decoy_tau(0, params), 0.8371226925828643))
-        checks.append(("tau_1", decoy_tau(1, params), 0.1312496905533042))
+        checks.append(("tau_0", _kernels.poisson_tau(0, *params.mu, *params.p_mu),
+                       0.8371226925828643))
+        checks.append(("tau_1", _kernels.poisson_tau(1, *params.mu, *params.p_mu),
+                       0.1312496905533042))
 
         ref_params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 1e-9),
                                     p_mu=(1/3, 1/3, 1/3))
         counts = expected_block_counts(ref_params, channel(30.0, 1e-6, 0.01, 60.0))
         checks.append(("n_x[mu1]", counts.n_x[0], 251187.94755083777))
-        bounds = scaled_count_bounds(counts, ref_params, SEC)
-        checks.append(("n_x_minus[mu1]", bounds["n_x_minus"][0], 1225266.4696611103))
-        checks.append(("n_x_plus[mu3]", bounds["n_x_plus"][2], 3732.584744370343))
+        n_x_bounds = _kernels.scaled_bounds_core(*counts.n_x, *ref_params.mu,
+                                                 *ref_params.p_mu, SEC.beta)
+        checks.append(("n_x_minus[mu1]", n_x_bounds[0], 1225266.4696611103))
+        checks.append(("n_x_plus[mu3]", n_x_bounds[5], 3732.584744370343))
         full = key_length_for_channel(ref_params, channel(30.0, 1e-6, 0.01, 60.0), SEC)
         checks.append(("chain s_x0", full.s_x0, 1935.4033092284933))
         checks.append(("chain s_x1", full.s_x1, 180504.6510175041))

@@ -123,10 +123,17 @@ class TestConfigErrors:
         ("optimize", ["optimize.regime = full", "optimize.mu3 = -0.1"], None),
         ("optimize", ["optimize.regime = full", "optimize.restarts = 1",
                       "optimize.tolerance = -1"], None),
+        ("optimize", ["optimize.regime = full", "optimize.mu3 = 0.49"], None),
+        ("keylength", ["protocol.mu1 = 800"], None),
+        ("sweep", ["sweep.eta_loss_db = 30", "sweep.log10_pec = 400",
+                   "sweep.qber_i = 0.01", "sweep.tau_s = 60"], None),
+        ("budget", ["budget.resolution_db = 1e-300"], None),
         ("keylength", ["channel.p_ec = 0.7"],
          "fsqkd: configuration error: p_ec must be in [0, 0.5), got 0.7\n"),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
-            "max_evals-zero", "mu3-negative", "tolerance-negative", "p_ec-pinned"])
+            "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
+            "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
+            "p_ec-pinned"])
     def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")

@@ -86,6 +86,13 @@ class TestIntensityDomain:
         with pytest.raises(ParameterError, match="denominator"):
             OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=ROUNDED_TRIPLE)
 
+    def test_intensity_has_a_finite_upper_end(self):
+        # math.exp(mu) overflows above about 709.78
+        ProtocolParams(pax=0.7, pbx=0.5, mu=(10.0, 0.1, 0.0), p_mu=(0.8, 0.13, 0.07))
+        for mu1 in (10.5, 800.0):
+            with pytest.raises(ParameterError, match=r"mu1 must be in \[0, 10\]"):
+                ProtocolParams(pax=0.7, pbx=0.5, mu=(mu1, 0.1, 0.0), p_mu=(0.8, 0.13, 0.07))
+
     def test_next_float_triples_never_divide_by_zero(self):
         # at the mu1 > mu2 + mu3 edge an accepted triple always evaluates
         rng = random.Random(5)
@@ -99,7 +106,7 @@ class TestIntensityDomain:
             except ParameterError:
                 rejected += 1
                 continue
-            key_length_for_channel(params, CHANNEL, SEC, with_diagnostics=False)
+            key_length_for_channel(params, CHANNEL, SEC)
         assert 0 < rejected < 400
 
 
@@ -115,6 +122,8 @@ class TestIntensityDomain:
     dict(prob_bounds=(1 / 3, 0.9)),
     dict(intensity_bounds=(0.0, 1.0)),
     dict(intensity_bounds=(0.5, 0.5)),
+    dict(intensity_bounds=(1e-4, 10.5)),
+    dict(mu3=0.49),
     dict(pbx=1.0),
     dict(mu=(0.4, 0.3, 0.15)),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
@@ -124,6 +133,17 @@ def test_optimization_spec_domain(kwargs):
                      prob_bounds=(0.33, 0.34), intensity_bounds=(1e-9, 2.0))
     with pytest.raises(ParameterError):
         OptimizationSpec(**kwargs)
+
+
+def test_optimization_spec_needs_a_feasible_start():
+    # mu1 must exceed mu3 + max(mu3, lo); from mu3 = 0.485 on, no start point
+    # of the default seed gets there under the default upper bound of 1
+    OptimizationSpec(mu3=0.48, intensity_bounds=(1e-4, 10.0))
+    OptimizationSpec(mu3=0.49, intensity_bounds=(1e-4, 2.0))
+    with pytest.raises(ParameterError, match="no feasible start point"):
+        OptimizationSpec(mu3=0.485)
+    with pytest.raises(ParameterError, match="no feasible start point"):
+        OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.5, mu3=0.6)
 
 
 def test_readme_table_states_the_domain():

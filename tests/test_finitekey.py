@@ -6,18 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsqkd import (ChannelConditions, IntensityUncertaintyModel, NoKeySignal,
-                   OptimizationSpec, ParameterError, ProtocolParams,
-                   SecurityParams, binary_entropy, chernoff_delta, decoy_tau,
-                   ec_leakage, expected_block_counts, key_length_for_channel,
-                   key_length_for_intensities, optimize, phase_error,
-                   scaled_count_bounds, secure_key_length,
-                   single_photon_bound, vacuum_bound, worst_case_key_length)
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, OptimizationSpec,
+                   ParameterError, ProtocolParams, SecurityParams, binary_entropy,
+                   chernoff_delta, ec_leakage, expected_block_counts,
+                   key_length_for_channel, key_length_for_intensities, optimize,
+                   secure_key_length, worst_case_key_length)
 from fsqkd import _kernels
 from fsqkd.channel import BlockCounts
-from fsqkd.finitekey import _REASONS, _evaluate_flat
+from fsqkd.finitekey import _REASONS, _ec_quantile, _evaluate_flat
 
 BETA_REF = math.log(1.0 / (1e-9 + 1e-15))
+
+
+def tau(n, params):
+    """Probability of an n-photon pulse, n in {0, 1}."""
+    return _kernels.poisson_tau(n, *params.mu, *params.p_mu)
+
+
+def scaled(trip, params, beta):
+    """Scaled (lower, upper) bounds of one per-intensity count triple."""
+    out = _kernels.scaled_bounds_core(*trip, *params.mu, *params.p_mu, beta)
+    return out[:3], out[3:]
 
 
 class TestBinaryEntropy:
@@ -72,74 +81,71 @@ class TestDecoyTau:
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.2, 1e-9),
                                 p_mu=(0.999998, 1e-6, 1e-6))
         # nearly all the weight on mu1: tau_0 ~ exp(-mu1)
-        assert decoy_tau(0, params) == pytest.approx(math.exp(-0.5), rel=1e-5)
+        assert tau(0, params) == pytest.approx(math.exp(-0.5), rel=1e-5)
 
     def test_reference_values(self):
         # frozen from an independent reference script
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),
                                 p_mu=(1 / 3, 1 / 3, 1 / 3))
-        assert decoy_tau(0, params) == pytest.approx(0.8371226925828643, rel=1e-12)
-        assert decoy_tau(1, params) == pytest.approx(0.1312496905533042, rel=1e-12)
+        assert tau(0, params) == pytest.approx(0.8371226925828643, rel=1e-12)
+        assert tau(1, params) == pytest.approx(0.1312496905533042, rel=1e-12)
 
     def test_zero_intensity_contributes_nothing_to_tau1(self):
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),
                                 p_mu=(0.2, 0.2, 0.6))
         expected = 0.2 * math.exp(-0.5) * 0.5 + 0.2 * math.exp(-0.1) * 0.1
-        assert decoy_tau(1, params) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain(self, reference_params):
-        with pytest.raises(ParameterError):
-            decoy_tau(2, reference_params)
+        assert tau(1, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestScaledCountBounds:
     def test_zero_counts_collapse(self, reference_params, security):
-        counts = BlockCounts(n_x=(0.0,) * 3, n_z=(0.0,) * 3,
-                             m_x=(0.0,) * 3, m_z=(0.0,) * 3)
-        b = scaled_count_bounds(counts, reference_params, security)
+        lo, hi = scaled((0.0,) * 3, reference_params, security.beta)
         for i, (mu, p) in enumerate(zip(reference_params.mu, reference_params.p_mu)):
-            assert b["n_x_minus"][i] == 0.0
-            assert b["n_x_plus"][i] == pytest.approx(
-                (math.exp(mu) / p) * 2 * security.beta, rel=1e-12)
+            assert lo[i] == 0.0
+            assert hi[i] == pytest.approx((math.exp(mu) / p) * 2 * security.beta, rel=1e-12)
 
     def test_beta_zero_recovers_raw_scaling(self, reference_params, reference_channel):
-        sec0 = SecurityParams(beta=0.0)
         counts = expected_block_counts(reference_params, reference_channel)
-        b = scaled_count_bounds(counts, reference_params, sec0)
+        lo, hi = scaled(counts.n_x, reference_params, 0.0)
         for i, (mu, p) in enumerate(zip(reference_params.mu, reference_params.p_mu)):
             expected = (math.exp(mu) / p) * counts.n_x[i]
-            assert b["n_x_minus"][i] == pytest.approx(expected, rel=1e-12)
-            assert b["n_x_plus"][i] == pytest.approx(expected, rel=1e-12)
+            assert lo[i] == pytest.approx(expected, rel=1e-12)
+            assert hi[i] == pytest.approx(expected, rel=1e-12)
 
     def test_reference_table(self, reference_params, reference_channel, security):
         # frozen from an independent reference script (beta = ln(21/eps_s))
         counts = expected_block_counts(reference_params, reference_channel)
-        b = scaled_count_bounds(counts, reference_params, security)
-        assert b["n_x_minus"][0] == pytest.approx(1225266.4696611103, rel=1e-12)
-        assert b["n_x_minus"][1] == pytest.approx(164047.28960329018, rel=1e-12)
-        assert b["n_x_minus"][2] == pytest.approx(2311.9726278324238, rel=1e-12)
-        assert b["n_x_plus"][0] == pytest.approx(1259626.0856724377, rel=1e-12)
-        assert b["n_x_plus"][1] == pytest.approx(174495.7883556714, rel=1e-12)
-        assert b["n_x_plus"][2] == pytest.approx(3732.584744370343, rel=1e-12)
-        assert b["m_z_minus"][2] == 0.0  # floored
-        assert b["m_z_plus"][2] == pytest.approx(225.30939365663318, rel=1e-12)
+        n_x_minus, n_x_plus = scaled(counts.n_x, reference_params, security.beta)
+        m_z_minus, m_z_plus = scaled(counts.m_z, reference_params, security.beta)
+        assert n_x_minus[0] == pytest.approx(1225266.4696611103, rel=1e-12)
+        assert n_x_minus[1] == pytest.approx(164047.28960329018, rel=1e-12)
+        assert n_x_minus[2] == pytest.approx(2311.9726278324238, rel=1e-12)
+        assert n_x_plus[0] == pytest.approx(1259626.0856724377, rel=1e-12)
+        assert n_x_plus[1] == pytest.approx(174495.7883556714, rel=1e-12)
+        assert n_x_plus[2] == pytest.approx(3732.584744370343, rel=1e-12)
+        assert m_z_minus[2] == 0.0  # floored
+        assert m_z_plus[2] == pytest.approx(225.30939365663318, rel=1e-12)
 
 
 class TestDecoyBounds:
     def test_all_zero_counts_floor(self, reference_params, security):
         zeros = (0.0, 0.0, 0.0)
         plus = (10.0, 10.0, 10.0)
-        assert vacuum_bound(zeros, plus, reference_params) == 0.0
-        assert single_photon_bound(zeros, plus, 0.0, reference_params) == 0.0
+        mu1, mu2, mu3 = reference_params.mu
+        tau0, tau1 = tau(0, reference_params), tau(1, reference_params)
+        assert _kernels.vacuum_bound_core(zeros[2], plus[1], tau0, mu2, mu3, math.inf) == 0.0
+        assert _kernels.single_photon_bound_core(zeros[1], plus[2], plus[0], 0.0, tau0, tau1,
+                                                 mu1, mu2, mu3, math.inf) == 0.0
 
     def test_mu3_zero_vacuum_collapse(self):
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),
                                 p_mu=(1 / 3, 1 / 3, 1 / 3))
         n_minus = (100.0, 200.0, 300.0)
         n_plus = (150.0, 250.0, 350.0)
-        tau0 = decoy_tau(0, params)
-        assert vacuum_bound(n_minus, n_plus, params) == pytest.approx(
-            tau0 * 300.0, rel=1e-12)
+        _, mu2, mu3 = params.mu
+        tau0 = tau(0, params)
+        assert _kernels.vacuum_bound_core(n_minus[2], n_plus[1], tau0, mu2, mu3,
+                                          math.inf) == pytest.approx(tau0 * 300.0, rel=1e-12)
 
     def test_degenerate_intensities_rejected(self):
         with pytest.raises(ParameterError):
@@ -147,18 +153,35 @@ class TestDecoyBounds:
                            p_mu=(1 / 3, 1 / 3, 1 / 3))
 
 
+HEALTHY = (1e6, 1.5e5, 3e3)
+HEALTHY_ERRORS = (1e4, 2e3, 1.5e3)
+
+
 class TestPhaseError:
-    def test_zero_error_limit(self, security):
-        assert phase_error(1e6, 0.0, 1e6, security) == 0.0
+    def test_zero_error_limit(self, reference_params):
+        # no Z-basis errors and no concentration correction: v_z1 = 0
+        counts = BlockCounts(n_x=HEALTHY, n_z=HEALTHY, m_x=HEALTHY_ERRORS, m_z=(0.0,) * 3)
+        result = secure_key_length(counts, reference_params, SecurityParams(beta=0.0))
+        assert result.v_z1 == 0.0
+        assert result.phi_x == 0.0
 
-    def test_clamp(self, security):
-        assert phase_error(100.0, 60.0, 100.0, security) == 0.5
+    def test_clamp(self, reference_params, security):
+        counts = BlockCounts(n_x=HEALTHY, n_z=HEALTHY, m_x=HEALTHY_ERRORS,
+                             m_z=(6e5, 1e5, 1.5e3))
+        result = secure_key_length(counts, reference_params, security)
+        assert result.v_z1 / result.s_z1 >= 0.5
+        assert result.phi_x == 0.5
 
-    def test_no_key_signal(self, security):
-        with pytest.raises(NoKeySignal):
-            phase_error(0.0, 1.0, 10.0, security)
-        with pytest.raises(NoKeySignal):
-            phase_error(10.0, 1.0, 0.0, security)
+    def test_no_single_photon_bound(self, reference_params, security):
+        # either basis' single-photon bound vanishing leaves no key signal
+        tiny = (1.0, 1.0, 1.0)
+        for counts in (BlockCounts(n_x=HEALTHY, n_z=tiny, m_x=HEALTHY_ERRORS, m_z=(0.1,) * 3),
+                       BlockCounts(n_x=tiny, n_z=HEALTHY, m_x=(0.1,) * 3, m_z=HEALTHY_ERRORS)):
+            result = secure_key_length(counts, reference_params, security)
+            assert min(result.s_x1, result.s_z1) == 0.0
+            assert result.reason == "no-single-photon-bound"
+            assert result.phi_x == 0.5
+            assert result.ell == 0
 
     def test_reference_chain_value(self, reference_params, reference_channel, security):
         # frozen full-chain value from an independent reference script
@@ -225,8 +248,7 @@ class TestSecureKeyLength:
         for eta in range(10, 52, 2):
             cond = ChannelConditions(eta_loss_db=float(eta), p_ec=1e-6,
                                      qber_i=0.01, integration_time_s=600.0)
-            ell = key_length_for_channel(reference_params, cond, security,
-                                         with_diagnostics=False).ell
+            ell = key_length_for_channel(reference_params, cond, security).ell
             if prev is not None:
                 assert ell <= prev
             prev = ell
@@ -234,8 +256,7 @@ class TestSecureKeyLength:
         for log_pec in (-7.0, -6.0, -5.0, -4.0, -3.0):
             cond = ChannelConditions(eta_loss_db=25.0, p_ec=10.0 ** log_pec,
                                      qber_i=0.01, integration_time_s=600.0)
-            ell = key_length_for_channel(reference_params, cond, security,
-                                         with_diagnostics=False).ell
+            ell = key_length_for_channel(reference_params, cond, security).ell
             if prev is not None:
                 assert ell <= prev
             prev = ell
@@ -259,13 +280,11 @@ class TestSecureKeyLength:
         assert result.ell == 0
         assert result.reason == "zero-counts"
 
-    def test_diagnostics_carry_bound_tables(self, reference_params, reference_channel, security):
+    def test_record_carries_z_basis_bounds(self, reference_params, reference_channel,
+                                           security):
         result = key_length_for_channel(reference_params, reference_channel, security)
-        for key in ("n_x_minus", "n_x_plus", "n_z_minus", "n_z_plus",
-                    "m_x_minus", "m_x_plus", "m_z_minus", "m_z_plus"):
-            assert len(result.diagnostics[key]) == 3
-        assert result.diagnostics["s_z1"] == pytest.approx(180504.6510175041, rel=1e-9)
-        assert result.diagnostics["v_z1"] == pytest.approx(4356.447301157014, rel=1e-9)
+        assert result.s_z1 == pytest.approx(180504.6510175041, rel=1e-9)
+        assert result.v_z1 == pytest.approx(4356.447301157014, rel=1e-9)
 
 
 class TestAsymptoticOracle:
@@ -347,7 +366,7 @@ class TestOneScalarChain:
         channel = ChannelConditions(eta_loss_db=eta, p_ec=1e-6, qber_i=0.01,
                                     integration_time_s=60.0)
         ref = key_length_for_channel(reference_params, channel, security,
-                                     ec_method=ec_method, with_diagnostics=False)
+                                     ec_method=ec_method)
         assert ref.reason == reason
         assert ref.lambda_ec > 0.0
 
@@ -365,6 +384,41 @@ class TestOneScalarChain:
 
         assert key_length_for_intensities({}, par, channel, security,
                                           ec_method=ec_method) == ref.ell
+
+    @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+    def test_one_kernel_evaluation_per_query(self, monkeypatch, reference_params,
+                                             reference_channel, security, ec_method):
+        # the record comes from the one chain evaluation, with no second pass
+        bounds_calls, scaled_calls = [], []
+        bounds, scaled_core = _kernels.bounds_ell_core, _kernels.scaled_bounds_core
+
+        def counted_bounds(*args):
+            out = bounds(*args)
+            bounds_calls.append((args, out))
+            return out
+
+        def counted_scaled(*args):
+            scaled_calls.append(args)
+            return scaled_core(*args)
+
+        monkeypatch.setattr(_kernels, "bounds_ell_core", counted_bounds)
+        monkeypatch.setattr(_kernels, "scaled_bounds_core", counted_scaled)
+        result = key_length_for_channel(reference_params, reference_channel, security,
+                                        ec_method=ec_method)
+        assert len(bounds_calls) == 1
+        assert len(scaled_calls) == 3
+
+        args, out = bounds_calls[0]
+        s_z0, s_z1, v_z1 = out[4:7]
+        assert (result.s_z0.hex(), result.s_z1.hex(), result.v_z1.hex()) == (
+            s_z0.hex(), s_z1.hex(), v_z1.hex())
+        counts = expected_block_counts(reference_params, reference_channel)
+        quantile = 0.0
+        if ec_method == "binomial":
+            quantile = _ec_quantile(counts.n_x_total, counts.m_x_total / counts.n_x_total,
+                                    security.eps_c)
+            assert quantile > 0.0
+        assert result.ec_quantile.hex() == quantile.hex() == args[-1].hex()
 
 
 def _entry_points(params, channel, sec):

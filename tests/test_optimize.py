@@ -1,8 +1,10 @@
 """Parameter optimization: feasibility, determinism, regime nesting."""
+from dataclasses import replace
+
 import pytest
 
 from fsqkd import (ChannelConditions, OptimizationSpec, ParameterError,
-                   ProtocolParams, Regime, SecurityParams, feasible,
+                   ProtocolParams, Regime, SecurityParams,
                    key_length_for_channel, optimize)
 
 CHANNEL = ChannelConditions(eta_loss_db=25.0, p_ec=1e-5, qber_i=0.01,
@@ -12,19 +14,21 @@ SEC = SecurityParams()
 
 class TestFeasible:
     def test_known_good_point(self):
-        assert feasible(ProtocolParams(pax=0.9, pbx=0.5, mu=(0.5, 0.1, 0.0),
-                                       p_mu=(0.7, 0.2, 0.1)))
+        ProtocolParams(pax=0.9, pbx=0.5, mu=(0.5, 0.1, 0.0), p_mu=(0.7, 0.2, 0.1))
 
     def test_ordering_violation(self):
-        assert not feasible((0.9, 0.5, (0.5, 0.3, 0.3), (0.7, 0.2, 0.1)))
+        with pytest.raises(ParameterError):
+            ProtocolParams(0.9, 0.5, (0.5, 0.3, 0.3), (0.7, 0.2, 0.1))
 
     def test_sum_constraint_violation(self):
-        assert not feasible((0.9, 0.5, (0.4, 0.3, 0.15), (0.7, 0.2, 0.1)))
+        with pytest.raises(ParameterError):
+            ProtocolParams(0.9, 0.5, (0.4, 0.3, 0.15), (0.7, 0.2, 0.1))
         # boundary case: mu1 slightly above mu2 + mu3 is feasible
-        assert feasible((0.9, 0.5, (0.4, 0.3, 0.05), (0.7, 0.2, 0.1)))
+        ProtocolParams(0.9, 0.5, (0.4, 0.3, 0.05), (0.7, 0.2, 0.1))
 
     def test_simplex_violation(self):
-        assert not feasible((0.9, 0.5, (0.5, 0.1, 0.0), (0.7, 0.4, -0.1)))
+        with pytest.raises(ParameterError):
+            ProtocolParams(0.9, 0.5, (0.5, 0.1, 0.0), (0.7, 0.4, -0.1))
 
 
 class TestSpecValidation:
@@ -53,13 +57,12 @@ class TestOptimize:
         res = optimize(spec, CHANNEL, SEC)
         assert res.best_params.pax == res.best_params.pbx
         assert res.best_ell > 0
-        assert feasible(res.best_params)
+        replace(res.best_params)  # re-runs ProtocolParams validation
 
     def test_reported_ell_reproduces_exactly(self):
         spec = OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.5, restarts=4, seed=7)
         res = optimize(spec, CHANNEL, SEC)
-        again = key_length_for_channel(res.best_params, CHANNEL, SEC,
-                                       with_diagnostics=False)
+        again = key_length_for_channel(res.best_params, CHANNEL, SEC)
         assert again.ell == res.best_ell
         assert again.raw == res.best_raw
 
@@ -98,18 +101,25 @@ class TestOptimize:
                                 max_evals_per_restart=400)
         res = optimize(spec, dark, SEC)
         assert res.best_ell == 0
-        assert feasible(res.best_params)
+        replace(res.best_params)  # re-runs ProtocolParams validation
 
     def test_never_returns_infeasible_point(self):
         for seed in range(4):
             spec = OptimizationSpec(regime=Regime.FULL, restarts=2, seed=seed,
                                     max_evals_per_restart=300)
             res = optimize(spec, CHANNEL, SEC)
-            assert feasible(res.best_params)
+            replace(res.best_params)  # re-runs ProtocolParams validation
             mu1, mu2, mu3 = res.best_params.mu
             lo, hi = spec.prob_bounds
             assert lo <= res.best_params.pax <= hi
             assert spec.intensity_bounds[0] <= mu2 < mu1 <= spec.intensity_bounds[1]
+
+    def test_one_feasible_start_is_enough(self):
+        # at mu3 = 0.48 one of the 8 default start points decodes
+        spec = OptimizationSpec(mu3=0.48, max_evals_per_restart=200)
+        res = optimize(spec, CHANNEL, SEC)
+        assert res.best_params.mu[2] == 0.48
+        replace(res.best_params)  # re-runs ProtocolParams validation
 
     def test_trace_and_evaluations_recorded(self):
         spec = OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5,

@@ -1,5 +1,6 @@
 """Scenario analyses: sweeps, loss budgets, key rate vs time, sifting identity."""
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,13 @@ class TestSweep:
             SweepSpec(eta_loss_db=(), log10_pec=(-6.0,), qber_i=(0.01,),
                       tau_s=(60.0,), params=PARAMS)
 
+    @pytest.mark.parametrize("lp", [400.0, 1.0, -0.25])
+    def test_log10_pec_outside_p_ec_domain_rejected(self, lp):
+        # 10**400 overflows; 10**1 and 10**-0.25 are outside [0, 0.5)
+        with pytest.raises(ParameterError, match="p_ec"):
+            SweepSpec(eta_loss_db=(30.0,), log10_pec=(-6.0, lp), qber_i=(0.01,),
+                      tau_s=(60.0,), params=PARAMS)
+
 
 class TestMaxLoss:
     def test_budget_for_fixed_params(self):
@@ -111,6 +119,28 @@ class TestMaxLoss:
                                 eta_max_db=5.0, params=PARAMS)
         res = max_loss(query, SEC)
         assert res.max_eta_db == 5.0
+
+    @pytest.mark.parametrize("resolution", [1e-300, 0.6 * math.ulp(55.0)])
+    def test_resolution_below_float_spacing_rejected(self, resolution):
+        # bisection cannot split two adjacent floats, so it would never end;
+        # 0.6 ulp still passes eta_max_db + resolution_db > eta_max_db
+        with pytest.raises(ParameterError, match="float spacing"):
+            LossBudgetQuery(conditions=BASE, eta_min_db=5.0, eta_max_db=55.0,
+                            resolution_db=resolution, params=PARAMS)
+
+    def test_finest_resolution_ends_on_adjacent_floats(self):
+        # the key cliff near 43 dB lies where the bracket's float spacing is widest
+        cond = replace(BASE, integration_time_s=1800.0)
+        query = LossBudgetQuery(conditions=cond, eta_min_db=5.0, eta_max_db=55.0,
+                                resolution_db=math.ulp(55.0), params=PARAMS)
+        res = max_loss(query, SEC)
+        assert 32.0 <= res.max_eta_db < 55.0
+        assert res.monotone_bracket
+        assert len(res.probes) < 64
+        beyond = math.nextafter(res.max_eta_db, math.inf)
+        assert key_length_for_channel(PARAMS, replace(cond, eta_loss_db=res.max_eta_db),
+                                      SEC).ell >= 1
+        assert key_length_for_channel(PARAMS, replace(cond, eta_loss_db=beyond), SEC).ell < 1
 
 
 class TestSkrVsTime:

@@ -11,8 +11,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
 from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
 from fsqkd.uncertainty import (GRID_DIMS, _binary_entropy, _fluct_gamma,
-                               bounds_ell_array, decode_grid_index,
-                               grid_key_lengths)
+                               bounds_ell_array, grid_key_lengths)
 
 # fixed-hardware point with a comfortable key margin
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
@@ -78,7 +77,7 @@ class TestWorstCase:
         # the worst case sits at interval edges, not interior points
         model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS)
         res = worst_case_key_length(model, CHANNEL, SEC)
-        digits = decode_grid_index(res.argmin_index, 3)
+        digits = np.unravel_index(res.argmin_index, (3,) * 10)
         assert all(d in (0, 2) for d in digits)
 
     def test_endpoint_minimum_against_denser_grid(self):
@@ -108,7 +107,7 @@ class TestWorstCase:
         idx = 0
         for digits in itertools.product(range(g), repeat=10):
             if idx % 7919 == 0:  # sample the space
-                assert decode_grid_index(idx, g) == digits
+                assert np.unravel_index(idx, (g,) * 10) == digits
             idx += 1
 
     def test_dims_cover_all_states_and_estimator(self):
@@ -161,7 +160,7 @@ def scalar_grid(model, channel, sec, ec_method):
     ell = np.empty(g ** 10)
     reason = np.empty(g ** 10)
     for t in range(g ** 8):
-        h1, h2, v1, v2, d1, d2, a1, a2 = decode_grid_index(t, g)[2:]
+        h1, h2, v1, v2, d1, d2, a1, a2 = np.unravel_index(t, (g,) * 8)
         c = k.counts_core(params.pax, params.pbx,
                           cand1[h1], cand2[h2], cand1[v1], cand2[v2],
                           cand1[d1], cand2[d2], cand1[a1], cand2[a2],
