@@ -32,15 +32,21 @@ def db_to_transmittance(eta_loss_db):
     return 10.0 ** (-eta_loss_db / 10.0)
 
 
+def detection_error_prob(k, p_d, p_ec, p_ap, qber_i):
+    """Per-pulse detection and error probabilities for mean photon number k."""
+    t = math.exp(-p_d * k)
+    d_k = (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * t)
+    return d_k, p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - t)
+
+
 def detection_prob(k, p_d, p_ec, p_ap):
     """Per-pulse detection probability for mean photon number k."""
-    return (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * math.exp(-p_d * k))
+    return detection_error_prob(k, p_d, p_ec, p_ap, 0.0)[0]
 
 
 def error_prob(k, p_d, p_ec, p_ap, qber_i):
     """Per-pulse error probability for mean photon number k."""
-    d_k = detection_prob(k, p_d, p_ec, p_ap)
-    return p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - math.exp(-p_d * k))
+    return detection_error_prob(k, p_d, p_ec, p_ap, qber_i)[1]
 
 
 def binary_entropy(x):
@@ -95,17 +101,23 @@ def counts_core(pax, pbx,
     """
     # per-basis detection / error statistics, averaged over the two signal
     # states of that basis (bit values are chosen uniformly)
-    dx1 = 0.5 * (detection_prob(mu1_h, p_d, p_ec, p_ap) + detection_prob(mu1_v, p_d, p_ec, p_ap))
-    dx2 = 0.5 * (detection_prob(mu2_h, p_d, p_ec, p_ap) + detection_prob(mu2_v, p_d, p_ec, p_ap))
-    dz1 = 0.5 * (detection_prob(mu1_d, p_d, p_ec, p_ap) + detection_prob(mu1_a, p_d, p_ec, p_ap))
-    dz2 = 0.5 * (detection_prob(mu2_d, p_d, p_ec, p_ap) + detection_prob(mu2_a, p_d, p_ec, p_ap))
-    d3 = detection_prob(mu3, p_d, p_ec, p_ap)
-
-    ex1 = 0.5 * (error_prob(mu1_h, p_d, p_ec, p_ap, qber_i) + error_prob(mu1_v, p_d, p_ec, p_ap, qber_i))
-    ex2 = 0.5 * (error_prob(mu2_h, p_d, p_ec, p_ap, qber_i) + error_prob(mu2_v, p_d, p_ec, p_ap, qber_i))
-    ez1 = 0.5 * (error_prob(mu1_d, p_d, p_ec, p_ap, qber_i) + error_prob(mu1_a, p_d, p_ec, p_ap, qber_i))
-    ez2 = 0.5 * (error_prob(mu2_d, p_d, p_ec, p_ap, qber_i) + error_prob(mu2_a, p_d, p_ec, p_ap, qber_i))
-    e3 = error_prob(mu3, p_d, p_ec, p_ap, qber_i)
+    d1h, e1h = detection_error_prob(mu1_h, p_d, p_ec, p_ap, qber_i)
+    d1v, e1v = detection_error_prob(mu1_v, p_d, p_ec, p_ap, qber_i)
+    d2h, e2h = detection_error_prob(mu2_h, p_d, p_ec, p_ap, qber_i)
+    d2v, e2v = detection_error_prob(mu2_v, p_d, p_ec, p_ap, qber_i)
+    d1d, e1d = detection_error_prob(mu1_d, p_d, p_ec, p_ap, qber_i)
+    d1a, e1a = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
+    d2d, e2d = detection_error_prob(mu2_d, p_d, p_ec, p_ap, qber_i)
+    d2a, e2a = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
+    d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
+    dx1 = 0.5 * (d1h + d1v)
+    dx2 = 0.5 * (d2h + d2v)
+    dz1 = 0.5 * (d1d + d1a)
+    dz2 = 0.5 * (d2d + d2a)
+    ex1 = 0.5 * (e1h + e1v)
+    ex2 = 0.5 * (e2h + e2v)
+    ez1 = 0.5 * (e1d + e1a)
+    ez2 = 0.5 * (e2d + e2a)
 
     sift_x = pax * pbx * n_pulses
     sift_z = (1.0 - pax) * (1.0 - pbx) * n_pulses

@@ -1,53 +1,92 @@
 """Inverse binomial CDF with real-valued trial counts.
 
-Expected counts in this model are real numbers, so the quantile is defined
-through the regularized incomplete beta form of the binomial CDF,
-``P(X <= k) = I_{1-p}(n - k, k + 1)``, which extends smoothly to non-integer
-``n``.  For integer ``n`` the result matches ``scipy.stats.binom.ppf``.
+Expected counts in this model are real numbers, so the binomial CDF is
+taken in its regularized incomplete beta form,
+``P(X <= k) = I_{1-p}(n - k, k + 1)``, which extends smoothly to
+non-integer ``n``.  The quantile is defined by that predicate alone:
+
+    binom_ppf(q, n, p) = min(n, smallest integer k with P(X <= k) >= q),
+
+where every ``k >= n`` meets the predicate.  For integer ``n`` this is
+``scipy.stats.binom.ppf``.
+
+It is computed with scalar ``betainc`` calls only: a normal start with a
+Cornish-Fisher skew term, a bracket grown by doubling steps, then
+bisection down to two adjacent integers.  Arrays are mapped point by
+point through the same scalar routine, so both give the same k.
+
+Precision: the predicate is evaluated in double precision.  Up to about
+1e11 trials it is monotone in k and the result is the exact quantile.
+Above that, rounding in ``betainc`` can make it flip more than once near
+the crossing; the result is then still an integer where it fails one
+step below and holds, but not necessarily the smallest such integer.
 """
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import bdtrik, betainc
+from scipy.special.cython_special import betainc as _betainc
+
+_SCALAR = (int, float)
 
 
-def binom_cdf(k, n, p):
-    """Binomial CDF P(X <= k) for real-valued n >= 0, elementwise."""
-    k = np.asarray(k, dtype=float)
-    n = np.asarray(n, dtype=float)
-    p = np.asarray(p, dtype=float)
-    below = k < 0.0
-    above = k >= n
-    a = np.maximum(n - k, 1e-300)
-    b = np.maximum(k + 1.0, 1e-300)
-    x = np.clip(1.0 - p, 0.0, 1.0)
-    with np.errstate(all="ignore"):
-        core = betainc(a, b, x)
-    out = np.where(below, 0.0, np.where(above, 1.0, core))
-    if out.ndim == 0:
-        return float(out)
-    return out
+@lru_cache(maxsize=64)
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile of q; outside (0, 1) any start will do."""
+    return NormalDist().inv_cdf(q) if 0.0 < q < 1.0 else 0.0
+
+
+def _meets(q: float, n: float, x: float, k: int) -> bool:
+    """The quantile predicate P(X <= k) >= q, with x = 1 - p."""
+    return k >= n or _betainc(n - k, k + 1.0, x) >= q
+
+
+def _ppf(q: float, n: float, p: float) -> float:
+    """Scalar quantile on Python floats; see the module docstring."""
+    if not 0.0 < n < math.inf:
+        return 0.0
+    x = 1.0 - p
+    z = _normal_quantile(q)
+    # mean + sigma (z + skew (z^2 - 1) / 6), with skew = (1 - 2p) / sigma
+    start = n * p + math.sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    k = min(max(math.ceil(start - 0.5), 0), math.ceil(n))
+    # grow a bracket lo < hi by doubling steps, where lo fails the predicate
+    # (lo = -1 is below the support) and hi meets it, then bisect it
+    step = 1
+    if _meets(q, n, x, k):
+        hi, lo = k, k - 1
+        while lo >= 0 and _meets(q, n, x, lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)
+    else:
+        lo, hi = k, k + 1
+        while not _meets(q, n, x, hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _meets(q, n, x, mid):
+            hi = mid
+        else:
+            lo = mid
+    return min(float(hi), n)
 
 
 def binom_ppf(q, n, p):
-    """Smallest integer k with P(X <= k) >= q, elementwise.
+    """Smallest integer k with P(X <= k) >= q, capped at n, elementwise.
 
-    Values are clipped to [0, n]; points where the underlying inversion is
-    undefined fall back to 0, which in the leakage estimate is the
-    conservative direction.
+    Scalars run on Python floats; arrays are broadcast and mapped through
+    the same scalar routine.  A trial count that is not positive and
+    finite gives 0.
     """
-    q = np.asarray(q, dtype=float)
-    n = np.asarray(n, dtype=float)
-    p = np.asarray(p, dtype=float)
-    with np.errstate(all="ignore"):
-        k = np.ceil(bdtrik(q, n, p))
-    k = np.where(np.isfinite(k), k, 0.0)
-    k = np.clip(k, 0.0, n)
-    # bdtrik inverts the CDF continuously; step back where the previous
-    # integer already satisfies the quantile condition
-    k_prev = k - 1.0
-    ok_prev = (k >= 1.0) & (binom_cdf(k_prev, n, p) >= q)
-    out = np.where(ok_prev, k_prev, k)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if isinstance(q, _SCALAR) and isinstance(n, _SCALAR) and isinstance(p, _SCALAR):
+        return _ppf(float(q), float(n), float(p))
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (q, n, p)))
+    out = [_ppf(*t) for t in zip(*(a.ravel().tolist() for a in arrays))]
+    if arrays[0].ndim == 0:
+        return out[0]
+    return np.array(out).reshape(arrays[0].shape)

@@ -151,7 +151,6 @@ def _cmd_budget(cfg: RunConfig, args) -> str:
     query = cfg.budget_query(seed_override=args.seed)
     res = max_loss(query, sec, ec_method=method, f_ec=f_ec)
     obj = {"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
-           "monotone_bracket": res.monotone_bracket,
            "probes": [[eta, ell] for eta, ell in res.probes]}
     if args.format == "csv":
         head = "max_eta_db,target_bits"

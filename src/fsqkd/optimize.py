@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
                       check_intensities, check_range)
@@ -179,6 +178,16 @@ def _decode(t: Sequence[float], spec: OptimizationSpec):
             return None
         mu2 = mu1 * _interval(t[4], r_lo, r_hi)
     return pax, pbx, mu1, mu2, mu3, p1, p2, p3
+
+
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    ``scipy.optimize`` takes a large share of ``import fsqkd``, and only the
+    optimizer needs it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
 
 
 def optimize(spec: OptimizationSpec, channel: ChannelConditions,

@@ -111,7 +111,6 @@ class LossBudgetResult:
     max_eta_db: float | None
     target_bits: int
     probes: tuple[tuple[float, int], ...]
-    monotone_bracket: bool
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,9 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams,
              ec_method: str = "binomial", f_ec: float = 1.16) -> LossBudgetResult:
     """Largest loss meeting the key-length target, by bisection.
 
-    The achieved-key predicate is validated at both bracket ends; if the
-    bracket does not straddle the boundary monotonically the search falls
-    back to a linear scan at the requested resolution.
+    The achieved-key predicate is checked at both bracket ends first.  The
+    answer is the largest probed loss that met the target; no loss is
+    probed twice.
     """
     target = max(query.target_bits, 1)
     probes: list[tuple[float, int]] = []
@@ -173,11 +172,11 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams,
     lo, hi = query.eta_min_db, query.eta_max_db
     ell_lo = ell_at(lo)
     if ell_lo < target:
-        return LossBudgetResult(None, query.target_bits, tuple(probes), True)
+        return LossBudgetResult(None, query.target_bits, tuple(probes))
     ell_hi = ell_at(hi)
     if ell_hi >= target:
         # budget extends beyond the bracket; report the bracket end
-        return LossBudgetResult(hi, query.target_bits, tuple(probes), True)
+        return LossBudgetResult(hi, query.target_bits, tuple(probes))
 
     while hi - lo > query.resolution_db:
         mid = 0.5 * (lo + hi)
@@ -185,20 +184,7 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams,
             lo = mid
         else:
             hi = mid
-
-    # spot-check consistency of the bisection result; optimized key curves
-    # can in principle be non-monotone through optimizer noise
-    monotone = True
-    if ell_at(lo) < target:
-        monotone = False
-        eta = query.eta_min_db
-        best = None
-        while eta <= query.eta_max_db + 1e-12:
-            if ell_at(eta) >= target:
-                best = eta
-            eta += query.resolution_db
-        return LossBudgetResult(best, query.target_bits, tuple(probes), monotone)
-    return LossBudgetResult(lo, query.target_bits, tuple(probes), monotone)
+    return LossBudgetResult(lo, query.target_bits, tuple(probes))
 
 
 def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,

@@ -20,7 +20,9 @@ The grid is evaluated with NumPy, in this order:
 3. the reconciliation leakage, with its inverse-binomial quantile, once
    per X-basis combination, since it depends on the X-basis totals alone;
 4. the estimation chain once per estimator pair over the g^8 axis, so
-   memory is O(g^8) although all g^10 points are evaluated.
+   memory is O(g^8) although all g^10 points are evaluated.  An estimator
+   pair outside the decoy domain of ``channel.check_intensities`` counts as
+   zero key at every point.
 
 Every expression mirrors :mod:`fsqkd._kernels` operation for operation,
 with logarithms taken through libm, so each grid point's key length is
@@ -40,7 +42,8 @@ import numpy as np
 from . import _kernels as k
 from ._kernels import LN2
 from ._quantile import binom_ppf
-from .channel import ChannelConditions, ParameterError, ProtocolParams, check_range
+from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
+                      check_range)
 from .finitekey import SecurityParams, _ec_mode, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
@@ -91,7 +94,8 @@ def key_length_for_intensities(state_mu: dict[str, float],
     """Key length with explicit per-state true and estimator-side intensities.
 
     ``state_mu`` maps each name in ``GRID_DIMS`` to an intensity value;
-    omitted names default to the nominal values in ``params``.
+    omitted names default to the nominal values in ``params``.  An
+    estimator pair outside the decoy domain gives 0 key.
     """
     mu1, mu2, mu3 = params.mu
     vals = {"h_mu1": mu1, "v_mu1": mu1, "d_mu1": mu1, "a_mu1": mu1,
@@ -102,6 +106,8 @@ def key_length_for_intensities(state_mu: dict[str, float],
             raise ParameterError(f"unknown intensity dimension {name!r}")
         vals[name] = float(v)
     ec_mode = _ec_mode(ec_method, f_ec)
+    if not _decoy_domain(vals["est_mu1"], vals["est_mu2"], mu3):
+        return 0
     p1, p2, p3 = params.p_mu
     c = k.counts_core(params.pax, params.pbx,
                       vals["h_mu1"], vals["h_mu2"], vals["v_mu1"], vals["v_mu2"],
@@ -112,6 +118,20 @@ def key_length_for_intensities(state_mu: dict[str, float],
     out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3,
                         sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
     return int(out[0])
+
+
+def _decoy_domain(mu1: float, mu2: float, mu3: float) -> bool:
+    """Whether an estimator pair meets ``channel.check_intensities``.
+
+    The receiver cannot run the decoy analysis (Lim et al., PRA 89, 032332
+    (2014)) with a pair outside that domain, so such a pair counts as zero
+    key, the conservative choice.
+    """
+    try:
+        check_intensities((mu1, mu2, mu3))
+    except ParameterError:
+        return False
+    return True
 
 
 # --- array mirror of the scalar chain ---------------------------------
@@ -262,7 +282,8 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     ``(est_mu1, est_mu2)``, the key lengths at all g^8 true-intensity
     combinations in row-major order over ``GRID_DIMS[:8]``.  Stacking the
     g^2 arrays as columns gives the whole grid in row-major order over
-    ``GRID_DIMS``.
+    ``GRID_DIMS``.  An estimator pair outside the decoy domain yields
+    zeros without evaluating the chain.
     """
     ec_mode = _ec_mode(ec_method, f_ec)
     params = model.nominal
@@ -321,6 +342,9 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     lam = lam[:, None]
     for est1 in cand1:
         for est2 in cand2:
+            if not _decoy_domain(est1, est2, mu3):
+                yield np.zeros(n_x[0].size * n_z[0].size)
+                continue
             ell, _ = bounds_ell_array(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
                                       sec.beta, sec.eps_s, sec.eps_c, lam)
             yield ell.ravel()

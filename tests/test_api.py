@@ -2,7 +2,10 @@
 README lists it, and the chain modules define no public callable outside
 it (the estimation chain's steps live in ``fsqkd._kernels``)."""
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,8 @@ PUBLIC = [
 ]
 
 # public module-level callables that are not re-exported by the package
-MODULE_ONLY = {"fsqkd.uncertainty": {"bounds_ell_array", "grid_key_lengths"}}
+MODULE_ONLY = {"fsqkd.uncertainty": {"bounds_ell_array", "grid_key_lengths"},
+               "fsqkd.optimize": {"minimize"}}
 
 
 def test_all_is_pinned():
@@ -50,3 +54,15 @@ def test_readme_lists_the_public_api():
     section = readme.split("## Library API", 1)[1].split("\n## ", 1)[0]
     listing = next(p for p in section.split("\n\n") if p.startswith("* "))
     assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(PUBLIC)
+
+
+def test_import_defers_scipy_optimize():
+    # only the optimizer needs scipy.optimize; its minimize stays a module
+    # attribute so that it can be wrapped
+    src = str(Path(fsqkd.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, fsqkd\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+            "assert callable(sys.modules['fsqkd.optimize'].minimize)\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

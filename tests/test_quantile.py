@@ -1,9 +1,35 @@
-"""Inverse binomial CDF helper against brute force and scipy."""
+"""Inverse binomial CDF helper against brute force, scipy, its defining
+predicate and an exact tail sum."""
+import hashlib
+import math
+import random
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import betainc
 from scipy.stats import binom
 
-from fsqkd._quantile import binom_cdf, binom_ppf
+from fsqkd._quantile import binom_ppf
+
+EPS_C = 1e-15
+
+
+def binom_cdf(k, n, p):
+    """Binomial CDF P(X <= k) = I_{1-p}(n - k, k + 1) for real-valued n >= 0,
+    elementwise: the predicate that defines binom_ppf, through the betainc ufunc."""
+    k = np.asarray(k, dtype=float)
+    n = np.asarray(n, dtype=float)
+    p = np.asarray(p, dtype=float)
+    a = np.maximum(n - k, 1e-300)
+    b = np.maximum(k + 1.0, 1e-300)
+    x = np.clip(1.0 - p, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        core = betainc(a, b, x)
+    out = np.where(k < 0.0, 0.0, np.where(k >= n, 1.0, core))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def brute_ppf(q: float, n: int, p: float) -> float:
@@ -58,3 +84,119 @@ class TestBinomPpf:
     def test_degenerate_success_probability(self):
         # p -> 1 pushes the quantile to the top of the support
         assert binom_ppf(1e-15, 100.0, 1.0) == 100.0
+
+
+def sample(seed: int, count: int, log10_n: tuple[float, float]) -> list[tuple[float, float]]:
+    """Seeded (n, p): n log-uniform, every other one an integer; p in [0.5, 1)."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        n = 10.0 ** rng.uniform(*log10_n)
+        if i % 2:
+            n = float(round(n))
+        points.append((n, rng.uniform(0.5, 1.0)))
+    return points
+
+
+def crossing(q: float, n: float, p: float, k: float) -> None:
+    """The predicate P(X <= j) >= q fails at j = k - 1 and holds at k.
+
+    A result capped at a real-valued n stands for the integer ceil(n).
+    """
+    j = math.ceil(k)
+    assert k == j or k == n
+    assert binom_cdf(float(j), n, p) >= q
+    if j >= 1:
+        assert binom_cdf(float(j - 1), n, p) < q
+
+
+def exact_cdf(k: int, n: int, p: float, dps: int = 40) -> mpmath.mpf:
+    """P(X <= k) for integer n: the pmf at k from loggamma, summed down."""
+    with mpmath.workdps(dps):
+        P = mpmath.mpf(p)
+        Q = 1 - P
+        term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                          - mpmath.loggamma(n - k + 1) + k * mpmath.log(P)
+                          + (n - k) * mpmath.log(Q))
+        total = term
+        j = k
+        while j > 0 and term >= total * mpmath.mpf(10) ** -dps:
+            term = term * j * Q / ((n - j + 1) * P)
+            total += term
+            j -= 1
+        return total
+
+
+class TestDefinition:
+    """binom_ppf is the smallest integer meeting I_{1-p}(n-k, k+1) >= q."""
+
+    @pytest.mark.parametrize("q", [EPS_C, 1e-9, 1e-3, 0.5])
+    def test_crossing_up_to_1e11(self, q):
+        for n, p in sample(11, 300, (1.0, 11.0)):
+            crossing(q, n, p, binom_ppf(q, n, p))
+
+    def test_crossing_above_1e11(self):
+        # rounding in betainc makes the predicate flip more than once near the
+        # crossing here, so only the crossing itself is asserted, not minimality
+        for n, p in sample(13, 100, (11.0, 13.0)):
+            crossing(EPS_C, n, p, binom_ppf(EPS_C, n, p))
+
+    def test_digest_against_bdtrik_inversion(self):
+        # the earlier bdtrik inversion (ceil, then one step back) differed at
+        # these sample points; it was low at each, where the predicate fails
+        earlier = {99: 61822546359.0, 258: 85301222606.0, 301: 51926152272.0}
+        points = sample(20140314, 400, (1.0, 11.0))
+        got = [binom_ppf(EPS_C, n, p) for n, p in points]
+        for i, value in earlier.items():
+            n, p = points[i]
+            assert binom_cdf(value, n, p) < EPS_C <= binom_cdf(got[i], n, p)
+            got[i] = value
+        digest = hashlib.sha256("".join(v.hex() for v in got).encode()).hexdigest()
+        assert digest == "9366fdd565b67442e4d8d5cc01d8300a05307e1d4bb5b1ef01915e1ff2ca9b98"
+
+    def test_exact_tail_sum_near_1p6e9(self):
+        # the bdtrik inversion returned 1639389637, one low: its exact CDF is
+        # 9.99989e-16 < eps_c
+        n, p = 1643448479, 0.99754
+        k = binom_ppf(EPS_C, float(n), p)
+        assert k == 1639389638.0
+        assert exact_cdf(int(k) - 1, n, p) < EPS_C <= exact_cdf(int(k), n, p)
+
+    def test_scalar_and_array_agree(self):
+        points = sample(17, 200, (1.0, 11.0))
+        n = np.array([v[0] for v in points])
+        p = np.array([v[1] for v in points])
+        scalar = np.array([binom_ppf(EPS_C, a, b) for a, b in points])
+        assert np.array_equal(binom_ppf(EPS_C, n, p), scalar)
+        assert binom_ppf(EPS_C, n.reshape(20, 10), p.reshape(20, 10)).shape == (20, 10)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("q", [EPS_C, 1e-3, 0.5, 0.999])
+    def test_p_rounding_to_one(self, q):
+        p = 1.0 - 1e-17
+        assert p == 1.0
+        assert binom_ppf(q, 250.5, p) == 250.5
+
+    @pytest.mark.parametrize("q,want", [(EPS_C, 0.0), (0.5, 0.5)])
+    def test_n_below_one(self, q, want):
+        # P(X <= 0) = I_{0.02}(0.5, 1) = 0.02 ** 0.5 ~ 0.14
+        assert binom_ppf(q, 0.5, 0.98) == want
+
+    @pytest.mark.parametrize("n", [0.0, -3.0, math.nan, math.inf])
+    def test_no_trials(self, n):
+        assert binom_ppf(EPS_C, n, 0.98) == 0.0
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.999999])
+    def test_quantile_at_or_above_n_is_capped(self, q):
+        # every k below 10.5 leaves P(X <= k) under q, so k = 11 >= n answers
+        n = 10.5
+        assert binom_cdf(10.0, n, 0.999) < q
+        assert binom_ppf(q, n, 0.999) == n
+
+    @pytest.mark.parametrize("q", [EPS_C, 1e-9, 1e-3, 0.5, 0.99])
+    def test_monotone_in_q(self, q):
+        n, p = 123456.75, 0.97
+        k = binom_ppf(q, n, p)
+        assert binom_ppf(q * 0.5, n, p) <= k <= binom_ppf(min(2.0 * q, 1.0), n, p)
+        crossing(q, n, p, k)

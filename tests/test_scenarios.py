@@ -135,7 +135,10 @@ class TestMaxLoss:
                                 resolution_db=math.ulp(55.0), params=PARAMS)
         res = max_loss(query, SEC)
         assert 32.0 <= res.max_eta_db < 55.0
-        assert res.monotone_bracket
+        # the answer is a probe that met the target, and no loss is probed twice
+        assert (res.max_eta_db, key_length_for_channel(
+            PARAMS, replace(cond, eta_loss_db=res.max_eta_db), SEC).ell) in res.probes
+        assert len({eta for eta, _ in res.probes}) == len(res.probes)
         assert len(res.probes) < 64
         beyond = math.nextafter(res.max_eta_db, math.inf)
         assert key_length_for_channel(PARAMS, replace(cond, eta_loss_db=res.max_eta_db),

@@ -10,6 +10,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
+from fsqkd.channel import check_intensities
 from fsqkd.uncertainty import (GRID_DIMS, _binary_entropy, _fluct_gamma,
                                bounds_ell_array, grid_key_lengths)
 
@@ -301,3 +302,43 @@ def test_array_logarithmic_terms_match_scalar_kernels():
     a = SEC.eps_s + SEC.eps_c
     assert np.array_equal(_fluct_gamma(a, b, c, d),
                           [k.fluct_gamma(a, *t) for t in zip(b, c, d)])
+
+
+# nominal point whose estimator pairs can leave the decoy domain under uncertainty
+NEAR = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.3, 0.2, 0.0), p_mu=(0.8, 0.13, 0.07))
+
+
+class TestEstimatorOutsideDecoyDomain:
+    """An estimator pair failing ``check_intensities`` counts as zero key."""
+
+    def test_nominal_pair(self):
+        assert key_length_for_intensities({}, NEAR, CHANNEL, SEC) == 192950
+
+    @pytest.mark.parametrize("est", [(0.21, 0.26), (0.24, 0.24)],
+                             ids=["mu2-above-mu1", "equal-pair"])
+    def test_pair_outside_domain_gives_zero(self, est):
+        # these gave 435,123 bits and a ZeroDivisionError
+        state = {"est_mu1": est[0], "est_mu2": est[1]}
+        assert key_length_for_intensities(state, NEAR, CHANNEL, SEC) == 0
+
+    @pytest.mark.parametrize("f", [0.2, 0.3])
+    def test_grid_pairs_outside_domain_yield_zeros(self, f):
+        model = IntensityUncertaintyModel(f=f, nominal=NEAR)
+        cand1, cand2 = model.candidates(0.3), model.candidates(0.2)
+        columns = list(grid_key_lengths(model, CHANNEL, SEC))
+        outside = 0
+        for col, (est1, est2) in zip(columns, itertools.product(cand1, cand2)):
+            try:
+                check_intensities((est1, est2, 0.0))
+            except ParameterError:
+                outside += 1
+                assert not np.any(col)
+            else:
+                assert np.any(col)
+            state = {name: cand1[0] if name.endswith("mu1") else cand2[0]
+                     for name in GRID_DIMS[:8]}
+            state.update(est_mu1=est1, est_mu2=est2)
+            assert col[0] == key_length_for_intensities(state, NEAR, CHANNEL, SEC)
+        assert outside > 0
+        res = worst_case_key_length(model, CHANNEL, SEC)
+        assert res.min_ell == 0 and res.nominal_ell == 192950
