@@ -39,16 +39,6 @@ def detection_error_prob(k, p_d, p_ec, p_ap, qber_i):
     return d_k, p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - t)
 
 
-def detection_prob(k, p_d, p_ec, p_ap):
-    """Per-pulse detection probability for mean photon number k."""
-    return detection_error_prob(k, p_d, p_ec, p_ap, 0.0)[0]
-
-
-def error_prob(k, p_d, p_ec, p_ap, qber_i):
-    """Per-pulse error probability for mean photon number k."""
-    return detection_error_prob(k, p_d, p_ec, p_ap, qber_i)[1]
-
-
 def binary_entropy(x):
     """Binary entropy in bits, with h(0) = h(1) = 0 by continuity."""
     if x <= 0.0 or x >= 1.0:

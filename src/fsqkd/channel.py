@@ -179,7 +179,7 @@ def _check_pulse(mean_photons: float, p_d: float, p_ec: float, p_ap: float) -> N
 def detection_probability(mean_photons: float, p_d: float, p_ec: float, p_ap: float) -> float:
     """Per-pulse click probability for a pulse of the given mean photon number."""
     _check_pulse(mean_photons, p_d, p_ec, p_ap)
-    return k.detection_prob(mean_photons, p_d, p_ec, p_ap)
+    return k.detection_error_prob(mean_photons, p_d, p_ec, p_ap, 0.0)[0]
 
 
 def error_probability(mean_photons: float, p_d: float, p_ec: float, p_ap: float,
@@ -187,7 +187,7 @@ def error_probability(mean_photons: float, p_d: float, p_ec: float, p_ap: float,
     """Per-pulse error probability for a pulse of the given mean photon number."""
     _check_pulse(mean_photons, p_d, p_ec, p_ap)
     check_range("qber_i", qber_i)
-    return k.error_prob(mean_photons, p_d, p_ec, p_ap, qber_i)
+    return k.detection_error_prob(mean_photons, p_d, p_ec, p_ap, qber_i)[1]
 
 
 Slots = Sequence[tuple[float, ChannelConditions]]

@@ -295,29 +295,26 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     p_d, p_ec, qber_i, p_ap = (channel.transmittance, channel.p_ec,
                                channel.qber_i, channel.p_ap)
 
-    def det(mu):
-        return k.detection_prob(mu, p_d, p_ec, p_ap)
+    def probs(mu):
+        return k.detection_error_prob(mu, p_d, p_ec, p_ap, qber_i)
 
-    def err(mu):
-        return k.error_prob(mu, p_d, p_ec, p_ap, qber_i)
-
-    def pair_average(prob, cands, axes):
+    def pair_average(values, axes):
         # a basis' two-state average of one intensity's probability, spread
         # over that basis' axes (state one mu1, mu2, state two mu1, mu2)
-        values = np.array([prob(mu) for mu in cands])
+        values = np.array(values)
         table = 0.5 * (values[:, None] + values[None, :])
         return np.broadcast_to(table[axes], (g,) * 4).reshape(-1)
 
     mu1_axes = (slice(None), None, slice(None), None)
     mu2_axes = (None, slice(None), None, slice(None))
-    det1, err1 = (pair_average(prob, cand1, mu1_axes) for prob in (det, err))
-    det2, err2 = (pair_average(prob, cand2, mu2_axes) for prob in (det, err))
+    det1, err1 = (pair_average(v, mu1_axes) for v in zip(*map(probs, cand1)))
+    det2, err2 = (pair_average(v, mu2_axes) for v in zip(*map(probs, cand2)))
 
     # both bases see the same g^4 probability vectors; only sifting differs
     n_pulses = channel.n_pulses
     sift_x = params.pax * params.pbx * n_pulses
     sift_z = (1.0 - params.pax) * (1.0 - params.pbx) * n_pulses
-    vacuum = (det(mu3), err(mu3))
+    vacuum = probs(mu3)
     n_x, m_x = _basis_counts(det1, det2, err1, err2, *vacuum, sift_x, p1, p2, p3)
     n_z, m_z = _basis_counts(det1, det2, err1, err2, *vacuum, sift_z, p1, p2, p3)
 

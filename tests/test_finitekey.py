@@ -455,7 +455,7 @@ def test_unknown_ec_method_rejected_before_evaluation(
     def evaluated(*args):
         raise AssertionError("the model was evaluated before ec_method was checked")
 
-    monkeypatch.setattr(_kernels, "detection_prob", evaluated)
+    monkeypatch.setattr(_kernels, "detection_error_prob", evaluated)
     with pytest.raises(ParameterError, match="unknown EC leakage method"):
         call(method)
 
@@ -471,7 +471,27 @@ def test_f_ec_below_shannon_limit_rejected_before_evaluation(
     def evaluated(*args):
         raise AssertionError("the model was evaluated before f_ec was checked")
 
-    for name in ("detection_prob", "bounds_ell_core", "ec_leakage_core"):
+    for name in ("detection_error_prob", "bounds_ell_core", "ec_leakage_core"):
         monkeypatch.setattr(_kernels, name, evaluated)
     with pytest.raises(ParameterError, match="f_ec must be in"):
         call(method, f_ec)
+
+
+@pytest.mark.parametrize("names, entries", [
+    (("detection_error_prob",), _ENTRIES),
+    (("detection_error_prob", "bounds_ell_core", "ec_leakage_core"),
+     _ENTRIES + ["secure_key_length", "ec_leakage"])])
+def test_rejection_sentinels_lie_on_every_entry_path(
+        monkeypatch, reference_params, reference_channel, security, names, entries):
+    # the two tests above catch an early evaluation only if a patched kernel
+    # is reached when the arguments are valid
+    calls = _entry_points(reference_params, reference_channel, security)
+
+    def evaluated(*args):
+        raise AssertionError("evaluated")
+
+    for name in names:
+        monkeypatch.setattr(_kernels, name, evaluated)
+    for entry in entries:
+        with pytest.raises(AssertionError, match="evaluated"):
+            calls[entry]("binomial")
