@@ -195,16 +195,17 @@ def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total
     return s1
 
 
-def ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv):
+def ec_leakage_core(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     """Reconciliation leakage in bits.
 
-    ec_mode 0: finite-size estimate around the inverse binomial CDF value
-    ``f_inv`` (precomputed by the caller); ec_mode 1: f_ec * n_X * h(Q).
+    With ``rate_factor``: f_ec * n_X * h(Q).  Otherwise the finite-size
+    estimate around the inverse binomial CDF value ``f_inv`` (precomputed
+    by the caller).
     """
     if n_x <= 0.0:
         return 0.0
     q = qber_x
-    if ec_mode == 1:
+    if rate_factor:
         return f_ec * n_x * binary_entropy(q)
     if q <= 0.0:
         return 0.0
@@ -223,12 +224,15 @@ def ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv):
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
                     m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
                     mu1, mu2, mu3, p1, p2, p3,
-                    beta, eps_s, eps_c, ec_mode, f_ec, f_inv):
+                    beta, eps_s, eps_c, lam):
     """Finite-key estimation chain from expected counts to key length.
 
-    Returns (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x,
-    reason).  ``raw`` is the unfloored key expression (the optimization
-    surrogate); ``ell`` is max(0, floor(raw)) or 0 on any failure reason.
+    ``lam`` is the reconciliation leakage of the same X-basis counts, as
+    ``ec_leakage_core`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
+    s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
+    are no counts.  ``raw`` is the unfloored key expression (the
+    optimization surrogate); ``ell`` is max(0, floor(raw)) or 0 on any
+    failure reason.
     """
     n_x = n_x1 + n_x2 + n_x3
     n_z = n_z1 + n_z2 + n_z3
@@ -275,8 +279,6 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
             phi_x = ratio + fluct_gamma(eps_s + eps_c, ratio, s_z1, s_x1)
             if phi_x > 0.5:
                 phi_x = 0.5
-
-    lam = ec_leakage_core(n_x, qber_x, eps_c, ec_mode, f_ec, f_inv)
 
     raw = s_x0 + s_x1 * (1.0 - binary_entropy(phi_x)) - lam - const
 

@@ -12,8 +12,7 @@ where every ``k >= n`` meets the predicate.  For integer ``n`` this is
 
 It is computed with scalar ``betainc`` calls only: a normal start with a
 Cornish-Fisher skew term, a bracket grown by doubling steps, then
-bisection down to two adjacent integers.  Arrays are mapped point by
-point through the same scalar routine, so both give the same k.
+bisection down to two adjacent integers.
 
 Precision: the predicate is evaluated in double precision.  Up to about
 1e11 trials it is monotone in k and the result is the exact quantile.
@@ -27,10 +26,7 @@ import math
 from functools import lru_cache
 from statistics import NormalDist
 
-import numpy as np
 from scipy.special.cython_special import betainc as _betainc
-
-_SCALAR = (int, float)
 
 
 @lru_cache(maxsize=64)
@@ -44,8 +40,13 @@ def _meets(q: float, n: float, x: float, k: int) -> bool:
     return k >= n or _betainc(n - k, k + 1.0, x) >= q
 
 
-def _ppf(q: float, n: float, p: float) -> float:
-    """Scalar quantile on Python floats; see the module docstring."""
+def binom_ppf(q: float, n: float, p: float) -> float:
+    """Smallest integer k with P(X <= k) >= q, capped at n.
+
+    Takes scalars, NumPy scalars included, and computes on Python floats.
+    A trial count that is not positive and finite gives 0.
+    """
+    q, n, p = float(q), float(n), float(p)
     if not 0.0 < n < math.inf:
         return 0.0
     x = 1.0 - p
@@ -75,18 +76,3 @@ def _ppf(q: float, n: float, p: float) -> float:
             lo = mid
     return min(float(hi), n)
 
-
-def binom_ppf(q, n, p):
-    """Smallest integer k with P(X <= k) >= q, capped at n, elementwise.
-
-    Scalars run on Python floats; arrays are broadcast and mapped through
-    the same scalar routine.  A trial count that is not positive and
-    finite gives 0.
-    """
-    if isinstance(q, _SCALAR) and isinstance(n, _SCALAR) and isinstance(p, _SCALAR):
-        return _ppf(float(q), float(n), float(p))
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (q, n, p)))
-    out = [_ppf(*t) for t in zip(*(a.ravel().tolist() for a in arrays))]
-    if arrays[0].ndim == 0:
-        return out[0]
-    return np.array(out).reshape(arrays[0].shape)

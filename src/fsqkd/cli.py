@@ -106,9 +106,7 @@ def _cmd_keylength(cfg: RunConfig, args) -> str:
     channel = cfg.channel()
     params = cfg.protocol()
     sec = cfg.security()
-    method, f_ec = cfg.ec_method()
-    result = key_length_for_channel(params, channel, sec,
-                                    ec_method=method, f_ec=f_ec)
+    result = key_length_for_channel(params, channel, sec)
     if args.format == "csv":
         import math
         row = SweepRow(channel.eta_loss_db, math.log10(channel.p_ec) if channel.p_ec > 0 else float("-inf"),
@@ -120,9 +118,8 @@ def _cmd_keylength(cfg: RunConfig, args) -> str:
 def _cmd_optimize(cfg: RunConfig, args) -> str:
     channel = cfg.channel()
     sec = cfg.security()
-    method, f_ec = cfg.ec_method()
     spec = cfg.opt_spec(seed_override=args.seed)
-    res = optimize(spec, channel, sec, ec_method=method, f_ec=f_ec)
+    res = optimize(spec, channel, sec)
     obj = _result_obj(res.result, res.best_params)
     obj["evaluations"] = res.evaluations
     obj["regime"] = spec.regime.value
@@ -133,9 +130,8 @@ def _cmd_optimize(cfg: RunConfig, args) -> str:
 def _cmd_sweep(cfg: RunConfig, args) -> str:
     base = cfg.channel(loss_optional=True)
     sec = cfg.security()
-    method, f_ec = cfg.ec_method()
     spec = cfg.sweep_spec(seed_override=args.seed)
-    rows = sweep(spec, base, sec, ec_method=method, f_ec=f_ec)
+    rows = sweep(spec, base, sec)
     if args.format == "json":
         return _dump_json([{**_result_obj(r.result, r.params),
                             "eta_loss_db": r.eta_loss_db,
@@ -147,9 +143,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> str:
 
 def _cmd_budget(cfg: RunConfig, args) -> str:
     sec = cfg.security()
-    method, f_ec = cfg.ec_method()
     query = cfg.budget_query(seed_override=args.seed)
-    res = max_loss(query, sec, ec_method=method, f_ec=f_ec)
+    res = max_loss(query, sec)
     obj = {"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
            "probes": [[eta, ell] for eta, ell in res.probes]}
     if args.format == "csv":
@@ -162,9 +157,8 @@ def _cmd_budget(cfg: RunConfig, args) -> str:
 def _cmd_worstcase(cfg: RunConfig, args) -> str:
     channel = cfg.channel()
     sec = cfg.security()
-    method, f_ec = cfg.ec_method()
     model = cfg.uncertainty_model()
-    res = worst_case_key_length(model, channel, sec, ec_method=method, f_ec=f_ec)
+    res = worst_case_key_length(model, channel, sec)
     return _dump_json({"min_ell": res.min_ell, "nominal_ell": res.nominal_ell,
                        "argmin": res.argmin, "argmin_index": res.argmin_index,
                        "evaluations": res.evaluations, "f": model.f,

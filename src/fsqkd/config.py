@@ -31,6 +31,9 @@ ENV_PREFIX = "FSQKD_"
 
 FLOAT, INT, STR, FLOATLIST = "float", "int", "str", "floatlist"
 
+# the most points a start:stop:step range may hold
+MAX_RANGE_POINTS = 1_000_000
+
 SCHEMA: dict[str, str] = {
     "channel.eta_loss_db": FLOAT,
     "channel.p_ec": FLOAT,
@@ -70,17 +73,11 @@ SCHEMA: dict[str, str] = {
     "budget.resolution_db": FLOAT,
     "worstcase.f": FLOAT,
     "worstcase.grid_points": INT,
-    "output.format": STR,
-    "output.path": STR,
 }
 
 DEFAULTS: dict[str, Any] = {
     "channel.p_ap": 1e-3,
     "channel.f_s": 1e8,
-    "security.eps_s": 1e-9,
-    "security.eps_c": 1e-15,
-    "ec.method": "binomial",
-    "ec.f_ec": 1.16,
     "optimize.restarts": 8,
     "optimize.seed": 0,
     "optimize.tolerance": 1e-5,
@@ -105,11 +102,18 @@ def _parse_floatlist(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ConfigError(f"range syntax must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"range parts must be finite, got {text!r}")
         if step <= 0.0:
             raise ConfigError(f"range step must be positive, got {step}")
+        # stop is inclusive up to a relative slack; counting the slack too
+        # bounds every range whose step is lost below the float spacing
+        top = stop + 1e-9 * max(1.0, abs(stop))
+        if (top - start) / step > MAX_RANGE_POINTS:
+            raise ConfigError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
         vals = []
         v = start
-        while v <= stop + 1e-9 * max(1.0, abs(stop)):
+        while v <= top:
             vals.append(v)
             v += step
         return tuple(vals)
@@ -223,11 +227,11 @@ class RunConfig:
         )
 
     def security(self) -> SecurityParams:
-        return SecurityParams(
-            eps_s=self.get("security.eps_s"),
-            eps_c=self.get("security.eps_c"),
-            beta=self.get("security.beta"),
-        )
+        """The security analysis; keys left unset take its defaults."""
+        fields = {"eps_s": "security.eps_s", "eps_c": "security.eps_c",
+                  "beta": "security.beta", "ec_method": "ec.method", "f_ec": "ec.f_ec"}
+        return SecurityParams(**{name: self.values[key] for name, key in fields.items()
+                                 if key in self.values})
 
     def protocol(self) -> ProtocolParams:
         p1 = self.require("protocol.p_mu1")
@@ -242,12 +246,6 @@ class RunConfig:
                 self.get("protocol.mu3", 0.0)),
             p_mu=(p1, p2, p3),
         )
-
-    def ec_method(self) -> tuple[str, float]:
-        method = self.get("ec.method")
-        if method not in ("binomial", "rate-factor"):
-            raise ConfigError(f"ec.method must be 'binomial' or 'rate-factor', got {method!r}")
-        return method, self.get("ec.f_ec")
 
     def opt_spec(self, seed_override: int | None = None) -> OptimizationSpec:
         regime_name = self.require("optimize.regime")

@@ -28,8 +28,7 @@ import numpy as np
 
 from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
                       check_intensities, check_range)
-from .finitekey import (KeyLengthResult, SecurityParams, _ec_mode, _evaluate_flat,
-                        key_length_for_channel)
+from .finitekey import KeyLengthResult, SecurityParams, _evaluate_flat, key_length_for_channel
 
 
 class Regime(str, Enum):
@@ -191,15 +190,13 @@ def minimize(fun, x0, **options):
 
 
 def optimize(spec: OptimizationSpec, channel: ChannelConditions,
-             sec: SecurityParams, ec_method: str = "binomial",
-             f_ec: float = 1.16) -> OptimizationResult:
+             sec: SecurityParams) -> OptimizationResult:
     """Maximize the secure key length over the regime's free parameters.
 
     Deterministic for a fixed ``spec.seed``.  If every evaluated point
     yields zero key, the result carries ``best_ell = 0`` at the least
     infeasible point found (largest key expression).
     """
-    ec_mode = _ec_mode(ec_method, f_ec)
     p_d = channel.transmittance
     n_pulses = channel.n_pulses
     n_evals = 0
@@ -213,8 +210,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         n_evals += 1
         out = _evaluate_flat(pax, pbx, mu1, mu2, mu3, p1, p2, p3,
                              p_d, channel.p_ec, channel.qber_i, channel.p_ap,
-                             n_pulses, sec.beta, sec.eps_s, sec.eps_c,
-                             ec_mode, f_ec)
+                             n_pulses, sec)
         return -out[1]
 
     trace = []
@@ -241,7 +237,6 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3),
                                  p_mu=(p1, p2, p3))
     # authoritative evaluation through the standard path
-    result = key_length_for_channel(best_params, channel, sec,
-                                    ec_method=ec_method, f_ec=f_ec)
+    result = key_length_for_channel(best_params, channel, sec)
     return OptimizationResult(best_params=best_params, result=result,
                               evaluations=n_evals, restart_trace=tuple(trace))

@@ -125,18 +125,14 @@ class SiftingEquivalence:
 
 def _evaluate_point(channel: ChannelConditions, sec: SecurityParams,
                     params: ProtocolParams | None,
-                    opt_spec: OptimizationSpec | None,
-                    ec_method: str, f_ec: float) -> tuple[ProtocolParams, KeyLengthResult]:
+                    opt_spec: OptimizationSpec | None) -> tuple[ProtocolParams, KeyLengthResult]:
     if params is not None:
-        return params, key_length_for_channel(params, channel, sec,
-                                              ec_method=ec_method, f_ec=f_ec)
-    res: OptimizationResult = optimize(opt_spec, channel, sec,
-                                       ec_method=ec_method, f_ec=f_ec)
+        return params, key_length_for_channel(params, channel, sec)
+    res: OptimizationResult = optimize(opt_spec, channel, sec)
     return res.best_params, res.result
 
 
-def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams,
-          ec_method: str = "binomial", f_ec: float = 1.16) -> list[SweepRow]:
+def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list[SweepRow]:
     """Evaluate (and optionally re-optimize) the key length on the grid.
 
     Rows are returned in grid order.
@@ -145,14 +141,12 @@ def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams,
     for eta, lp, q, tau in spec.grid:
         cond = replace(base, eta_loss_db=eta, p_ec=10.0 ** lp, qber_i=q,
                        integration_time_s=tau)
-        params, result = _evaluate_point(cond, sec, spec.params,
-                                         spec.opt_spec, ec_method, f_ec)
+        params, result = _evaluate_point(cond, sec, spec.params, spec.opt_spec)
         rows.append(SweepRow(eta, lp, q, tau, params, result))
     return rows
 
 
-def max_loss(query: LossBudgetQuery, sec: SecurityParams,
-             ec_method: str = "binomial", f_ec: float = 1.16) -> LossBudgetResult:
+def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:
     """Largest loss meeting the key-length target, by bisection.
 
     The achieved-key predicate is checked at both bracket ends first.  The
@@ -164,8 +158,7 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams,
 
     def ell_at(eta: float) -> int:
         cond = replace(query.conditions, eta_loss_db=eta)
-        _, result = _evaluate_point(cond, sec, query.params, query.opt_spec,
-                                    ec_method, f_ec)
+        _, result = _evaluate_point(cond, sec, query.params, query.opt_spec)
         probes.append((eta, result.ell))
         return result.ell
 
@@ -190,8 +183,7 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams,
 def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
                 sec: SecurityParams,
                 params: ProtocolParams | None = None,
-                opt_spec: OptimizationSpec | None = None,
-                ec_method: str = "binomial", f_ec: float = 1.16
+                opt_spec: OptimizationSpec | None = None
                 ) -> list[tuple[float, float, int]]:
     """Secret key rate in bits per minute against the integration time.
 
@@ -204,7 +196,7 @@ def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
     out = []
     for tau in times:
         cond = replace(base, integration_time_s=tau)
-        _, result = _evaluate_point(cond, sec, params, opt_spec, ec_method, f_ec)
+        _, result = _evaluate_point(cond, sec, params, opt_spec)
         skr = result.ell * 60.0 / tau if tau > 0.0 else 0.0
         out.append((tau, skr, result.ell))
     return out

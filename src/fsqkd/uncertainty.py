@@ -41,10 +41,9 @@ import numpy as np
 
 from . import _kernels as k
 from ._kernels import LN2
-from ._quantile import binom_ppf
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
                       check_range)
-from .finitekey import SecurityParams, _ec_mode, _key_chain
+from .finitekey import SecurityParams, _key_chain, _leakage
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
              "a_mu1", "a_mu2", "est_mu1", "est_mu2")
@@ -88,9 +87,7 @@ class WorstCaseResult:
 def key_length_for_intensities(state_mu: dict[str, float],
                                params: ProtocolParams,
                                channel: ChannelConditions,
-                               sec: SecurityParams,
-                               ec_method: str = "binomial",
-                               f_ec: float = 1.16) -> int:
+                               sec: SecurityParams) -> int:
     """Key length with explicit per-state true and estimator-side intensities.
 
     ``state_mu`` maps each name in ``GRID_DIMS`` to an intensity value;
@@ -105,7 +102,6 @@ def key_length_for_intensities(state_mu: dict[str, float],
         if name not in vals:
             raise ParameterError(f"unknown intensity dimension {name!r}")
         vals[name] = float(v)
-    ec_mode = _ec_mode(ec_method, f_ec)
     if not _decoy_domain(vals["est_mu1"], vals["est_mu2"], mu3):
         return 0
     p1, p2, p3 = params.p_mu
@@ -115,8 +111,7 @@ def key_length_for_intensities(state_mu: dict[str, float],
                       mu3, p1, p2, p3,
                       channel.transmittance, channel.p_ec, channel.qber_i,
                       channel.p_ap, channel.n_pulses)
-    out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3,
-                        sec.beta, sec.eps_s, sec.eps_c, ec_mode, f_ec)
+    out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3, sec)
     return int(out[0])
 
 
@@ -204,7 +199,7 @@ def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
     counts (arrays or scalars that broadcast together); ``mu`` and ``p_mu``
     are the estimator's intensities and their probabilities.  ``lam`` is
     the reconciliation leakage of the same X-basis counts as
-    ``ec_leakage_core`` returns it; it depends on the X-basis totals only,
+    ``finitekey._leakage`` returns it; it depends on the X-basis totals only,
     so callers evaluate it where those are few.  Quantities of one basis
     stay at that basis' shape until the two meet in the phase-error term.
 
@@ -273,9 +268,7 @@ def _basis_counts(d1, d2, e1, e2, d3, e3, sift, p1, p2, p3):
 
 def grid_key_lengths(model: IntensityUncertaintyModel,
                      channel: ChannelConditions,
-                     sec: SecurityParams,
-                     ec_method: str = "binomial",
-                     f_ec: float = 1.16) -> Iterator[np.ndarray]:
+                     sec: SecurityParams) -> Iterator[np.ndarray]:
     """Key lengths over the uncertainty grid, one estimator pair at a time.
 
     Yields, for each estimator pair in row-major order over
@@ -285,7 +278,6 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     ``GRID_DIMS``.  An estimator pair outside the decoy domain yields
     zeros without evaluating the chain.
     """
-    ec_mode = _ec_mode(ec_method, f_ec)
     params = model.nominal
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu
@@ -319,17 +311,10 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     n_z, m_z = _basis_counts(det1, det2, err1, err2, *vacuum, sift_z, p1, p2, p3)
 
     n_x_tot = n_x[0] + n_x[1] + n_x[2]
-    counted = n_x_tot > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        qber_x = np.where(counted, (m_x[0] + m_x[1] + m_x[2]) / n_x_tot, 0.0)
-    f_inv = np.zeros(n_x_tot.shape)
-    if ec_mode == 0:
-        erred = counted & (qber_x > 0.0)
-        if np.any(erred):
-            f_inv[erred] = binom_ppf(sec.eps_c, n_x_tot[erred],
-                                     1.0 - np.minimum(qber_x[erred], 0.5))
-    lam = np.array([k.ec_leakage_core(n, q, sec.eps_c, ec_mode, f_ec, fi)
-                    for n, q, fi in zip(n_x_tot.tolist(), qber_x.tolist(), f_inv.tolist())])
+        qber_x = np.where(n_x_tot > 0.0, (m_x[0] + m_x[1] + m_x[2]) / n_x_tot, 0.0)
+    lam = np.array([_leakage(n, q, sec)[0]
+                    for n, q in zip(n_x_tot.tolist(), qber_x.tolist())])
 
     # X-basis combinations down the rows, Z-basis ones across the columns:
     # raveled, the (g^4, g^4) result is row-major over GRID_DIMS[:8]
@@ -349,9 +334,7 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
 
 def worst_case_key_length(model: IntensityUncertaintyModel,
                           channel: ChannelConditions,
-                          sec: SecurityParams,
-                          ec_method: str = "binomial",
-                          f_ec: float = 1.16) -> WorstCaseResult:
+                          sec: SecurityParams) -> WorstCaseResult:
     """Minimum key length over the full intensity-uncertainty grid.
 
     The grid is ordered row-major over ``GRID_DIMS``; ties in the minimum
@@ -361,7 +344,7 @@ def worst_case_key_length(model: IntensityUncertaintyModel,
     g = model.grid_points_per_dim
     mins = []
     evaluations = 0
-    for ell in grid_key_lengths(model, channel, sec, ec_method, f_ec):
+    for ell in grid_key_lengths(model, channel, sec):
         t = int(np.argmin(ell))
         mins.append((ell[t], t))
         evaluations += ell.size
@@ -377,8 +360,7 @@ def worst_case_key_length(model: IntensityUncertaintyModel,
         cands = cand1 if name.endswith("mu1") else cand2
         argmin[name] = float(cands[digit])
 
-    nominal_ell = key_length_for_intensities({}, params, channel, sec,
-                                             ec_method=ec_method, f_ec=f_ec)
+    nominal_ell = key_length_for_intensities({}, params, channel, sec)
     return WorstCaseResult(min_ell=int(min_ell), nominal_ell=nominal_ell,
                            argmin=argmin, argmin_index=argmin_idx,
                            evaluations=evaluations)

@@ -315,9 +315,11 @@ class TestOracleEquivalence:
             ("entropy h(0.11)", binary_entropy(0.11), 0.499915958164528),
             ("delta+ at 1e6", chernoff_delta(1e6, math.log(1/(1e-9 + 1e-15)), "plus"),
              6458.654541854381),
-            ("ec rate-factor", ec_leakage(1e6, 0.02, 1e-15, method="rate-factor"),
+            ("ec rate-factor",
+             ec_leakage(1e6, 0.02, SecurityParams(eps_c=1e-15, ec_method="rate-factor")),
              164071.02934851198),
-            ("ec finite-size", ec_leakage(1e6, 0.02, 1e-15, method="binomial"),
+            ("ec finite-size",
+             ec_leakage(1e6, 0.02, SecurityParams(eps_c=1e-15, ec_method="binomial")),
              147686.06699105405),
         ]
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),

@@ -2,6 +2,7 @@
 README lists it, and the chain modules define no public callable outside
 it (the estimation chain's steps live in ``fsqkd._kernels``)."""
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -47,6 +48,24 @@ def test_no_unlisted_public_callables(module):
                if not name.startswith("_") and callable(value)
                and getattr(value, "__module__", None) == module}
     assert defined - set(PUBLIC) == MODULE_ONLY.get(module, set())
+
+
+@pytest.mark.parametrize("module", ["fsqkd.finitekey", "fsqkd.optimize", "fsqkd.scenarios",
+                                    "fsqkd.uncertainty"])
+def test_leakage_model_is_chosen_in_security_params_only(module):
+    # the leakage estimate is a field of the security analysis; no other
+    # public signature may take it apart from the SecurityParams it belongs to
+    mod = importlib.import_module(module)
+    found = {}
+    for name, value in vars(mod).items():
+        if (name.startswith("_") or not callable(value)
+                or getattr(value, "__module__", None) != module):
+            continue
+        params = set(inspect.signature(value).parameters) & {"ec_method", "f_ec"}
+        if params:
+            found[name] = params
+    expected = {"SecurityParams": {"ec_method", "f_ec"}} if module == "fsqkd.finitekey" else {}
+    assert found == expected
 
 
 def test_readme_lists_the_public_api():

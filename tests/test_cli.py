@@ -144,6 +144,43 @@ class TestConfigErrors:
         if stderr is not None:
             assert err == stderr
 
+    # the lines each command needs beyond BASE_CONFIG
+    COMMAND_LINES = {
+        "keylength": [],
+        "optimize": ["optimize.regime = fixed_pbx", "optimize.pbx = 0.5",
+                     "optimize.restarts = 1"],
+        "sweep": ["sweep.eta_loss_db = 30", "sweep.log10_pec = -6",
+                  "sweep.qber_i = 0.01", "sweep.tau_s = 60"],
+        "budget": [],
+        "worstcase": ["worstcase.f = 0.05"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMAND_LINES))
+    def test_unknown_ec_method_exits_2(self, capsys, tmp_path, command):
+        lines = self.COMMAND_LINES[command] + ["ec.method = bogus"]
+        if command == "optimize":
+            # fixed parameters and an optimize regime are exclusive
+            config = BASE_CONFIG.split("protocol.pax")[0]
+        else:
+            config = BASE_CONFIG
+        path = tmp_path / "bad.cfg"
+        path.write_text(config + "\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "fsqkd: configuration error: unknown EC leakage method 'bogus'\n"
+
+    @pytest.mark.parametrize("key", ["output.format", "output.path"])
+    def test_output_keys_exit_2(self, capsys, tmp_path, key):
+        # --format and --out choose the output; a config key that looked
+        # like it did was accepted and ignored
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + f"{key} = csv\n")
+        code, out, err = run_cli(capsys, ["keylength", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert key in err
+
 
 class TestJsonConfigAndEnv:
     def test_json_config(self, capsys, tmp_path):

@@ -1,9 +1,25 @@
 """Configuration loading: grammar, coercion, env overrides, builders."""
 import json
+import signal
 
 import pytest
 
-from fsqkd.config import ConfigError, RunConfig, _parse_floatlist
+from fsqkd import ParameterError, SecurityParams
+from fsqkd.config import MAX_RANGE_POINTS, ConfigError, RunConfig, _parse_floatlist
+
+
+@pytest.fixture
+def fail_fast():
+    """Turn a parse that runs past a quarter second into a failure, before
+    a runaway loop can hang the suite or fill memory."""
+    def expire(signum, frame):
+        raise TimeoutError("range parsing did not finish within 0.25 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestFloatLists:
@@ -25,8 +41,50 @@ class TestFloatLists:
         with pytest.raises(ConfigError):
             _parse_floatlist("0:10")
 
+    @pytest.mark.parametrize("text", ["0:10:nan", "nan:10:1", "0:inf:1", "-inf:0:1",
+                                      "0:10:inf"])
+    def test_non_finite_part_rejected(self, fail_fast, text):
+        with pytest.raises(ConfigError, match="finite"):
+            _parse_floatlist(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e17:2e17:1",   # the step is below the float spacing: v += step stands still
+        "1e17:1e17:1",   # no span, but the inclusive-stop slack is 1e8 steps wide
+        "0:1e300:1e-300",
+        f"0:{MAX_RANGE_POINTS}:1",
+    ])
+    def test_too_many_points_rejected(self, fail_fast, text):
+        with pytest.raises(ConfigError, match=f"more than {MAX_RANGE_POINTS} points"):
+            _parse_floatlist(text)
+
+    def test_largest_range_accepted(self):
+        vals = _parse_floatlist(f"0:{MAX_RANGE_POINTS - 1}:1")
+        assert len(vals) == MAX_RANGE_POINTS
+        assert vals[-1] == MAX_RANGE_POINTS - 1
+
+    @pytest.mark.parametrize("text", ["10:55:2.5", "-7:-3:0.5", "0:1:0.1", "5:4:1"])
+    def test_range_floats_are_the_accumulated_sum(self, text):
+        start, stop, step = map(float, text.split(":"))
+        want, v = [], start
+        while v <= stop + 1e-9 * max(1.0, abs(stop)):
+            want.append(v)
+            v += step
+        assert _parse_floatlist(text) == tuple(want)
+
 
 class TestLoad:
+    @pytest.mark.parametrize("key, value", [("output.format", "csv"),
+                                            ("output.path", "out.csv")])
+    def test_output_keys_rejected(self, tmp_path, key, value):
+        # output goes through --format and --out; the keys were never read
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(path, env={})
+        name = "FSQKD_" + key.upper().replace(".", "_")
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(None, env={name: value})
+
     def test_env_only_config(self):
         cfg = RunConfig.load(None, env={"FSQKD_CHANNEL_P_EC": "1e-5"})
         assert cfg.get("channel.p_ec") == 1e-5
@@ -95,8 +153,19 @@ class TestBuilders:
         path = tmp_path / "c.cfg"
         path.write_text(BASE + "ec.method = magic\n")
         cfg = RunConfig.load(path, env={})
-        with pytest.raises(ConfigError, match="magic"):
-            cfg.ec_method()
+        with pytest.raises(ParameterError, match="magic"):
+            cfg.security()
+
+    def test_security_reads_the_ec_section(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(BASE + "ec.method = rate-factor\nec.f_ec = 1.3\n")
+        sec = RunConfig.load(path, env={}).security()
+        assert (sec.ec_method, sec.f_ec) == ("rate-factor", 1.3)
+
+    def test_security_defaults_come_from_the_dataclass(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(BASE)
+        assert RunConfig.load(path, env={}).security() == SecurityParams()
 
     def test_sweep_rejects_both_policies(self, tmp_path):
         path = tmp_path / "c.cfg"

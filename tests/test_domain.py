@@ -45,8 +45,9 @@ _FIELDS = [
     (ProtocolParams, PROTOCOL_KW, "pax", None),
     (ProtocolParams, PROTOCOL_KW, "pbx", None),
     *[(ProtocolParams, PROTOCOL_KW, f, i) for f in ("mu", "p_mu") for i in range(3)],
-    *[(SecurityParams, dict(eps_s=1e-9, eps_c=1e-15, beta=20.0), f, None)
-      for f in ("eps_s", "eps_c", "beta")],
+    *[(SecurityParams, dict(eps_s=1e-9, eps_c=1e-15, beta=20.0, ec_method="rate-factor",
+                            f_ec=1.16), f, None)
+      for f in ("eps_s", "eps_c", "beta", "f_ec")],
     *[(OptimizationSpec, SPEC_KW, f, None) for f in ("pbx", "mu3", "tolerance")],
     *[(OptimizationSpec, SPEC_KW, f, i)
       for f, n in (("mu", 3), ("prob_bounds", 2), ("intensity_bounds", 2)) for i in range(n)],
@@ -60,13 +61,11 @@ FLOAT_FIELDS = {
     f"{cls.__name__}.{field}" + ("" if i is None else f"[{i}]"): _builder(cls, base, field, i)
     for cls, base, field, i in _FIELDS
 }
-FLOAT_FIELDS["f_ec"] = lambda v: key_length_for_channel(
-    PARAMS, CHANNEL, SEC, ec_method="rate-factor", f_ec=v)
 FLOAT_FIELDS["slot duration"] = lambda v: expected_block_counts(PARAMS, [(v, CHANNEL)])
 
 _BASE_VALUES = {name: (base[field] if i is None else base[field][i])
                 for name, (_, base, field, i) in zip(FLOAT_FIELDS, _FIELDS)}
-_BASE_VALUES.update({"f_ec": 1.16, "slot duration": 60.0})
+_BASE_VALUES.update({"slot duration": 60.0})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

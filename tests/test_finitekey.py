@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 import oracles
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, OptimizationSpec,
-                   ParameterError, ProtocolParams, SecurityParams, binary_entropy,
-                   chernoff_delta, ec_leakage, expected_block_counts,
+                   ParameterError, ProtocolParams, SecurityParams, SweepSpec,
+                   binary_entropy, chernoff_delta, ec_leakage, expected_block_counts,
                    key_length_for_channel, key_length_for_intensities, optimize,
-                   secure_key_length, worst_case_key_length)
+                   secure_key_length, skr_vs_time, sweep, worst_case_key_length)
 from fsqkd import _kernels
+from fsqkd._quantile import binom_ppf
 from fsqkd.channel import BlockCounts
-from fsqkd.finitekey import _REASONS, _ec_quantile, _evaluate_flat
+from fsqkd.finitekey import _REASONS, _evaluate_flat
 
 BETA_REF = math.log(1.0 / (1e-9 + 1e-15))
 
@@ -189,19 +190,23 @@ class TestPhaseError:
         assert result.phi_x == pytest.approx(0.028788599396597538, rel=1e-9)
 
 
+BINOMIAL = SecurityParams(eps_c=1e-15, ec_method="binomial")
+RATE_FACTOR = SecurityParams(eps_c=1e-15, ec_method="rate-factor", f_ec=1.16)
+
+
 class TestEcLeakage:
     def test_nothing_to_reconcile(self):
-        assert ec_leakage(0.0, 0.1, 1e-15) == 0.0
-        assert ec_leakage(1e6, 0.0, 1e-15) == 0.0
+        assert ec_leakage(0.0, 0.1, BINOMIAL) == 0.0
+        assert ec_leakage(1e6, 0.0, BINOMIAL) == 0.0
 
     def test_rate_factor_mode(self):
         # frozen: 1.16e6 * h(0.02)
-        got = ec_leakage(1e6, 0.02, 1e-15, method="rate-factor", f_ec=1.16)
+        got = ec_leakage(1e6, 0.02, RATE_FACTOR)
         assert got == pytest.approx(164071.02934851198, rel=1e-12)
 
     def test_finite_size_mode_matches_scipy_oracle(self):
         # frozen from an independent reference script (scipy binom.ppf route)
-        got = ec_leakage(1e6, 0.02, 1e-15, method="binomial")
+        got = ec_leakage(1e6, 0.02, BINOMIAL)
         assert got == pytest.approx(147686.06699105405, rel=1e-12)
         assert got == pytest.approx(oracles.ec_leakage_finite(1e6, 0.02, 1e-15), rel=1e-12)
 
@@ -209,12 +214,8 @@ class TestEcLeakage:
     @given(n=st.floats(1e3, 1e8), q=st.floats(1e-4, 0.3))
     def test_finite_size_tracks_scipy_oracle(self, n, q):
         n = float(round(n))
-        assert ec_leakage(n, q, 1e-15, method="binomial") == pytest.approx(
+        assert ec_leakage(n, q, BINOMIAL) == pytest.approx(
             oracles.ec_leakage_finite(n, q, 1e-15), rel=1e-9)
-
-    def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            ec_leakage(1e6, 0.02, 1e-15, method="wishful")
 
 
 class TestSecureKeyLength:
@@ -342,6 +343,7 @@ class TestSecurityParams:
         assert sec.eps_c == 1e-15
         assert sec.beta == pytest.approx(math.log(21.0 / 1e-9), rel=1e-14)
         assert sec.eps == pytest.approx(1e-9 + 1e-15, rel=1e-14)
+        assert (sec.ec_method, sec.f_ec) == ("binomial", 1.16)
 
     def test_explicit_beta(self):
         assert SecurityParams(beta=0.0).beta == 0.0
@@ -365,29 +367,26 @@ class TestOneScalarChain:
     def test_callers_agree_bitwise(self, reference_params, security, ec_method, eta, reason):
         channel = ChannelConditions(eta_loss_db=eta, p_ec=1e-6, qber_i=0.01,
                                     integration_time_s=60.0)
-        ref = key_length_for_channel(reference_params, channel, security,
-                                     ec_method=ec_method)
+        sec = SecurityParams(ec_method=ec_method)
+        ref = key_length_for_channel(reference_params, channel, sec)
         assert ref.reason == reason
         assert ref.lambda_ec > 0.0
 
         par = reference_params
         flat = _evaluate_flat(par.pax, par.pbx, *par.mu, *par.p_mu,
                               channel.transmittance, channel.p_ec, channel.qber_i,
-                              channel.p_ap, channel.n_pulses, security.beta,
-                              security.eps_s, security.eps_c,
-                              {"binomial": 0, "rate-factor": 1}[ec_method], 1.16)
+                              channel.p_ap, channel.n_pulses, sec)
         ell, raw, s_x0, s_x1, _, _, _, phi_x, lam, qber_x, code = flat
         assert (int(ell), raw.hex(), s_x0.hex(), s_x1.hex(), phi_x.hex(),
                 lam.hex(), qber_x.hex(), _REASONS.get(code)) == (
             ref.ell, ref.raw.hex(), ref.s_x0.hex(), ref.s_x1.hex(), ref.phi_x.hex(),
             ref.lambda_ec.hex(), ref.qber_x.hex(), ref.reason)
 
-        assert key_length_for_intensities({}, par, channel, security,
-                                          ec_method=ec_method) == ref.ell
+        assert key_length_for_intensities({}, par, channel, sec) == ref.ell
 
     @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
     def test_one_kernel_evaluation_per_query(self, monkeypatch, reference_params,
-                                             reference_channel, security, ec_method):
+                                             reference_channel, ec_method):
         # the record comes from the one chain evaluation, with no second pass
         bounds_calls, scaled_calls = [], []
         bounds, scaled_core = _kernels.bounds_ell_core, _kernels.scaled_bounds_core
@@ -403,8 +402,8 @@ class TestOneScalarChain:
 
         monkeypatch.setattr(_kernels, "bounds_ell_core", counted_bounds)
         monkeypatch.setattr(_kernels, "scaled_bounds_core", counted_scaled)
-        result = key_length_for_channel(reference_params, reference_channel, security,
-                                        ec_method=ec_method)
+        sec = SecurityParams(ec_method=ec_method)
+        result = key_length_for_channel(reference_params, reference_channel, sec)
         assert len(bounds_calls) == 1
         assert len(scaled_calls) == 3
 
@@ -413,85 +412,77 @@ class TestOneScalarChain:
         assert (result.s_z0.hex(), result.s_z1.hex(), result.v_z1.hex()) == (
             s_z0.hex(), s_z1.hex(), v_z1.hex())
         counts = expected_block_counts(reference_params, reference_channel)
+        n_x, qber_x = counts.n_x_total, counts.m_x_total / counts.n_x_total
         quantile = 0.0
         if ec_method == "binomial":
-            quantile = _ec_quantile(counts.n_x_total, counts.m_x_total / counts.n_x_total,
-                                    security.eps_c)
+            quantile = binom_ppf(sec.eps_c, n_x, 1.0 - qber_x)
             assert quantile > 0.0
-        assert result.ec_quantile.hex() == quantile.hex() == args[-1].hex()
+        assert result.ec_quantile.hex() == quantile.hex()
+        # the kernel is given the leakage that ec_leakage states
+        assert args[-1].hex() == result.lambda_ec.hex() == ec_leakage(n_x, qber_x, sec).hex()
 
 
-def _entry_points(params, channel, sec):
-    model = IntensityUncertaintyModel(f=0.1, nominal=params, grid_points_per_dim=2)
-    counts = BlockCounts(n_x=(1e4,) * 3, n_z=(1e4,) * 3, m_x=(1e2,) * 3, m_z=(1e2,) * 3)
-    return {
-        "key_length_for_channel":
-            lambda m, f=1.16: key_length_for_channel(params, channel, sec, ec_method=m, f_ec=f),
-        "optimize":
-            lambda m, f=1.16: optimize(OptimizationSpec(restarts=1), channel, sec,
-                                       ec_method=m, f_ec=f),
-        "worst_case_key_length":
-            lambda m, f=1.16: worst_case_key_length(model, channel, sec, ec_method=m, f_ec=f),
-        "key_length_for_intensities":
-            lambda m, f=1.16: key_length_for_intensities({}, params, channel, sec,
-                                                         ec_method=m, f_ec=f),
-        "secure_key_length":
-            lambda m, f=1.16: secure_key_length(counts, params, sec, ec_method=m, f_ec=f),
-        "ec_leakage":
-            lambda m, f=1.16: ec_leakage(1e6, 0.02, 1e-15, method=m, f_ec=f),
-    }
-
-
-_ENTRIES = ["key_length_for_channel", "optimize", "worst_case_key_length",
-            "key_length_for_intensities"]
-
-
-@pytest.mark.parametrize("method", ["Binomial", "bogus"])
-@pytest.mark.parametrize("entry", _ENTRIES)
-def test_unknown_ec_method_rejected_before_evaluation(
-        monkeypatch, reference_params, reference_channel, security, entry, method):
-    call = _entry_points(reference_params, reference_channel, security)[entry]
-
-    def evaluated(*args):
-        raise AssertionError("the model was evaluated before ec_method was checked")
-
-    monkeypatch.setattr(_kernels, "detection_error_prob", evaluated)
+@pytest.mark.parametrize("method", ["Binomial", "bogus", "wishful"])
+def test_unknown_ec_method_rejected_before_evaluation(method):
+    # the leakage model is checked once, when the security analysis is
+    # built, so no entry point can be reached with a bad method
     with pytest.raises(ParameterError, match="unknown EC leakage method"):
-        call(method)
+        SecurityParams(ec_method=method)
 
 
 @pytest.mark.parametrize("method, f_ec", [("rate-factor", -1.0), ("rate-factor", 0.99),
                                           ("rate-factor", math.nan), ("rate-factor", math.inf),
                                           ("binomial", 0.5)])
-@pytest.mark.parametrize("entry", _ENTRIES + ["secure_key_length", "ec_leakage"])
-def test_f_ec_below_shannon_limit_rejected_before_evaluation(
-        monkeypatch, reference_params, reference_channel, security, entry, method, f_ec):
-    call = _entry_points(reference_params, reference_channel, security)[entry]
-
-    def evaluated(*args):
-        raise AssertionError("the model was evaluated before f_ec was checked")
-
-    for name in ("detection_error_prob", "bounds_ell_core", "ec_leakage_core"):
-        monkeypatch.setattr(_kernels, name, evaluated)
+def test_f_ec_below_shannon_limit_rejected_before_evaluation(method, f_ec):
     with pytest.raises(ParameterError, match="f_ec must be in"):
-        call(method, f_ec)
+        SecurityParams(ec_method=method, f_ec=f_ec)
 
 
-@pytest.mark.parametrize("names, entries", [
-    (("detection_error_prob",), _ENTRIES),
-    (("detection_error_prob", "bounds_ell_core", "ec_leakage_core"),
-     _ENTRIES + ["secure_key_length", "ec_leakage"])])
-def test_rejection_sentinels_lie_on_every_entry_path(
-        monkeypatch, reference_params, reference_channel, security, names, entries):
-    # the two tests above catch an early evaluation only if a patched kernel
-    # is reached when the arguments are valid
-    calls = _entry_points(reference_params, reference_channel, security)
+def _key_lengths(params, channel, sec):
+    """The key length of the reference point through each public entry."""
+    model = IntensityUncertaintyModel(f=0.1, nominal=params, grid_points_per_dim=2)
+    counts = expected_block_counts(params, channel)
+    spec = SweepSpec(eta_loss_db=(channel.eta_loss_db,), log10_pec=(math.log10(channel.p_ec),),
+                     qber_i=(channel.qber_i,), tau_s=(channel.integration_time_s,),
+                     params=params)
+    tau = channel.integration_time_s
+    return {
+        "secure_key_length": lambda: secure_key_length(counts, params, sec).ell,
+        "key_length_for_intensities": lambda: key_length_for_intensities({}, params, channel, sec),
+        "worst_case_key_length": lambda: worst_case_key_length(model, channel, sec).nominal_ell,
+        "sweep": lambda: sweep(spec, channel, sec)[0].result.ell,
+        "skr_vs_time": lambda: skr_vs_time([tau], channel, sec, params=params)[0][2],
+    }
 
-    def evaluated(*args):
-        raise AssertionError("evaluated")
 
-    for name in names:
-        monkeypatch.setattr(_kernels, name, evaluated)
-    for entry in entries:
-        with pytest.raises(AssertionError, match="evaluated"):
-            calls[entry]("binomial")
+_SECS = {"binomial": SecurityParams(),
+         "rate-factor": SecurityParams(ec_method="rate-factor"),
+         "rate-factor-1.5": SecurityParams(ec_method="rate-factor", f_ec=1.5)}
+
+
+@pytest.mark.parametrize("sec", list(_SECS), ids=list(_SECS))
+@pytest.mark.parametrize("entry", ["secure_key_length", "key_length_for_intensities",
+                                   "worst_case_key_length", "sweep", "skr_vs_time"])
+def test_every_entry_uses_the_leakage_of_sec(reference_params, reference_channel, entry, sec):
+    # each leakage model gives the reference point its own key length, and
+    # every entry reaches it through the one SecurityParams it is given
+    sec = _SECS[sec]
+    ref = key_length_for_channel(reference_params, reference_channel, sec)
+    counts = expected_block_counts(reference_params, reference_channel)
+    assert ref.lambda_ec == ec_leakage(counts.n_x_total,
+                                       counts.m_x_total / counts.n_x_total, sec)
+    others = {key_length_for_channel(reference_params, reference_channel, other).ell
+              for other in _SECS.values() if other is not sec}
+    assert ref.ell not in others
+    assert _key_lengths(reference_params, reference_channel, sec)[entry]() == ref.ell
+
+
+@pytest.mark.parametrize("sec", list(_SECS), ids=list(_SECS))
+def test_optimize_uses_the_leakage_of_sec(reference_channel, sec):
+    sec = _SECS[sec]
+    res = optimize(OptimizationSpec(restarts=1), reference_channel, sec)
+    # the objective and the final evaluation see the same leakage model
+    assert res.restart_trace[0]["raw"] == res.result.raw
+    counts = expected_block_counts(res.best_params, reference_channel)
+    assert res.result.lambda_ec == ec_leakage(counts.n_x_total,
+                                              counts.m_x_total / counts.n_x_total, sec)

@@ -121,14 +121,13 @@ class TestWorstCase:
 
     def test_rate_factor_leakage_mode(self):
         model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS)
-        res = worst_case_key_length(model, CHANNEL, SEC, ec_method="rate-factor")
+        sec = SecurityParams(ec_method="rate-factor")
+        res = worst_case_key_length(model, CHANNEL, sec)
         assert res.evaluations == 3 ** 10
-        nominal = key_length_for_channel(PARAMS, CHANNEL, SEC,
-                                         ec_method="rate-factor").ell
+        nominal = key_length_for_channel(PARAMS, CHANNEL, sec).ell
         assert res.nominal_ell == nominal
         assert 0 < res.min_ell <= nominal
-        again = key_length_for_intensities(res.argmin, PARAMS, CHANNEL, SEC,
-                                           ec_method="rate-factor")
+        again = key_length_for_intensities(res.argmin, PARAMS, CHANNEL, sec)
         assert again == res.min_ell
 
     def test_denser_grid_runs(self):
@@ -149,7 +148,7 @@ class TestWorstCase:
             PARAMS, CHANNEL, SEC).ell
 
 
-def scalar_grid(model, channel, sec, ec_method):
+def scalar_grid(model, channel, sec):
     """Reference: the scalar counts -> quantile -> bounds chain at every grid
     point, row-major over GRID_DIMS.  Returns (ell, reason) arrays."""
     params, g = model.nominal, model.grid_points_per_dim
@@ -157,7 +156,7 @@ def scalar_grid(model, channel, sec, ec_method):
     cand2 = model.candidates(params.mu[1])
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu
-    ec_mode = 0 if ec_method == "binomial" else 1
+    rate_factor = sec.ec_method == "rate-factor"
     ell = np.empty(g ** 10)
     reason = np.empty(g ** 10)
     for t in range(g ** 8):
@@ -169,14 +168,13 @@ def scalar_grid(model, channel, sec, ec_method):
                           channel.qber_i, channel.p_ap, channel.n_pulses)
         f_inv = 0.0
         n_x = c[0] + c[1] + c[2]
-        if ec_mode == 0 and n_x > 0.0:
-            q = (c[6] + c[7] + c[8]) / n_x
-            if q > 0.0:
-                f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
+        q = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
+        if not rate_factor and q > 0.0:
+            f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
+        lam = k.ec_leakage_core(n_x, q, sec.eps_c, rate_factor, sec.f_ec, f_inv)
         for e1, e2 in itertools.product(range(g), repeat=2):
             out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
-                                    sec.beta, sec.eps_s, sec.eps_c, ec_mode,
-                                    1.16, f_inv)
+                                    sec.beta, sec.eps_s, sec.eps_c, lam)
             j = t * g * g + e1 * g + e2
             ell[j], reason[j] = out[0], out[10]
     return ell, reason
@@ -192,11 +190,11 @@ class TestArrayGridExactness:
 
     @staticmethod
     def check(model, channel, ec_method):
-        ell = np.stack(list(grid_key_lengths(model, channel, SEC, ec_method)),
-                       axis=1).ravel()
-        ref, reason = scalar_grid(model, channel, SEC, ec_method)
+        sec = SecurityParams(ec_method=ec_method)
+        ell = np.stack(list(grid_key_lengths(model, channel, sec)), axis=1).ravel()
+        ref, reason = scalar_grid(model, channel, sec)
         assert np.array_equal(ell, ref)
-        res = worst_case_key_length(model, channel, SEC, ec_method=ec_method)
+        res = worst_case_key_length(model, channel, sec)
         assert res.evaluations == ref.size
         assert res.min_ell == ref.min()
         assert res.argmin_index == int(np.argmin(ref))
@@ -269,16 +267,15 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
         counts, lam, want = [], [], []
         for _ in range(200):
             c = random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent)
-            ec_mode = int(rng.integers(2))
+            rate_factor = bool(rng.integers(2))
             n_x = c[0] + c[1] + c[2]
             qber_x = (c[6] + c[7] + c[8]) / n_x
             f_inv = binom_ppf(SEC.eps_c, n_x, 1.0 - min(qber_x, 0.5))
             counts.append(c)
-            lam.append(k.ec_leakage_core(n_x, qber_x, SEC.eps_c, ec_mode, 1.16,
+            lam.append(k.ec_leakage_core(n_x, qber_x, SEC.eps_c, rate_factor, 1.16,
                                          f_inv))
             want.append(k.bounds_ell_core(*c, *est, p1, p2, p3, SEC.beta,
-                                          SEC.eps_s, SEC.eps_c, ec_mode, 1.16,
-                                          f_inv))
+                                          SEC.eps_s, SEC.eps_c, lam[-1]))
         cols = np.array(counts).T
         ell, raw = bounds_ell_array(cols[0:3], cols[3:6], cols[9:12], est,
                                     (p1, p2, p3), SEC.beta, SEC.eps_s,
