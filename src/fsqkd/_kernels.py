@@ -1,8 +1,9 @@
 """Scalar numeric kernels for the decoy-state finite-key chain.
 
 Everything here is straight-line float64 math on Python floats; the
-worst-case grid in :mod:`fsqkd.uncertainty` mirrors it over NumPy arrays
-expression for expression.  The kernels are generalized to
+worst-case grid in :mod:`fsqkd.uncertainty` calls ``counts_core`` itself
+and mirrors only ``bounds_ell_core`` over NumPy arrays, expression for
+expression.  The kernels are generalized to
 per-signal-state pulse intensities: each basis uses the mean of its two
 signal states' detection/error statistics, while the decoy estimation
 step uses the (possibly different) intensity pair assumed by the
@@ -221,6 +222,12 @@ def ec_leakage_core(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     return lam
 
 
+def privacy_amplification_bits(eps_s, eps_c):
+    """Bits the key expression gives up for secrecy and correctness:
+    6 log2(21 / eps_s) + log2(2 / eps_c)."""
+    return 6.0 * (math.log(21.0 / eps_s) / LN2) + (math.log(2.0 / eps_c) / LN2)
+
+
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
                     m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
                     mu1, mu2, mu3, p1, p2, p3,
@@ -238,7 +245,7 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
     n_z = n_z1 + n_z2 + n_z3
     m_x = m_x1 + m_x2 + m_x3
 
-    const = 6.0 * (math.log(21.0 / eps_s) / LN2) + (math.log(2.0 / eps_c) / LN2)
+    const = privacy_amplification_bits(eps_s, eps_c)
 
     if n_x <= 0.0 or n_z <= 0.0:
         return (0.0, -const, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,

@@ -3,9 +3,9 @@
 Subcommands: ``keylength``, ``optimize``, ``sweep``, ``budget``,
 ``worstcase``, ``sift-equiv``.  Inputs come from a config file
 (``--config``), overridable through ``FSQKD_*`` environment variables;
-results go to stdout or ``--out`` as JSON or CSV.  Exit codes: 0 success
-(a zero key length is a valid answer), 2 configuration error, 3 internal
-numeric failure.
+results go to stdout or ``--out`` as JSON, or as CSV from ``keylength``,
+``sweep`` and ``budget``.  Exit codes: 0 success (a zero key length is a
+valid answer), 2 configuration or usage error, 3 internal numeric failure.
 """
 from __future__ import annotations
 
@@ -73,6 +73,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+# name, the output formats it can write, help text
+_SUBCOMMANDS = (
+    ("keylength", ("json", "csv"), "key length for fixed protocol parameters"),
+    ("optimize", ("json",), "maximize the key length over free protocol parameters"),
+    ("sweep", ("json", "csv"), "key length over a grid of channel conditions"),
+    ("budget", ("json", "csv"), "largest loss meeting a key-length target"),
+    ("worstcase", ("json",), "minimum key length under intensity uncertainty"),
+    ("sift-equiv", ("json",), "symmetric basis bias equivalent to an asymmetric pair"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsqkd",
@@ -80,25 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "decoy-state BB84 over lossy free-space channels.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="config file (text or JSON)")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--out", type=str, default=None, help="output path (stdout when absent)")
     common.add_argument("--seed", type=int, default=None, help="optimizer seed override")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("keylength", parents=[common],
-                   help="key length for fixed protocol parameters")
-    sub.add_parser("optimize", parents=[common],
-                   help="maximize the key length over free protocol parameters")
-    sub.add_parser("sweep", parents=[common],
-                   help="key length over a grid of channel conditions")
-    sub.add_parser("budget", parents=[common],
-                   help="largest loss meeting a key-length target")
-    sub.add_parser("worstcase", parents=[common],
-                   help="minimum key length under intensity uncertainty")
-    se = sub.add_parser("sift-equiv", parents=[common],
-                        help="symmetric basis bias equivalent to an asymmetric pair")
-    se.add_argument("--pax", type=float, default=None)
-    se.add_argument("--pbx", type=float, default=None)
+    commands = {}
+    for name, formats, help_text in _SUBCOMMANDS:
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        commands[name].add_argument("--format", choices=formats, default=None)
+    commands["sift-equiv"].add_argument("--pax", type=float, default=None)
+    commands["sift-equiv"].add_argument("--pbx", type=float, default=None)
     return parser
 
 

@@ -75,22 +75,6 @@ SCHEMA: dict[str, str] = {
     "worstcase.grid_points": INT,
 }
 
-DEFAULTS: dict[str, Any] = {
-    "channel.p_ap": 1e-3,
-    "channel.f_s": 1e8,
-    "optimize.restarts": 8,
-    "optimize.seed": 0,
-    "optimize.tolerance": 1e-5,
-    "optimize.max_evals": 2000,
-    "optimize.mu3": 1e-9,
-    "budget.target_bits": 0,
-    "budget.eta_min_db": 0.0,
-    "budget.eta_max_db": 60.0,
-    "budget.resolution_db": 0.1,
-    "worstcase.grid_points": 3,
-}
-
-
 class ConfigError(ValueError):
     """Malformed configuration input."""
 
@@ -193,7 +177,7 @@ class RunConfig:
             section, key = rest.split("_", 1)
             raw[f"{section}.{key}"] = value
 
-        values = dict(DEFAULTS)
+        values = {}
         for key, value in raw.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
@@ -212,6 +196,13 @@ class RunConfig:
         return self.values[key]
 
     # --- section builders -------------------------------------------------
+    # each builder passes only the keys this config sets, so every
+    # default is the one its dataclass states
+    def _given(self, fields: dict[str, str]) -> dict[str, Any]:
+        """Keyword arguments for the ``fields`` (name -> key) that are set."""
+        return {name: self.values[key] for name, key in fields.items()
+                if key in self.values}
+
     def channel(self, loss_optional: bool = False) -> ChannelConditions:
         """The channel section; with ``loss_optional`` (the loss is swept or
         searched) a missing ``channel.eta_loss_db`` reads as 0 dB."""
@@ -222,16 +213,14 @@ class RunConfig:
             p_ec=self.require("channel.p_ec"),
             qber_i=self.require("channel.qber_i"),
             integration_time_s=self.require("channel.integration_time_s"),
-            p_ap=self.get("channel.p_ap"),
-            f_s=self.get("channel.f_s"),
+            **self._given({"p_ap": "channel.p_ap", "f_s": "channel.f_s"}),
         )
 
     def security(self) -> SecurityParams:
         """The security analysis; keys left unset take its defaults."""
-        fields = {"eps_s": "security.eps_s", "eps_c": "security.eps_c",
-                  "beta": "security.beta", "ec_method": "ec.method", "f_ec": "ec.f_ec"}
-        return SecurityParams(**{name: self.values[key] for name, key in fields.items()
-                                 if key in self.values})
+        return SecurityParams(**self._given({
+            "eps_s": "security.eps_s", "eps_c": "security.eps_c",
+            "beta": "security.beta", "ec_method": "ec.method", "f_ec": "ec.f_ec"}))
 
     def protocol(self) -> ProtocolParams:
         p1 = self.require("protocol.p_mu1")
@@ -256,15 +245,14 @@ class RunConfig:
         mu = None
         if regime is Regime.FIXED_PBX_AND_MU:
             mu = (self.require("optimize.mu1"), self.require("optimize.mu2"),
-                  self.get("optimize.mu3"))
-        pbx = self.get("optimize.pbx")
-        seed = self.get("optimize.seed") if seed_override is None else seed_override
-        return OptimizationSpec(
-            regime=regime, pbx=pbx, mu=mu, mu3=self.get("optimize.mu3"),
-            restarts=self.get("optimize.restarts"), seed=seed,
-            tolerance=self.get("optimize.tolerance"),
-            max_evals_per_restart=self.get("optimize.max_evals"),
-        )
+                  self.get("optimize.mu3", OptimizationSpec.mu3))
+        given = self._given({"pbx": "optimize.pbx", "mu3": "optimize.mu3",
+                             "restarts": "optimize.restarts", "seed": "optimize.seed",
+                             "tolerance": "optimize.tolerance",
+                             "max_evals_per_restart": "optimize.max_evals"})
+        if seed_override is not None:
+            given["seed"] = seed_override
+        return OptimizationSpec(regime=regime, mu=mu, **given)
 
     def _fixed_or_optimize(self, seed_override: int | None
                            ) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
@@ -297,16 +285,16 @@ class RunConfig:
         params, opt_spec = self._fixed_or_optimize(seed_override)
         return LossBudgetQuery(
             conditions=self.channel(loss_optional=True),
-            target_bits=self.get("budget.target_bits"),
-            eta_min_db=self.get("budget.eta_min_db"),
-            eta_max_db=self.get("budget.eta_max_db"),
-            resolution_db=self.get("budget.resolution_db"),
             params=params, opt_spec=opt_spec,
+            **self._given({"target_bits": "budget.target_bits",
+                           "eta_min_db": "budget.eta_min_db",
+                           "eta_max_db": "budget.eta_max_db",
+                           "resolution_db": "budget.resolution_db"}),
         )
 
     def uncertainty_model(self) -> IntensityUncertaintyModel:
         return IntensityUncertaintyModel(
             f=self.require("worstcase.f"),
             nominal=self.protocol(),
-            grid_points_per_dim=self.get("worstcase.grid_points"),
+            **self._given({"grid_points_per_dim": "worstcase.grid_points"}),
         )

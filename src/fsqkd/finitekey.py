@@ -142,6 +142,16 @@ def _leakage(n_x: float, qber_x: float, sec: SecurityParams) -> tuple[float, flo
     return lam, f_inv
 
 
+def _count_leakage(c: tuple, sec: SecurityParams) -> tuple[float, float]:
+    """``_leakage`` of the X-basis total and QBER of a count vector.
+
+    ``c`` holds the 12 expected counts in ``counts_core`` order.
+    """
+    n_x = c[0] + c[1] + c[2]
+    qber_x = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
+    return _leakage(n_x, qber_x, sec)
+
+
 def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
                p1: float, p2: float, p3: float,
                sec: SecurityParams) -> tuple[tuple, float]:
@@ -152,9 +162,7 @@ def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
     ``bounds_ell_core`` tuple and the leakage quantile (0 in rate-factor
     mode).
     """
-    n_x = c[0] + c[1] + c[2]
-    qber_x = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
-    lam, f_inv = _leakage(n_x, qber_x, sec)
+    lam, f_inv = _count_leakage(c, sec)
     return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3,
                              sec.beta, sec.eps_s, sec.eps_c, lam), f_inv
 

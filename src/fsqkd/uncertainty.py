@@ -8,24 +8,26 @@ points per dimension the search evaluates the key length on all 3^10
 combinations of interval endpoints and midpoints and reports the minimum,
 which is the length that privacy amplification must assume.
 
-The grid is evaluated with NumPy, in this order:
+The grid is evaluated in this order:
 
-1. detection and error probabilities once per candidate intensity, with
-   the scalar kernels, averaged over the two states of a basis into
-   (g, g) tables;
-2. per-basis counts: the X-basis counts depend only on the H and V
-   intensities and the Z-basis counts only on the D and A intensities, so
-   each basis has g^4 count vectors and the g^8 true-intensity
-   combinations are their outer product;
-3. the reconciliation leakage, with its inverse-binomial quantile, once
-   per X-basis combination, since it depends on the X-basis totals alone;
-4. the estimation chain once per estimator pair over the g^8 axis, so
-   memory is O(g^8) although all g^10 points are evaluated.  An estimator
-   pair outside the decoy domain of ``channel.check_intensities`` counts as
-   zero key at every point.
+1. expected counts, from ``_kernels.counts_core`` on Python floats.  The
+   X-basis counts depend only on the H and V intensities and the Z-basis
+   counts only on the D and A intensities, so one call per combination
+   of two states' intensity pairs gives the X counts of (H, V) and the Z
+   counts of (D, A) at that combination.  Its g^4 calls cover both bases,
+   and the g^8 true-intensity combinations are their outer product;
+2. the reconciliation leakage, with its inverse-binomial quantile, from
+   ``finitekey._count_leakage`` once per X-basis combination, since it
+   depends on the X-basis totals alone;
+3. the estimation chain, ``bounds_ell_array``, once per estimator pair
+   over the g^8 axis, so memory is O(g^8) although all g^10 points are
+   evaluated.  An estimator pair outside the decoy domain of
+   ``channel.check_intensities`` counts as zero key at every point.
 
-Every expression mirrors :mod:`fsqkd._kernels` operation for operation,
-with logarithms taken through libm, so each grid point's key length is
+Counts and leakage come from the scalar chain itself.  Only the
+estimation chain has an array twin, because only it runs g^10 times; it
+mirrors ``_kernels.bounds_ell_core`` operation for operation, with
+logarithms taken through libm, so each grid point's key length is
 bit-identical to the scalar chain.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
@@ -33,6 +35,7 @@ pulse are already covered by the extraneous-count probability.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -43,7 +46,7 @@ from . import _kernels as k
 from ._kernels import LN2
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
                       check_range)
-from .finitekey import SecurityParams, _key_chain, _leakage
+from .finitekey import SecurityParams, _count_leakage, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
              "a_mu1", "a_mu2", "est_mu1", "est_mu2")
@@ -129,7 +132,7 @@ def _decoy_domain(mu1: float, mu2: float, mu3: float) -> bool:
     return True
 
 
-# --- array mirror of the scalar chain ---------------------------------
+# --- array mirror of the scalar estimation chain -----------------------
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
     """Elementwise ``math.log`` of a 1-d array.
@@ -208,7 +211,7 @@ def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
     """
     mu1, mu2, mu3 = mu
     p1, p2, p3 = p_mu
-    const = 6.0 * (math.log(21.0 / eps_s) / LN2) + (math.log(2.0 / eps_c) / LN2)
+    const = k.privacy_amplification_bits(eps_s, eps_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_x_tot = n_x[0] + n_x[1] + n_x[2]
         n_z_tot = n_z[0] + n_z[1] + n_z[2]
@@ -246,26 +249,6 @@ def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
     return ell, raw
 
 
-def _basis_counts(d1, d2, e1, e2, d3, e3, sift, p1, p2, p3):
-    """The per-basis block of ``counts_core`` over arrays.
-
-    ``d1``, ``d2`` (``e1``, ``e2``) are the detection (error) probabilities
-    of the basis' two signal intensities, averaged over its two states;
-    ``d3`` and ``e3`` are the vacuum's.  Returns ((n1, n2, n3), (m1, m2, m3)).
-    """
-    n1 = sift * p1 * d1
-    n2 = sift * p2 * d2
-    n3 = np.full(d1.shape, sift * p3 * d3)
-    sum_pd = p1 * d1 + p2 * d2 + p3 * d3
-    sum_pe = p1 * e1 + p2 * e2 + p3 * e3
-    detected = sum_pd > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
-        m = tuple(np.where(detected, m_tot * p_k * d_k / sum_pd, 0.0)
-                  for p_k, d_k in ((p1, d1), (p2, d2), (p3, d3)))
-    return (n1, n2, n3), m
-
-
 def grid_key_lengths(model: IntensityUncertaintyModel,
                      channel: ChannelConditions,
                      sec: SecurityParams) -> Iterator[np.ndarray]:
@@ -281,47 +264,23 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     params = model.nominal
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu
-    g = model.grid_points_per_dim
-    cand1 = model.candidates(params.mu[0])
-    cand2 = model.candidates(params.mu[1])
-    p_d, p_ec, qber_i, p_ap = (channel.transmittance, channel.p_ec,
-                               channel.qber_i, channel.p_ap)
-
-    def probs(mu):
-        return k.detection_error_prob(mu, p_d, p_ec, p_ap, qber_i)
-
-    def pair_average(values, axes):
-        # a basis' two-state average of one intensity's probability, spread
-        # over that basis' axes (state one mu1, mu2, state two mu1, mu2)
-        values = np.array(values)
-        table = 0.5 * (values[:, None] + values[None, :])
-        return np.broadcast_to(table[axes], (g,) * 4).reshape(-1)
-
-    mu1_axes = (slice(None), None, slice(None), None)
-    mu2_axes = (None, slice(None), None, slice(None))
-    det1, err1 = (pair_average(v, mu1_axes) for v in zip(*map(probs, cand1)))
-    det2, err2 = (pair_average(v, mu2_axes) for v in zip(*map(probs, cand2)))
-
-    # both bases see the same g^4 probability vectors; only sifting differs
-    n_pulses = channel.n_pulses
-    sift_x = params.pax * params.pbx * n_pulses
-    sift_z = (1.0 - params.pax) * (1.0 - params.pbx) * n_pulses
-    vacuum = probs(mu3)
-    n_x, m_x = _basis_counts(det1, det2, err1, err2, *vacuum, sift_x, p1, p2, p3)
-    n_z, m_z = _basis_counts(det1, det2, err1, err2, *vacuum, sift_z, p1, p2, p3)
-
-    n_x_tot = n_x[0] + n_x[1] + n_x[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qber_x = np.where(n_x_tot > 0.0, (m_x[0] + m_x[1] + m_x[2]) / n_x_tot, 0.0)
-    lam = np.array([_leakage(n, q, sec)[0]
-                    for n, q in zip(n_x_tot.tolist(), qber_x.tolist())])
+    cand1 = model.candidates(params.mu[0]).tolist()
+    cand2 = model.candidates(params.mu[1]).tolist()
+    link = (channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
+            channel.n_pulses)
+    # row i holds the X-basis counts for (H, V) = combination i and the
+    # Z-basis counts for (D, A) = combination i
+    rows = [k.counts_core(params.pax, params.pbx, a1, a2, b1, b2, a1, a2, b1, b2,
+                          mu3, p1, p2, p3, *link)
+            for a1, a2, b1, b2 in itertools.product(cand1, cand2, cand1, cand2)]
+    lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
 
     # X-basis combinations down the rows, Z-basis ones across the columns:
     # raveled, the (g^4, g^4) result is row-major over GRID_DIMS[:8]
-    n_x = tuple(a[:, None] for a in n_x)
-    n_z = tuple(a[None, :] for a in n_z)
-    m_z = tuple(a[None, :] for a in m_z)
-    lam = lam[:, None]
+    counts = np.array(rows)
+    n_x = tuple(counts[:, j, None] for j in range(0, 3))
+    n_z = tuple(counts[None, :, j] for j in range(3, 6))
+    m_z = tuple(counts[None, :, j] for j in range(9, 12))
     for est1 in cand1:
         for est2 in cand2:
             if not _decoy_domain(est1, est2, mu3):

@@ -182,6 +182,35 @@ class TestConfigErrors:
         assert key in err
 
 
+class TestFormatFlag:
+    # each command's smallest config beyond BASE_CONFIG; optimize and
+    # sift-equiv take no protocol section
+    ARGV = {
+        "optimize": (["optimize.regime = fixed_pbx_and_mu", "optimize.pbx = 0.5",
+                      "optimize.mu1 = 0.5", "optimize.mu2 = 0.1",
+                      "optimize.restarts = 1", "optimize.max_evals = 50"], False),
+        "worstcase": (["worstcase.f = 0.05", "worstcase.grid_points = 2"], True),
+        "sift-equiv": (["protocol.pax = 0.9", "protocol.pbx = 0.5"], False),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_csv_rejected_where_there_is_no_table(self, capsys, tmp_path, command):
+        lines, with_protocol = self.ARGV[command]
+        config = BASE_CONFIG if with_protocol else BASE_CONFIG.split("protocol.pax")[0]
+        path = tmp_path / "c.cfg"
+        path.write_text(config + "\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(path), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--format" in captured.err
+        code, out, _ = run_cli(capsys, [command, "--config", str(path),
+                                        "--format", "json"])
+        assert code == 0
+        assert isinstance(json.loads(out), dict)
+
+
 class TestJsonConfigAndEnv:
     def test_json_config(self, capsys, tmp_path):
         cfg = {

@@ -4,7 +4,8 @@ import signal
 
 import pytest
 
-from fsqkd import ParameterError, SecurityParams
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
+                   OptimizationSpec, ParameterError, Regime, SecurityParams)
 from fsqkd.config import MAX_RANGE_POINTS, ConfigError, RunConfig, _parse_floatlist
 
 
@@ -163,9 +164,30 @@ class TestBuilders:
         assert (sec.ec_method, sec.f_ec) == ("rate-factor", 1.3)
 
     def test_security_defaults_come_from_the_dataclass(self, tmp_path):
+        # every section's unset keys take its dataclass defaults
         path = tmp_path / "c.cfg"
         path.write_text(BASE)
-        assert RunConfig.load(path, env={}).security() == SecurityParams()
+        cfg = RunConfig.load(path, env={})
+        assert cfg.security() == SecurityParams()
+        channel = ChannelConditions(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
+                                    integration_time_s=60.0)
+        assert cfg.channel() == channel
+
+        path.write_text(BASE + "optimize.regime = fixed_pbx_and_mu\n"
+                        "optimize.pbx = 0.5\noptimize.mu1 = 0.5\noptimize.mu2 = 0.1\n")
+        cfg = RunConfig.load(path, env={})
+        spec = OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5,
+                                mu=(0.5, 0.1, OptimizationSpec.mu3))
+        assert cfg.opt_spec() == spec
+        assert cfg.budget_query() == LossBudgetQuery(conditions=channel, opt_spec=spec)
+
+        path.write_text(BASE + "protocol.pax = 0.7\nprotocol.pbx = 0.5\n"
+                        "protocol.mu1 = 0.5\nprotocol.mu2 = 0.1\n"
+                        "protocol.p_mu1 = 0.8\nprotocol.p_mu2 = 0.13\n"
+                        "worstcase.f = 0.05\n")
+        cfg = RunConfig.load(path, env={})
+        assert cfg.uncertainty_model() == IntensityUncertaintyModel(
+            f=0.05, nominal=cfg.protocol())
 
     def test_sweep_rejects_both_policies(self, tmp_path):
         path = tmp_path / "c.cfg"

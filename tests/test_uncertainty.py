@@ -239,6 +239,24 @@ class TestArrayGridExactness:
         assert res.min_ell == 0 and res.argmin_index == 0
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g):
+    """The grid takes its counts from ``counts_core``: one call per
+    combination of a basis' two states' intensity pairs, g^4 in all."""
+    calls = []
+    counts_core = k.counts_core
+
+    def counting(*args):
+        calls.append(args)
+        return counts_core(*args)
+
+    monkeypatch.setattr(k, "counts_core", counting)
+    model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS, grid_points_per_dim=g)
+    for _ in grid_key_lengths(model, CHANNEL, SEC):
+        pass
+    assert len(calls) == g ** 4
+
+
 def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
     """Twelve expected counts: from ``counts_core`` at a random channel, or,
     to reach every clamp of the chain, drawn independently."""
