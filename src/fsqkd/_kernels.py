@@ -1,14 +1,15 @@
 """Scalar numeric kernels for the decoy-state finite-key chain.
 
-Everything here is straight-line float64 math on Python floats; the
-worst-case grid in :mod:`fsqkd.uncertainty` calls ``counts_core`` itself
-and mirrors only ``bounds_ell_core`` over NumPy arrays, expression for
-expression.  The kernels are generalized to
-per-signal-state pulse intensities: each basis uses the mean of its two
-signal states' detection/error statistics, while the decoy estimation
-step uses the (possibly different) intensity pair assumed by the
-receiver.  With all intensities equal this reduces exactly to the plain
-three-intensity protocol chain.
+Everything here is straight-line float64 math on Python floats.  Both
+bases run the same decoy analysis, so ``counts_core`` and
+``bounds_ell_core`` call ``basis_counts_core`` and ``basis_bounds_core``
+once per basis; the worst-case grid in :mod:`fsqkd.uncertainty` calls
+``counts_core`` itself and mirrors ``bounds_ell_core`` over NumPy arrays
+function for function.  Each basis uses the mean of its two signal
+states' detection/error statistics, while the decoy estimation step uses
+the (possibly different) intensity pair assumed by the receiver.  With
+all intensities equal this reduces exactly to the plain three-intensity
+protocol chain.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -80,6 +81,35 @@ def fluct_gamma(a, b, c, d):
     return math.sqrt(v)
 
 
+def basis_counts_core(sift, mu1_a, mu2_a, mu1_b, mu2_b, d3, e3, p1, p2, p3,
+                      p_d, p_ec, qber_i, p_ap):
+    """Expected sifted (n1, n2, n3, m1, m2, m3) of one basis.
+
+    ``sift`` is the basis' sift factor times the pulse count; the two
+    signal states' intensity pairs enter through the mean of their
+    statistics (bit values are uniform); ``d3``, ``e3`` are the third
+    intensity's, which both bases share.
+    """
+    d1a, e1a = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
+    d1b, e1b = detection_error_prob(mu1_b, p_d, p_ec, p_ap, qber_i)
+    d2a, e2a = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
+    d2b, e2b = detection_error_prob(mu2_b, p_d, p_ec, p_ap, qber_i)
+    d1 = 0.5 * (d1a + d1b)
+    d2 = 0.5 * (d2a + d2b)
+    e1 = 0.5 * (e1a + e1b)
+    e2 = 0.5 * (e2a + e2b)
+    n1 = sift * p1 * d1
+    n2 = sift * p2 * d2
+    n3 = sift * p3 * d3
+    sum_pd = p1 * d1 + p2 * d2 + p3 * d3
+    sum_pe = p1 * e1 + p2 * e2 + p3 * e3
+    if not sum_pd > 0.0:
+        return n1, n2, n3, 0.0, 0.0, 0.0
+    m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
+    return (n1, n2, n3,
+            m_tot * p1 * d1 / sum_pd, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
+
+
 def counts_core(pax, pbx,
                 mu1_h, mu2_h, mu1_v, mu2_v,
                 mu1_d, mu2_d, mu1_a, mu2_a,
@@ -87,63 +117,17 @@ def counts_core(pax, pbx,
                 p_d, p_ec, qber_i, p_ap, n_pulses):
     """Expected sifted detection and error counts per basis and intensity.
 
+    The X basis is sent in the H and V states, the Z basis in D and A.
     Returns (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
              m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
     """
-    # per-basis detection / error statistics, averaged over the two signal
-    # states of that basis (bit values are chosen uniformly)
-    d1h, e1h = detection_error_prob(mu1_h, p_d, p_ec, p_ap, qber_i)
-    d1v, e1v = detection_error_prob(mu1_v, p_d, p_ec, p_ap, qber_i)
-    d2h, e2h = detection_error_prob(mu2_h, p_d, p_ec, p_ap, qber_i)
-    d2v, e2v = detection_error_prob(mu2_v, p_d, p_ec, p_ap, qber_i)
-    d1d, e1d = detection_error_prob(mu1_d, p_d, p_ec, p_ap, qber_i)
-    d1a, e1a = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
-    d2d, e2d = detection_error_prob(mu2_d, p_d, p_ec, p_ap, qber_i)
-    d2a, e2a = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
     d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
-    dx1 = 0.5 * (d1h + d1v)
-    dx2 = 0.5 * (d2h + d2v)
-    dz1 = 0.5 * (d1d + d1a)
-    dz2 = 0.5 * (d2d + d2a)
-    ex1 = 0.5 * (e1h + e1v)
-    ex2 = 0.5 * (e2h + e2v)
-    ez1 = 0.5 * (e1d + e1a)
-    ez2 = 0.5 * (e2d + e2a)
-
-    sift_x = pax * pbx * n_pulses
-    sift_z = (1.0 - pax) * (1.0 - pbx) * n_pulses
-
-    n_x1 = sift_x * p1 * dx1
-    n_x2 = sift_x * p2 * dx2
-    n_x3 = sift_x * p3 * d3
-    n_z1 = sift_z * p1 * dz1
-    n_z2 = sift_z * p2 * dz2
-    n_z3 = sift_z * p3 * d3
-
-    sum_pd_x = p1 * dx1 + p2 * dx2 + p3 * d3
-    sum_pe_x = p1 * ex1 + p2 * ex2 + p3 * e3
-    sum_pd_z = p1 * dz1 + p2 * dz2 + p3 * d3
-    sum_pe_z = p1 * ez1 + p2 * ez2 + p3 * e3
-
-    if sum_pd_x > 0.0:
-        m_x_tot = (n_x1 + n_x2 + n_x3) * sum_pe_x / sum_pd_x
-        m_x1 = m_x_tot * p1 * dx1 / sum_pd_x
-        m_x2 = m_x_tot * p2 * dx2 / sum_pd_x
-        m_x3 = m_x_tot * p3 * d3 / sum_pd_x
-    else:
-        m_x1 = 0.0
-        m_x2 = 0.0
-        m_x3 = 0.0
-    if sum_pd_z > 0.0:
-        m_z_tot = (n_z1 + n_z2 + n_z3) * sum_pe_z / sum_pd_z
-        m_z1 = m_z_tot * p1 * dz1 / sum_pd_z
-        m_z2 = m_z_tot * p2 * dz2 / sum_pd_z
-        m_z3 = m_z_tot * p3 * d3 / sum_pd_z
-    else:
-        m_z1 = 0.0
-        m_z2 = 0.0
-        m_z3 = 0.0
-
+    n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
+        pax * pbx * n_pulses, mu1_h, mu2_h, mu1_v, mu2_v, d3, e3,
+        p1, p2, p3, p_d, p_ec, qber_i, p_ap)
+    n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = basis_counts_core(
+        (1.0 - pax) * (1.0 - pbx) * n_pulses, mu1_d, mu2_d, mu1_a, mu2_a, d3, e3,
+        p1, p2, p3, p_d, p_ec, qber_i, p_ap)
     return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
             m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
 
@@ -194,6 +178,15 @@ def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total
     if s1 > cap:
         s1 = cap
     return s1
+
+
+def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, p1, p2, p3, beta, tau0, tau1):
+    """Vacuum and single-photon lower bounds (s0, s1) of one basis from its
+    counts ``c1..c3``, their sum ``total`` and the ``poisson_tau`` values."""
+    lo1, lo2, lo3, hi1, hi2, hi3 = scaled_bounds_core(
+        c1, c2, c3, mu1, mu2, mu3, p1, p2, p3, beta)
+    s0 = vacuum_bound_core(lo3, hi2, tau0, mu2, mu3, total)
+    return s0, single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total)
 
 
 def ec_leakage_core(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
@@ -251,22 +244,15 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
         return (0.0, -const, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
                 REASON_ZERO_COUNTS)
 
-    nx_lo1, nx_lo2, nx_lo3, nx_hi1, nx_hi2, nx_hi3 = scaled_bounds_core(
-        n_x1, n_x2, n_x3, mu1, mu2, mu3, p1, p2, p3, beta)
-    nz_lo1, nz_lo2, nz_lo3, nz_hi1, nz_hi2, nz_hi3 = scaled_bounds_core(
-        n_z1, n_z2, n_z3, mu1, mu2, mu3, p1, p2, p3, beta)
-    mz_lo1, mz_lo2, mz_lo3, mz_hi1, mz_hi2, mz_hi3 = scaled_bounds_core(
-        m_z1, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
-
     tau0 = poisson_tau(0, mu1, mu2, mu3, p1, p2, p3)
     tau1 = poisson_tau(1, mu1, mu2, mu3, p1, p2, p3)
 
-    s_x0 = vacuum_bound_core(nx_lo3, nx_hi2, tau0, mu2, mu3, n_x)
-    s_z0 = vacuum_bound_core(nz_lo3, nz_hi2, tau0, mu2, mu3, n_z)
-    s_x1 = single_photon_bound_core(nx_lo2, nx_hi3, nx_hi1, s_x0,
-                                    tau0, tau1, mu1, mu2, mu3, n_x)
-    s_z1 = single_photon_bound_core(nz_lo2, nz_hi3, nz_hi1, s_z0,
-                                    tau0, tau1, mu1, mu2, mu3, n_z)
+    s_x0, s_x1 = basis_bounds_core(n_x1, n_x2, n_x3, n_x, mu1, mu2, mu3,
+                                   p1, p2, p3, beta, tau0, tau1)
+    s_z0, s_z1 = basis_bounds_core(n_z1, n_z2, n_z3, n_z, mu1, mu2, mu3,
+                                   p1, p2, p3, beta, tau0, tau1)
+    mz_lo1, mz_lo2, mz_lo3, mz_hi1, mz_hi2, mz_hi3 = scaled_bounds_core(
+        m_z1, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
 
     v_z1 = tau1 * (mz_hi2 - mz_lo3) / (mu2 - mu3)
     if v_z1 < 0.0:

@@ -11,6 +11,7 @@ accumulated over one or more time slots of constant channel conditions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +24,7 @@ class ParameterError(ValueError):
 
 #: The input domain, each range stated once: name -> interval.
 #: Every comparison with NaN is false, so NaN fails every range, and an
-#: open ``inf`` end rejects the infinities.
+#: open ``inf`` end rejects the infinities; ``check_integer`` checks the integer ones.
 DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "eta_loss_db": ("[", 0.0, math.inf, ")"),
     "p_ec": ("[", 0.0, 0.5, ")"),
@@ -41,6 +42,8 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "f": ("[", 0.0, 0.5, ")"),
     "non-negative": ("[", 0.0, math.inf, ")"),
     "positive": ("(", 0.0, math.inf, ")"),
+    "integer": ("(", -math.inf, math.inf, ")"),
+    "non-negative integer": ("[", 0, math.inf, ")"),
     "positive integer": ("[", 1, math.inf, ")"),
 }
 
@@ -53,6 +56,14 @@ def check_range(name: str, value: float, domain: str | None = None) -> None:
     below = value <= hi if right == "]" else value < hi
     if not (above and below):
         raise ParameterError(f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {value}")
+
+
+def check_integer(name: str, value: int, domain: str) -> None:
+    """``check_range`` for an integer ``domain``; a bool or any value that is
+    not a ``numbers.Integral`` fails too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    check_range(name, value, domain)
 
 
 def check_intensities(mu: tuple[float, float, float]) -> None:

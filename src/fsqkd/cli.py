@@ -73,17 +73,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-# name, the output formats it can write, help text
-_SUBCOMMANDS = (
-    ("keylength", ("json", "csv"), "key length for fixed protocol parameters"),
-    ("optimize", ("json",), "maximize the key length over free protocol parameters"),
-    ("sweep", ("json", "csv"), "key length over a grid of channel conditions"),
-    ("budget", ("json", "csv"), "largest loss meeting a key-length target"),
-    ("worstcase", ("json",), "minimum key length under intensity uncertainty"),
-    ("sift-equiv", ("json",), "symmetric basis bias equivalent to an asymmetric pair"),
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsqkd",
@@ -96,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, formats, help_text in _SUBCOMMANDS:
+    for name, (_, formats, help_text) in _SUBCOMMANDS.items():
         commands[name] = sub.add_parser(name, parents=[common], help=help_text)
         commands[name].add_argument("--format", choices=formats, default=None)
     commands["sift-equiv"].add_argument("--pax", type=float, default=None)
@@ -120,7 +109,7 @@ def _cmd_keylength(cfg: RunConfig, args) -> str:
 def _cmd_optimize(cfg: RunConfig, args) -> str:
     channel = cfg.channel()
     sec = cfg.security()
-    spec = cfg.opt_spec(seed_override=args.seed)
+    spec = cfg.opt_spec()
     res = optimize(spec, channel, sec)
     obj = _result_obj(res.result, res.best_params)
     obj["evaluations"] = res.evaluations
@@ -132,7 +121,7 @@ def _cmd_optimize(cfg: RunConfig, args) -> str:
 def _cmd_sweep(cfg: RunConfig, args) -> str:
     base = cfg.channel(loss_optional=True)
     sec = cfg.security()
-    spec = cfg.sweep_spec(seed_override=args.seed)
+    spec = cfg.sweep_spec()
     rows = sweep(spec, base, sec)
     if args.format == "json":
         return _dump_json([{**_result_obj(r.result, r.params),
@@ -145,7 +134,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> str:
 
 def _cmd_budget(cfg: RunConfig, args) -> str:
     sec = cfg.security()
-    query = cfg.budget_query(seed_override=args.seed)
+    query = cfg.budget_query()
     res = max_loss(query, sec)
     obj = {"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
            "probes": [[eta, ell] for eta, ell in res.probes]}
@@ -176,13 +165,20 @@ def _cmd_sift_equiv(cfg: RunConfig, args) -> str:
                        "f_symmetric": eq.f_symmetric})
 
 
-_COMMANDS = {
-    "keylength": _cmd_keylength,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "budget": _cmd_budget,
-    "worstcase": _cmd_worstcase,
-    "sift-equiv": _cmd_sift_equiv,
+# name -> handler, the output formats it can write, help text
+_SUBCOMMANDS = {
+    "keylength": (_cmd_keylength, ("json", "csv"),
+                  "key length for fixed protocol parameters"),
+    "optimize": (_cmd_optimize, ("json",),
+                 "maximize the key length over free protocol parameters"),
+    "sweep": (_cmd_sweep, ("json", "csv"),
+              "key length over a grid of channel conditions"),
+    "budget": (_cmd_budget, ("json", "csv"),
+               "largest loss meeting a key-length target"),
+    "worstcase": (_cmd_worstcase, ("json",),
+                  "minimum key length under intensity uncertainty"),
+    "sift-equiv": (_cmd_sift_equiv, ("json",),
+                   "symmetric basis bias equivalent to an asymmetric pair"),
 }
 
 
@@ -190,7 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        text = _COMMANDS[args.command](cfg, args)
+        if args.seed is not None:  # over the file and FSQKD_OPTIMIZE_SEED
+            cfg.values["optimize.seed"] = args.seed
+        text = _SUBCOMMANDS[args.command][0](cfg, args)
     except (ConfigError, ParameterError, FileNotFoundError) as exc:
         print(f"fsqkd: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

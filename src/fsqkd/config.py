@@ -236,7 +236,7 @@ class RunConfig:
             p_mu=(p1, p2, p3),
         )
 
-    def opt_spec(self, seed_override: int | None = None) -> OptimizationSpec:
+    def opt_spec(self) -> OptimizationSpec:
         regime_name = self.require("optimize.regime")
         try:
             regime = Regime(regime_name)
@@ -246,16 +246,12 @@ class RunConfig:
         if regime is Regime.FIXED_PBX_AND_MU:
             mu = (self.require("optimize.mu1"), self.require("optimize.mu2"),
                   self.get("optimize.mu3", OptimizationSpec.mu3))
-        given = self._given({"pbx": "optimize.pbx", "mu3": "optimize.mu3",
-                             "restarts": "optimize.restarts", "seed": "optimize.seed",
-                             "tolerance": "optimize.tolerance",
-                             "max_evals_per_restart": "optimize.max_evals"})
-        if seed_override is not None:
-            given["seed"] = seed_override
-        return OptimizationSpec(regime=regime, mu=mu, **given)
+        return OptimizationSpec(regime=regime, mu=mu, **self._given({
+            "pbx": "optimize.pbx", "mu3": "optimize.mu3", "restarts": "optimize.restarts",
+            "seed": "optimize.seed", "tolerance": "optimize.tolerance",
+            "max_evals_per_restart": "optimize.max_evals"}))
 
-    def _fixed_or_optimize(self, seed_override: int | None
-                           ) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
+    def _fixed_or_optimize(self) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
         """The (params, opt_spec) policy of a sweep or budget.
 
         A complete protocol section fixes the parameters; an
@@ -269,10 +265,10 @@ class RunConfig:
         if use_opt and fixed:
             raise ConfigError("give either a protocol section or an optimize.regime, not both")
         return (self.protocol() if fixed else None,
-                self.opt_spec(seed_override) if use_opt else None)
+                self.opt_spec() if use_opt else None)
 
-    def sweep_spec(self, seed_override: int | None = None) -> SweepSpec:
-        params, opt_spec = self._fixed_or_optimize(seed_override)
+    def sweep_spec(self) -> SweepSpec:
+        params, opt_spec = self._fixed_or_optimize()
         return SweepSpec(
             eta_loss_db=self.require("sweep.eta_loss_db"),
             log10_pec=self.require("sweep.log10_pec"),
@@ -281,8 +277,8 @@ class RunConfig:
             params=params, opt_spec=opt_spec,
         )
 
-    def budget_query(self, seed_override: int | None = None) -> LossBudgetQuery:
-        params, opt_spec = self._fixed_or_optimize(seed_override)
+    def budget_query(self) -> LossBudgetQuery:
+        params, opt_spec = self._fixed_or_optimize()
         return LossBudgetQuery(
             conditions=self.channel(loss_optional=True),
             params=params, opt_spec=opt_spec,

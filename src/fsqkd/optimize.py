@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
-                      check_intensities, check_range)
+                      check_integer, check_intensities, check_range)
 from .finitekey import KeyLengthResult, SecurityParams, _evaluate_flat, key_length_for_channel
 
 
@@ -72,8 +72,9 @@ class OptimizationSpec:
         elif regime is Regime.FIXED_PBX_AND_MU:
             raise ParameterError("regime fixed_pbx_and_mu requires a fixed intensity triple")
         check_range("mu3", self.mu3, "intensity")
-        check_range("restarts", self.restarts, "positive integer")
-        check_range("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
+        check_integer("restarts", self.restarts, "positive integer")
+        check_integer("seed", self.seed, "integer")
+        check_integer("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
         check_range("tolerance", self.tolerance, "positive")
         plo, phi = self.prob_bounds
         # the stick-breaking transform needs plo < 1 - 2 plo

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .channel import ChannelConditions, ParameterError, ProtocolParams, check_range
+from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
+                      check_range)
 from .finitekey import KeyLengthResult, SecurityParams, key_length_for_channel
 from .optimize import OptimizationSpec, OptimizationResult, optimize
 
@@ -92,7 +93,7 @@ class LossBudgetQuery:
     opt_spec: OptimizationSpec | None = None
 
     def __post_init__(self) -> None:
-        check_range("target_bits", self.target_bits, "non-negative")
+        check_integer("target_bits", self.target_bits, "non-negative integer")
         check_range("eta_min_db", self.eta_min_db, "eta_loss_db")
         check_range("eta_max_db", self.eta_max_db, "eta_loss_db")
         if not self.eta_max_db > self.eta_min_db:

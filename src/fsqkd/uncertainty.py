@@ -26,8 +26,10 @@ The grid is evaluated in this order:
 
 Counts and leakage come from the scalar chain itself.  Only the
 estimation chain has an array twin, because only it runs g^10 times; it
-mirrors ``_kernels.bounds_ell_core`` operation for operation, with
-logarithms taken through libm, so each grid point's key length is
+mirrors ``_kernels.bounds_ell_core`` function for function (one
+``_basis_bounds`` per basis for ``basis_bounds_core``, and one array
+function for each scalar step below it) and operation for operation,
+with logarithms taken through libm, so each grid point's key length is
 bit-identical to the scalar chain.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
@@ -44,8 +46,8 @@ import numpy as np
 
 from . import _kernels as k
 from ._kernels import LN2
-from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_intensities,
-                      check_range)
+from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
+                      check_intensities, check_range)
 from .finitekey import SecurityParams, _count_leakage, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
@@ -62,7 +64,7 @@ class IntensityUncertaintyModel:
 
     def __post_init__(self) -> None:
         check_range("f", self.f)
-        check_range("grid_points_per_dim", self.grid_points_per_dim, "positive integer")
+        check_integer("grid_points_per_dim", self.grid_points_per_dim, "positive integer")
         if self.grid_points_per_dim < 2 and self.f > 0.0:
             raise ParameterError("need at least 2 grid points per dimension for f > 0")
 
@@ -93,9 +95,10 @@ def key_length_for_intensities(state_mu: dict[str, float],
                                sec: SecurityParams) -> int:
     """Key length with explicit per-state true and estimator-side intensities.
 
-    ``state_mu`` maps each name in ``GRID_DIMS`` to an intensity value;
-    omitted names default to the nominal values in ``params``.  An
-    estimator pair outside the decoy domain gives 0 key.
+    ``state_mu`` maps each name in ``GRID_DIMS`` to a mean photon number,
+    in the ``non-negative`` domain; omitted names default to the nominal
+    values in ``params``.  An estimator pair outside the decoy domain
+    gives 0 key.
     """
     mu1, mu2, mu3 = params.mu
     vals = {"h_mu1": mu1, "v_mu1": mu1, "d_mu1": mu1, "a_mu1": mu1,
@@ -104,6 +107,7 @@ def key_length_for_intensities(state_mu: dict[str, float],
     for name, v in state_mu.items():
         if name not in vals:
             raise ParameterError(f"unknown intensity dimension {name!r}")
+        check_range(name, v, "non-negative")
         vals[name] = float(v)
     if not _decoy_domain(vals["est_mu1"], vals["est_mu2"], mu3):
         return 0
@@ -195,6 +199,14 @@ def _single_photon_bound(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total):
     return np.where(s1 > cap, cap, s1)
 
 
+def _basis_bounds(c, total, mu, p_mu, beta, tau0, tau1):
+    """``basis_bounds_core`` over arrays: (s0, s1)."""
+    mu1, mu2, mu3 = mu
+    lo, hi = _scaled_bounds(c, mu, p_mu, beta)
+    s0 = _vacuum_bound(lo[2], hi[1], tau0, mu2, mu3, total)
+    return s0, _single_photon_bound(lo[1], hi[2], hi[0], s0, tau0, tau1, mu1, mu2, mu3, total)
+
+
 def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
     """``_kernels.bounds_ell_core`` over broadcasting count arrays.
 
@@ -215,19 +227,13 @@ def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
     with np.errstate(divide="ignore", invalid="ignore"):
         n_x_tot = n_x[0] + n_x[1] + n_x[2]
         n_z_tot = n_z[0] + n_z[1] + n_z[2]
-        nx_lo, nx_hi = _scaled_bounds(n_x, mu, p_mu, beta)
-        nz_lo, nz_hi = _scaled_bounds(n_z, mu, p_mu, beta)
-        mz_lo, mz_hi = _scaled_bounds(m_z, mu, p_mu, beta)
 
         tau0 = k.poisson_tau(0, mu1, mu2, mu3, p1, p2, p3)
         tau1 = k.poisson_tau(1, mu1, mu2, mu3, p1, p2, p3)
 
-        s_x0 = _vacuum_bound(nx_lo[2], nx_hi[1], tau0, mu2, mu3, n_x_tot)
-        s_z0 = _vacuum_bound(nz_lo[2], nz_hi[1], tau0, mu2, mu3, n_z_tot)
-        s_x1 = _single_photon_bound(nx_lo[1], nx_hi[2], nx_hi[0], s_x0,
-                                    tau0, tau1, mu1, mu2, mu3, n_x_tot)
-        s_z1 = _single_photon_bound(nz_lo[1], nz_hi[2], nz_hi[0], s_z0,
-                                    tau0, tau1, mu1, mu2, mu3, n_z_tot)
+        s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, p_mu, beta, tau0, tau1)
+        _, s_z1 = _basis_bounds(n_z, n_z_tot, mu, p_mu, beta, tau0, tau1)
+        mz_lo, mz_hi = _scaled_bounds(m_z, mu, p_mu, beta)
 
         v_z1 = tau1 * (mz_hi[1] - mz_lo[2]) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)

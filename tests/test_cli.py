@@ -389,3 +389,35 @@ class TestOptimizeCommand:
         assert out1 == out2
         _, out3, _ = run_cli(capsys, ["optimize", "--config", str(path), "--seed", "43"])
         assert json.loads(out3)["seed"] == 43
+
+    @pytest.mark.parametrize("command", [["budget"], ["sweep", "--format", "csv"]])
+    def test_seed_flag_equals_config_seed(self, capsys, tmp_path, monkeypatch, command):
+        # --seed takes the place of optimize.seed from the file and from
+        # FSQKD_OPTIMIZE_SEED, in every command that optimizes
+        base = ("channel.p_ec = 1e-5\n"
+                "channel.qber_i = 0.01\n"
+                "channel.integration_time_s = 60.0\n"
+                "optimize.regime = fixed_pbx_and_mu\n"
+                "optimize.pbx = 0.5\n"
+                "optimize.mu1 = 0.5\n"
+                "optimize.mu2 = 0.1\n"
+                "optimize.mu3 = 0.0\n"
+                "optimize.restarts = 1\n"
+                "optimize.max_evals = 40\n"
+                "sweep.eta_loss_db = 20, 30\n"
+                "sweep.log10_pec = -5\n"
+                "sweep.qber_i = 0.01\n"
+                "sweep.tau_s = 60\n"
+                "budget.eta_min_db = 20\n"
+                "budget.eta_max_db = 40\n"
+                "budget.resolution_db = 5\n")
+        flagged = tmp_path / "flagged.cfg"
+        flagged.write_text(base + "optimize.seed = 1\n")
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(base + "optimize.seed = 7\n")
+        monkeypatch.setenv("FSQKD_OPTIMIZE_SEED", "3")
+        _, by_flag, _ = run_cli(capsys, [*command, "--config", str(flagged), "--seed", "7"])
+        monkeypatch.delenv("FSQKD_OPTIMIZE_SEED")
+        _, by_config, _ = run_cli(capsys, [*command, "--config", str(seeded)])
+        _, unflagged, _ = run_cli(capsys, [*command, "--config", str(flagged)])
+        assert by_flag == by_config != unflagged

@@ -8,6 +8,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
@@ -125,6 +126,11 @@ class TestIntensityDomain:
     dict(mu3=0.49),
     dict(pbx=1.0),
     dict(mu=(0.4, 0.3, 0.15)),
+    dict(restarts=2.5),
+    dict(restarts=True),
+    dict(max_evals_per_restart=50.5),
+    dict(seed=1.5),
+    dict(seed=False),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_optimization_spec_domain(kwargs):
     # values just inside each edge are accepted
@@ -132,6 +138,20 @@ def test_optimization_spec_domain(kwargs):
                      prob_bounds=(0.33, 0.34), intensity_bounds=(1e-9, 2.0))
     with pytest.raises(ParameterError):
         OptimizationSpec(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: IntensityUncertaintyModel(f=0.1, nominal=PARAMS, grid_points_per_dim=v),
+    lambda v: LossBudgetQuery(conditions=CHANNEL, params=PARAMS, target_bits=v),
+    lambda v: OptimizationSpec(seed=v),
+], ids=["grid_points_per_dim", "target_bits", "seed"])
+def test_integer_settings_take_integers_only(build):
+    # a whole float or a bool is not an integer setting; a NumPy integer is
+    build(3)
+    build(np.int64(3))
+    for value in (2.5, 3.0, True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            build(value)
 
 
 def test_optimization_spec_needs_a_feasible_start():

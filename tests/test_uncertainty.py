@@ -11,7 +11,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
 from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
 from fsqkd.channel import check_intensities
-from fsqkd.uncertainty import (GRID_DIMS, _binary_entropy, _fluct_gamma,
+from fsqkd.uncertainty import (GRID_DIMS, _basis_bounds, _binary_entropy, _fluct_gamma,
                                bounds_ell_array, grid_key_lengths)
 
 # fixed-hardware point with a comfortable key margin
@@ -118,6 +118,14 @@ class TestWorstCase:
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ParameterError):
             key_length_for_intensities({"q_mu1": 0.5}, PARAMS, CHANNEL, SEC)
+
+    @pytest.mark.parametrize("value", [np.nan, -0.3, np.inf])
+    @pytest.mark.parametrize("name", ["h_mu1", "a_mu2", "est_mu1"])
+    def test_intensity_outside_domain_rejected(self, name, value):
+        # a negative true intensity gave 124,747 bits and NaN a ValueError
+        # inside the chain
+        with pytest.raises(ParameterError, match=f"{name} must be in"):
+            key_length_for_intensities({name: value}, PARAMS, CHANNEL, SEC)
 
     def test_rate_factor_leakage_mode(self):
         model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS)
@@ -272,7 +280,8 @@ def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
 @pytest.mark.parametrize("consistent", [True, False])
 def test_bounds_ell_array_matches_scalar_kernel(consistent):
     """Every element of the array chain equals ``bounds_ell_core``, including
-    the unfloored key expression."""
+    the unfloored key expression, and each basis' bounds equal
+    ``basis_bounds_core``, also where the key expression hides them."""
     rng = np.random.default_rng(20240817)
     for _ in range(8):
         mu1 = rng.uniform(0.3, 0.9)
@@ -301,6 +310,14 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
         want = np.array(want).T
         assert np.array_equal(ell, want[0])
         assert np.array_equal(raw, want[1])
+
+        taus = [k.poisson_tau(n, *est, p1, p2, p3) for n in (0, 1)]
+        for basis in (cols[0:3], cols[3:6]):
+            total = basis[0] + basis[1] + basis[2]
+            got = _basis_bounds(basis, total, est, (p1, p2, p3), SEC.beta, *taus)
+            scalar = [k.basis_bounds_core(*c, t, *est, p1, p2, p3, SEC.beta, *taus)
+                      for c, t in zip(basis.T, total)]
+            assert np.array_equal(np.array(got), np.array(scalar).T)
 
 
 def test_array_logarithmic_terms_match_scalar_kernels():
