@@ -52,8 +52,11 @@ def check_range(name: str, value: float, domain: str | None = None) -> None:
     """Raise ParameterError unless ``value`` lies in the range of ``domain``
     (default: the range named ``name``) in :data:`DOMAIN`."""
     left, lo, hi, right = DOMAIN[name if domain is None else domain]
-    above = lo <= value if left == "[" else lo < value
-    below = value <= hi if right == "]" else value < hi
+    try:
+        above = lo <= value if left == "[" else lo < value
+        below = value <= hi if right == "]" else value < hi
+    except TypeError:  # not a number
+        above = below = False
     if not (above and below):
         raise ParameterError(f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {value}")
 

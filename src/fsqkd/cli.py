@@ -187,6 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.load(args.config)
         if args.seed is not None:  # over the file and FSQKD_OPTIMIZE_SEED
+            if not (args.command == "optimize" or (
+                    args.command in ("sweep", "budget") and cfg.has("optimize.regime"))):
+                raise ConfigError(
+                    f"--seed seeds the optimizer, which {args.command} does not run here; "
+                    "use it with optimize, or with sweep or budget and an optimize.regime")
             cfg.values["optimize.seed"] = args.seed
         text = _SUBCOMMANDS[args.command][0](cfg, args)
     except (ConfigError, ParameterError, FileNotFoundError) as exc:

@@ -10,12 +10,15 @@ at production time:
 * ``fixed_pbx_and_mu`` -- receiver bias and intensities fixed, only the
                           transmitter-side probabilities free.
 
-The search runs a bounded Nelder-Mead simplex on smooth reparameterized
-coordinates (logistic transforms for probabilities, an ordered ratio for
-the intensity pair), multi-started from a deterministic Halton sequence.
-The objective is the unfloored key expression, which keeps slope
-information on the zero-key plateau; reported key lengths are the floored
-values.
+The search runs a Nelder-Mead simplex (``minimize``, on Python floats) on
+smooth reparameterized coordinates (logistic transforms for probabilities,
+an ordered ratio for the intensity pair), multi-started from a
+deterministic Halton sequence.  The objective is the unfloored key
+expression.  Where the key expression is negative
+(``negative-key-expression``) it keeps the slope towards positive key;
+where a single-photon bound clamps to 0 (``no-single-photon-bound``) the
+single-photon terms drop out and the search can stall on a flat plateau.
+Reported key lengths are the floored values.
 """
 from __future__ import annotations
 
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
                       check_integer, check_intensities, check_range)
@@ -77,12 +78,17 @@ class OptimizationSpec:
         check_integer("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
         check_range("tolerance", self.tolerance, "positive")
         plo, phi = self.prob_bounds
-        # the stick-breaking transform needs plo < 1 - 2 plo
-        if not (0.0 < plo < phi < 1.0 and plo < 1.0 / 3.0):
+        mlo, mhi = self.intensity_bounds
+        try:
+            # the stick-breaking transform needs plo < 1 - 2 plo
+            prob_ok = 0.0 < plo < phi < 1.0 and plo < 1.0 / 3.0
+            mu_ok = 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
+        except TypeError:  # not numbers
+            prob_ok = mu_ok = False
+        if not prob_ok:
             raise ParameterError(
                 f"prob_bounds must satisfy 0 < lo < hi < 1 and lo < 1/3, got {self.prob_bounds}")
-        mlo, mhi = self.intensity_bounds
-        if not 0.0 < mlo < mhi <= DOMAIN["intensity"][2]:
+        if not mu_ok:
             raise ParameterError(
                 f"intensity_bounds must satisfy 0 < lo < hi <= {DOMAIN['intensity'][2]:g}, "
                 f"got {self.intensity_bounds}")
@@ -142,16 +148,11 @@ def _halton(index: int, base: int) -> float:
 _HALTON_BASES = (2, 3, 5, 7, 11)
 
 
-def _start_points(spec: OptimizationSpec) -> np.ndarray:
+def _start_points(spec: OptimizationSpec) -> list[list[float]]:
     """Deterministic low-discrepancy start points in transformed coordinates."""
-    dim = spec.ndim
     offset = 17 + (spec.seed % (1 << 20)) * spec.restarts
-    pts = np.empty((spec.restarts, dim))
-    for r in range(spec.restarts):
-        for d in range(dim):
-            u = _halton(offset + r + 1, _HALTON_BASES[d])
-            pts[r, d] = -4.0 + 8.0 * u
-    return pts
+    return [[-4.0 + 8.0 * _halton(offset + r + 1, _HALTON_BASES[d]) for d in range(spec.ndim)]
+            for r in range(spec.restarts)]
 
 
 def _decode(t: Sequence[float], spec: OptimizationSpec):
@@ -180,14 +181,82 @@ def _decode(t: Sequence[float], spec: OptimizationSpec):
     return pax, pbx, mu1, mu2, mu3, p1, p2, p3
 
 
-def minimize(fun, x0, **options):
-    """``scipy.optimize.minimize``, imported on first use.
+class _CallLimit(Exception):
+    """``maxfev`` calls made: the step in progress stops where it is."""
 
-    ``scipy.optimize`` takes a large share of ``import fsqkd``, and only the
-    optimizer needs it.
+
+def minimize(fun, x0: Sequence[float], xatol: float,
+             maxfev: int) -> tuple[list[float], float, int]:
+    """Nelder-Mead minimum of ``fun`` from ``x0``: (best vertex, its value, calls).
+
+    The method of Nelder & Mead, Comput. J. 7, 308 (1965), with the
+    arithmetic and control flow of scipy's ``_minimize_neldermead``
+    (coefficients 1, 2, 1/2, 1/2; a 5% initial step, 0.00025 on a zero
+    coordinate; the centroid summed vertex by vertex).  It stops when every
+    vertex is within ``xatol`` of the best in every coordinate, or after
+    ``maxfev`` calls of ``fun``, where the step in progress stops at the
+    call it could not make.  Equal values keep vertex order (a stable sort),
+    so the path depends on the arithmetic alone.  ``fun`` must not modify
+    the list it is given.
     """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **options)
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _CallLimit
+        nfev += 1
+        return fun(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _CallLimit:
+        pass
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        best, worst = sim[0], sim[-1]
+        if nfev >= maxfev or all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)):
+            return best, fsim[0], nfev
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        try:
+            xr = [2.0 * a - b for a, b in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+        except _CallLimit:
+            pass
 
 
 def optimize(spec: OptimizationSpec, channel: ChannelConditions,
@@ -202,7 +271,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     n_pulses = channel.n_pulses
     n_evals = 0
 
-    def neg_raw(t: np.ndarray) -> float:
+    def neg_raw(t: list[float]) -> float:
         nonlocal n_evals
         dec = _decode(t, spec)
         if dec is None:
@@ -218,17 +287,12 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     best_fun = math.inf
     best_t = None
     for r, t0 in enumerate(_start_points(spec)):
-        res = minimize(neg_raw, t0, method="Nelder-Mead",
-                       options={"xatol": spec.tolerance, "fatol": math.inf,
-                                "maxfev": spec.max_evals_per_restart,
-                                "initial_simplex": None})
-        cand_t = np.asarray(res.x, dtype=float)
-        cand_fun = float(res.fun)
-        trace.append({"restart": r, "start": tuple(float(v) for v in t0),
-                      "raw": -cand_fun, "nfev": int(res.nfev)})
+        cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
+                                          spec.max_evals_per_restart)
+        trace.append({"restart": r, "start": tuple(t0), "raw": -cand_fun, "nfev": nfev})
         better = cand_fun < best_fun
         if not better and cand_fun == best_fun and best_t is not None:
-            better = tuple(cand_t) < tuple(best_t)  # deterministic tie-break
+            better = cand_t < best_t  # deterministic tie-break
         if better:
             best_fun = cand_fun
             best_t = cand_t

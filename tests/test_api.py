@@ -75,13 +75,28 @@ def test_readme_lists_the_public_api():
     assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(PUBLIC)
 
 
-def test_import_defers_scipy_optimize():
-    # only the optimizer needs scipy.optimize; its minimize stays a module
+def test_scipy_optimize_never_imported(tmp_path):
+    # the optimizer is fsqkd's own simplex; its minimize stays a module
     # attribute so that it can be wrapped
+    config = tmp_path / "opt.cfg"
+    config.write_text("channel.eta_loss_db = 25.0\n"
+                      "channel.p_ec = 1e-5\n"
+                      "channel.qber_i = 0.01\n"
+                      "channel.integration_time_s = 60.0\n"
+                      "optimize.regime = fixed_pbx\n"
+                      "optimize.pbx = 0.5\n"
+                      "optimize.restarts = 1\n"
+                      "optimize.max_evals = 60\n")
     src = str(Path(fsqkd.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, fsqkd\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+    code = ("import sys, fsqkd, fsqkd.cli\n"
+            "spec = fsqkd.OptimizationSpec(restarts=1, max_evals_per_restart=60)\n"
+            "channel = fsqkd.ChannelConditions(eta_loss_db=25.0, p_ec=1e-5, qber_i=0.01,\n"
+            "                                  integration_time_s=60.0)\n"
+            "fsqkd.optimize(spec, channel, fsqkd.SecurityParams())\n"
+            "assert 'scipy.optimize' not in sys.modules, 'imported by fsqkd.optimize'\n"
+            f"assert fsqkd.cli.main(['optimize', '--config', {str(config)!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'imported by the optimize command'\n"
             "assert callable(sys.modules['fsqkd.optimize'].minimize)\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)

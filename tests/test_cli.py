@@ -421,3 +421,24 @@ class TestOptimizeCommand:
         _, by_config, _ = run_cli(capsys, [*command, "--config", str(seeded)])
         _, unflagged, _ = run_cli(capsys, [*command, "--config", str(flagged)])
         assert by_flag == by_config != unflagged
+
+    @pytest.mark.parametrize("command", [["keylength"], ["worstcase"], ["sift-equiv"],
+                                         ["sweep", "--format", "csv"], ["budget"]])
+    def test_seed_flag_rejected_where_nothing_optimizes(self, capsys, tmp_path, command):
+        # with fixed protocol parameters no command runs the optimizer, so a
+        # seed would be ignored
+        path = tmp_path / "fixed.cfg"
+        path.write_text(BASE_CONFIG + "sweep.eta_loss_db = 20, 30\n"
+                        "sweep.log10_pec = -6\n"
+                        "sweep.qber_i = 0.01\n"
+                        "sweep.tau_s = 60\n"
+                        "budget.eta_min_db = 20\n"
+                        "budget.eta_max_db = 40\n"
+                        "budget.resolution_db = 5\n"
+                        "worstcase.f = 0.1\n")
+        code, _, _ = run_cli(capsys, [*command, "--config", str(path)])
+        assert code == 0
+        code, out, err = run_cli(capsys, [*command, "--config", str(path), "--seed", "7"])
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err

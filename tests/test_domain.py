@@ -13,7 +13,8 @@ import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
                    OptimizationSpec, ParameterError, ProtocolParams, Regime,
-                   SecurityParams, expected_block_counts, key_length_for_channel)
+                   SecurityParams, expected_block_counts, key_length_for_channel,
+                   key_length_for_intensities)
 from fsqkd.channel import DOMAIN
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
@@ -75,6 +76,21 @@ def test_non_finite_rejected(field, value):
     FLOAT_FIELDS[field](_BASE_VALUES[field])  # the finite base value is accepted
     with pytest.raises(ParameterError):
         FLOAT_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field,value", [
+    (f, v) for f in sorted(FLOAT_FIELDS) for v in ("30", None)
+    if (f, v) != ("SecurityParams.beta", None)  # None is beta's default
+])
+def test_non_number_rejected(field, value):
+    # a comparison that raises TypeError counts as out of range
+    with pytest.raises(ParameterError):
+        FLOAT_FIELDS[field](value)
+
+
+def test_non_number_intensity_rejected():
+    with pytest.raises(ParameterError, match="h_mu1 must be in"):
+        key_length_for_intensities({"h_mu1": "0.3"}, PARAMS, CHANNEL, SEC)
 
 
 class TestIntensityDomain:

@@ -1,0 +1,68 @@
+"""Model-level properties of the key length for fixed protocol parameters,
+in both leakage modes: more loss, background or intrinsic error never adds
+key, a longer window never removes it, and the vacuum and single-photon
+bounds of a basis never exceed its count."""
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fsqkd import (ChannelConditions, ParameterError, ProtocolParams, SecurityParams,
+                   expected_block_counts, key_length_for_channel)
+
+EXAMPLES = 40
+MODES = [SecurityParams(ec_method="binomial"), SecurityParams(ec_method="rate-factor")]
+
+
+@st.composite
+def protocols(draw):
+    mu1 = draw(st.floats(0.1, 1.0))
+    mu2 = mu1 * draw(st.floats(0.05, 0.6))
+    mu3 = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    p1 = draw(st.floats(0.2, 0.9))
+    p2 = (1.0 - p1) * draw(st.floats(0.1, 0.9))
+    try:
+        return ProtocolParams(pax=draw(st.floats(0.05, 0.95)), pbx=draw(st.floats(0.05, 0.95)),
+                              mu=(mu1, mu2, mu3), p_mu=(p1, p2, 1.0 - p1 - p2))
+    except ParameterError:
+        assume(False)
+
+
+# channel field -> (its value at u in [0, 1], whether ell may rise with it)
+AXES = {
+    "eta_loss_db": (lambda u: 50.0 * u, False),
+    "p_ec": (lambda u: 10.0 ** (-8.0 + 5.0 * u), False),
+    "qber_i": (lambda u: 0.05 * u, False),
+    "integration_time_s": (lambda u: 1.0 + 3599.0 * u, True),
+}
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def channels(draw):
+    return {axis: value(draw(UNIT)) for axis, (value, _) in AXES.items()}
+
+
+@pytest.mark.parametrize("sec", MODES, ids=["binomial", "rate-factor"])
+@pytest.mark.parametrize("axis", sorted(AXES))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(params=protocols(), base=channels(), u=UNIT)
+def test_key_length_is_monotone(axis, sec, params, base, u):
+    value, rises = AXES[axis]
+    small, large = sorted((base[axis], value(u)))
+    ell_small = key_length_for_channel(params, ChannelConditions(**{**base, axis: small}), sec).ell
+    ell_large = key_length_for_channel(params, ChannelConditions(**{**base, axis: large}), sec).ell
+    if rises:
+        assert ell_large >= ell_small
+    else:
+        assert ell_large <= ell_small
+
+
+@pytest.mark.parametrize("sec", MODES, ids=["binomial", "rate-factor"])
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(params=protocols(), base=channels())
+def test_bounds_within_basis_count(sec, params, base):
+    channel = ChannelConditions(**base)
+    result = key_length_for_channel(params, channel, sec)
+    counts = expected_block_counts(params, channel)
+    assert result.s_x0 + result.s_x1 <= counts.n_x_total
+    assert result.s_z0 + result.s_z1 <= counts.n_z_total

@@ -1,11 +1,17 @@
-"""Parameter optimization: feasibility, determinism, regime nesting."""
+"""Parameter optimization: feasibility, determinism, regime nesting, and
+the Nelder-Mead driver against scipy's."""
+import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fsqkd import (ChannelConditions, OptimizationSpec, ParameterError,
                    ProtocolParams, Regime, SecurityParams,
                    key_length_for_channel, optimize)
+
+fsqkd_optimize = sys.modules["fsqkd.optimize"]  # the package attribute is the function
 
 CHANNEL = ChannelConditions(eta_loss_db=25.0, p_ec=1e-5, qber_i=0.01,
                             integration_time_s=60.0)
@@ -127,3 +133,75 @@ class TestOptimize:
         res = optimize(spec, CHANNEL, SEC)
         assert len(res.restart_trace) == 3
         assert res.evaluations >= sum(t["nfev"] for t in res.restart_trace)
+
+
+def rosenbrock(x):
+    return sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2
+               for i in range(len(x) - 1))
+
+
+def shifted_quadratic(x):
+    return sum((i + 1) * (v - 0.3 * (i + 1)) ** 2 for i, v in enumerate(x))
+
+
+def wavy(x):
+    # from this start its 5-D search shrinks once, after call 72
+    return sum(v * v + 0.5 * math.sin(7.0 * v + i) for i, v in enumerate(x))
+
+
+def scipy_nelder_mead(fun, x0, xatol, maxfev):
+    from scipy.optimize import minimize as scipy_minimize
+    res = scipy_minimize(fun, np.array(x0, dtype=float), method="Nelder-Mead",
+                         options={"xatol": xatol, "fatol": math.inf, "maxfev": maxfev})
+    return [float(v) for v in res.x], float(res.fun), int(res.nfev)
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("fun, x0, maxfevs", [
+        (rosenbrock, [-1.2, 1.0, 0.5], [*range(1, 60), 150, 2000]),
+        (rosenbrock, [-1.2, 1.0, 0.5, 0.0, 2.0], [*range(1, 60), 400, 2000]),
+        (shifted_quadratic, [0.0, 1.0, -2.0, 0.7], [*range(1, 30), 2000]),
+        (wavy, [1.0, -0.5, 2.0, 0.3, 0.0], [*range(70, 80), 2000]),  # cut inside the shrink
+    ], ids=["rosenbrock-3d", "rosenbrock-5d", "shifted-quadratic-4d", "wavy-5d"])
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-3])
+    def test_bit_identical_to_scipy(self, fun, x0, maxfevs, xatol):
+        # without ties, the point, its value and the call count are scipy's
+        for maxfev in maxfevs:
+            x, f, nfev = fsqkd_optimize.minimize(fun, x0, xatol, maxfev)
+            assert (x, f, nfev) == scipy_nelder_mead(fun, x0, xatol, maxfev), maxfev
+
+    def test_constant_objective_keeps_vertex_order(self):
+        # every step is a reflection, an inside contraction and a shrink
+        # towards the first vertex, which stays first on every run
+        x0 = [0.4, -1.0, 2.0]
+        runs = [fsqkd_optimize.minimize(lambda x: -3.0, x0, 1e-6, 10**6) for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2]
+        x, f, nfev = runs[0]
+        assert (x, f) == (x0, -3.0)
+        assert nfev > 4 and (nfev - 4) % 5 == 0
+        # the call limit stops inside a shrink: 4 start calls, xr, xcc, one vertex
+        assert fsqkd_optimize.minimize(lambda x: -3.0, x0, 1e-6, 7) == (x0, -3.0, 7)
+
+    @pytest.mark.parametrize("fun", [lambda x: -3.0, lambda x: (x[0] - 0.25) ** 2],
+                             ids=["constant", "first-coordinate-only"])
+    def test_ties_follow_a_stable_sort(self, fun, monkeypatch):
+        # with equal values in vertex order, scipy's own control flow gives
+        # the same path; the first-coordinate objective ties every start
+        # vertex but the second
+        import scipy.optimize._optimize as scipy_impl
+
+        class StableNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def argsort(a):
+                return np.argsort(a, kind="stable")
+
+        monkeypatch.setattr(scipy_impl, "np", StableNumpy())
+        x0 = [0.7, 1.5, -0.2, 0.0]
+        for maxfev in (3, 9, 40, 2000):
+            first = fsqkd_optimize.minimize(fun, x0, 1e-5, maxfev)
+            assert first == scipy_nelder_mead(fun, x0, 1e-5, maxfev)
+            assert fsqkd_optimize.minimize(fun, x0, 1e-5, maxfev) == first
+
