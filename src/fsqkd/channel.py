@@ -55,8 +55,9 @@ def check_range(name: str, value: float, domain: str | None = None) -> None:
     try:
         above = lo <= value if left == "[" else lo < value
         below = value <= hi if right == "]" else value < hi
-    except TypeError:  # not a number
+    except TypeError:  # not a number: shown quoted, so '30' does not read as 30
         above = below = False
+        value = repr(value)
     if not (above and below):
         raise ParameterError(f"{name} must be in {left}{lo:g}, {hi:g}{right}, got {value}")
 

@@ -10,7 +10,9 @@ valid answer), 2 configuration or usage error, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,13 +55,18 @@ def _result_obj(result: KeyLengthResult, params: ProtocolParams) -> dict:
     }
 
 
-def _sweep_csv_row(row: SweepRow) -> str:
-    r, p = row.result, row.params
-    cells = [row.eta_loss_db, row.log10_pec, row.qber_i, row.tau_s,
-             r.ell, r.s_x0, r.s_x1, r.phi_x, r.lambda_ec,
-             p.pax, p.pbx, p.mu[0], p.mu[1], p.mu[2],
-             p.p_mu[0], p.p_mu[1], p.p_mu[2]]
-    return ",".join(_num(c) for c in cells)
+def _sweep_csv(axes, rows: list[SweepRow]) -> str:
+    """CSV of ``rows``, row-major over ``axes``, formatting each axis value once
+    and each run of rows sharing one ``ProtocolParams`` (a fixed sweep) once."""
+    points = itertools.product(*([_num(v) for v in axis] for axis in axes))
+    lines, params, param_cells = [SWEEP_HEADER], None, ""
+    for point, row in zip(points, rows):
+        r, p = row.result, row.params
+        if p is not params:
+            params, param_cells = p, ",".join(map(_num, (p.pax, p.pbx, *p.mu, *p.p_mu)))
+        lines.append(",".join((*point, *map(_num, (r.ell, r.s_x0, r.s_x1, r.phi_x, r.lambda_ec)),
+                               param_cells)))
+    return "\n".join(lines)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -99,10 +106,9 @@ def _cmd_keylength(cfg: RunConfig, args) -> str:
     sec = cfg.security()
     result = key_length_for_channel(params, channel, sec)
     if args.format == "csv":
-        import math
-        row = SweepRow(channel.eta_loss_db, math.log10(channel.p_ec) if channel.p_ec > 0 else float("-inf"),
-                       channel.qber_i, channel.integration_time_s, params, result)
-        return SWEEP_HEADER + "\n" + _sweep_csv_row(row)
+        lp = math.log10(channel.p_ec) if channel.p_ec > 0 else float("-inf")
+        point = (channel.eta_loss_db, lp, channel.qber_i, channel.integration_time_s)
+        return _sweep_csv([[v] for v in point], [SweepRow(*point, params, result)])
     return _dump_json(_result_obj(result, params))
 
 
@@ -129,7 +135,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> str:
                             "log10_pec": r.log10_pec,
                             "qber_i": r.qber_i, "tau_s": r.tau_s}
                            for r in rows])
-    return "\n".join([SWEEP_HEADER] + [_sweep_csv_row(r) for r in rows])
+    return _sweep_csv((spec.eta_loss_db, spec.log10_pec, spec.qber_i, spec.tau_s), rows)
 
 
 def _cmd_budget(cfg: RunConfig, args) -> str:

@@ -174,13 +174,14 @@ def secure_key_length(counts: BlockCounts, params: ProtocolParams,
     Every failure mode (no detections, degenerate single-photon estimate,
     negative key expression) maps to ``ell = 0`` with a reason string.
     """
-    out, f_inv = _key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
-                            *params.mu, *params.p_mu, sec)
-    ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason = out
-    return KeyLengthResult(
-        ell=int(ell), raw=raw, s_x0=s_x0, s_x1=s_x1, s_z0=s_z0, s_z1=s_z1,
-        v_z1=v_z1, phi_x=phi_x, lambda_ec=lam, qber_x=qber_x,
-        reason=_REASONS.get(reason), ec_quantile=f_inv)
+    return _record(*_key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
+                               *params.mu, *params.p_mu, sec))
+
+
+def _record(out: tuple, f_inv: float) -> KeyLengthResult:
+    """The record of one ``bounds_ell_core`` tuple and its leakage quantile."""
+    ell, *fields, reason = out
+    return KeyLengthResult(int(ell), *fields, _REASONS.get(reason), f_inv)
 
 
 def key_length_for_channel(params: ProtocolParams,

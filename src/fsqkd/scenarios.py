@@ -6,14 +6,20 @@ basis-bias sifting equivalence identity.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
+from . import _kernels as k
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
                       check_range)
-from .finitekey import KeyLengthResult, SecurityParams, key_length_for_channel
+from .finitekey import (KeyLengthResult, SecurityParams, _count_leakage, _record,
+                        key_length_for_channel)
 from .optimize import OptimizationSpec, OptimizationResult, optimize
+from .uncertainty import bounds_ell_array
 
 
 def _check_one_policy(params: ProtocolParams | None,
@@ -55,6 +61,12 @@ class SweepSpec:
                 raise ParameterError(f"sweep axis log10_pec gives p_ec = 10**{lp}, above 1")
             check_range("p_ec", 10.0 ** lp)
         _check_one_policy(self.params, self.opt_spec)
+        # each point's channel values, under the names ChannelConditions uses
+        for name, axis, domain in (("eta_loss_db", self.eta_loss_db, None),
+                                   ("qber_i", self.qber_i, None),
+                                   ("integration_time_s", self.tau_s, "non-negative")):
+            for v in axis:
+                check_range(name, v, domain)
 
     @property
     def grid(self) -> list[tuple[float, float, float, float]]:
@@ -133,18 +145,37 @@ def _evaluate_point(channel: ChannelConditions, sec: SecurityParams,
     return res.best_params, res.result
 
 
+def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
+                   params: ProtocolParams | None, opt_spec: OptimizationSpec | None
+                   ) -> list[tuple[ProtocolParams, KeyLengthResult]]:
+    """``_evaluate_point`` on the row-major grid over ``axes`` of loss (dB), p_ec,
+    qber_i and window (s), ``base`` giving the rest.  Fixed ``params`` run as one
+    batch: scalar counts and leakage per point, then one ``bounds_ell_array``."""
+    if params is None:
+        return [_evaluate_point(replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
+                                        integration_time_s=tau), sec, None, opt_spec)
+                for eta, p_ec, q, tau in itertools.product(*axes)]
+    # H, V, D and A all send (mu1, mu2); the transmittance is taken once per loss
+    fixed = (params.pax, params.pbx, *params.mu[:2] * 4, params.mu[2], *params.p_mu)
+    points = itertools.product(map(k.db_to_transmittance, axes[0]), *axes[1:])
+    counts = [k.counts_core(*fixed, t, p_ec, q, base.p_ap, base.f_s * tau)
+              for t, p_ec, q, tau in points]
+    leak = [_count_leakage(c, sec) for c in counts]
+    cols = np.array(counts).reshape(-1, 12).T  # (12, 0) for no points
+    out = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], params.mu, params.p_mu,
+                           sec.beta, sec.eps_s, sec.eps_c, np.array([lam for lam, _ in leak]))
+    kernel_tuples = zip(*(field.tolist() for field in out))
+    return [(params, _record(r, f_inv)) for r, (_, f_inv) in zip(kernel_tuples, leak)]
+
+
 def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list[SweepRow]:
     """Evaluate (and optionally re-optimize) the key length on the grid.
 
-    Rows are returned in grid order.
+    Rows are returned in grid order; fixed parameters run as one batch.
     """
-    rows = []
-    for eta, lp, q, tau in spec.grid:
-        cond = replace(base, eta_loss_db=eta, p_ec=10.0 ** lp, qber_i=q,
-                       integration_time_s=tau)
-        params, result = _evaluate_point(cond, sec, spec.params, spec.opt_spec)
-        rows.append(SweepRow(eta, lp, q, tau, params, result))
-    return rows
+    axes = (spec.eta_loss_db, [10.0 ** lp for lp in spec.log10_pec], spec.qber_i, spec.tau_s)
+    return [SweepRow(*point, *evaluated) for point, evaluated in
+            zip(spec.grid, _evaluate_grid(axes, base, sec, spec.params, spec.opt_spec))]
 
 
 def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:
@@ -194,13 +225,11 @@ def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
     if any(b < a for a, b in zip(times, times[1:])):
         raise ParameterError("times must be sorted ascending")
     _check_one_policy(params, opt_spec)
-    out = []
     for tau in times:
-        cond = replace(base, integration_time_s=tau)
-        _, result = _evaluate_point(cond, sec, params, opt_spec)
-        skr = result.ell * 60.0 / tau if tau > 0.0 else 0.0
-        out.append((tau, skr, result.ell))
-    return out
+        check_range("integration_time_s", tau, "non-negative")
+    axes = ((base.eta_loss_db,), (base.p_ec,), (base.qber_i,), times)
+    return [(tau, r.ell * 60.0 / tau if tau > 0.0 else 0.0, r.ell)
+            for tau, (_, r) in zip(times, _evaluate_grid(axes, base, sec, params, opt_spec))]
 
 
 def sifting_equivalence(pax: float, pbx: float) -> SiftingEquivalence:

@@ -19,8 +19,8 @@ The grid is evaluated in this order:
 2. the reconciliation leakage, with its inverse-binomial quantile, from
    ``finitekey._count_leakage`` once per X-basis combination, since it
    depends on the X-basis totals alone;
-3. the estimation chain, ``bounds_ell_array``, once per estimator pair
-   over the g^8 axis, so memory is O(g^8) although all g^10 points are
+3. the estimation chain, ``_ell_chain``, once per estimator pair over
+   the g^8 axis, so memory is O(g^8) although all g^10 points are
    evaluated.  An estimator pair outside the decoy domain of
    ``channel.check_intensities`` counts as zero key at every point.
 
@@ -29,8 +29,9 @@ estimation chain has an array twin, because only it runs g^10 times; it
 mirrors ``_kernels.bounds_ell_core`` function for function (one
 ``_basis_bounds`` per basis for ``basis_bounds_core``, and one array
 function for each scalar step below it) and operation for operation,
-with logarithms taken through libm, so each grid point's key length is
-bit-identical to the scalar chain.
+with logarithms taken through libm, so every element is bit-identical to
+the scalar chain.  Its whole record, ``bounds_ell_array``, also runs
+fixed-parameter sweeps; the grid takes ``ell`` alone, from ``_ell_chain``.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
 pulse are already covered by the extraneous-count probability.
@@ -207,20 +208,8 @@ def _basis_bounds(c, total, mu, p_mu, beta, tau0, tau1):
     return s0, _single_photon_bound(lo[1], hi[2], hi[0], s0, tau0, tau1, mu1, mu2, mu3, total)
 
 
-def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
-    """``_kernels.bounds_ell_core`` over broadcasting count arrays.
-
-    ``n_x``, ``n_z`` and ``m_z`` are per-intensity triples of expected
-    counts (arrays or scalars that broadcast together); ``mu`` and ``p_mu``
-    are the estimator's intensities and their probabilities.  ``lam`` is
-    the reconciliation leakage of the same X-basis counts as
-    ``finitekey._leakage`` returns it; it depends on the X-basis totals only,
-    so callers evaluate it where those are few.  Quantities of one basis
-    stay at that basis' shape until the two meet in the phase-error term.
-
-    Every element equals the scalar kernel's result exactly.  Returns
-    ``(ell, raw)``: the key length and the unfloored key expression.
-    """
+def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
+    """``bounds_ell_array`` up to ``ell``: ``(ell, raw, parts)``; the grid needs no more."""
     mu1, mu2, mu3 = mu
     p1, p2, p3 = p_mu
     const = k.privacy_amplification_bits(eps_s, eps_c)
@@ -232,27 +221,51 @@ def bounds_ell_array(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
         tau1 = k.poisson_tau(1, mu1, mu2, mu3, p1, p2, p3)
 
         s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, p_mu, beta, tau0, tau1)
-        _, s_z1 = _basis_bounds(n_z, n_z_tot, mu, p_mu, beta, tau0, tau1)
+        s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, p_mu, beta, tau0, tau1)
         mz_lo, mz_hi = _scaled_bounds(m_z, mu, p_mu, beta)
 
         v_z1 = tau1 * (mz_hi[1] - mz_lo[2]) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
 
-        ratio, s_z1, s_x1_full = np.broadcast_arrays(v_z1 / s_z1, s_z1, s_x1)
-        no_single_photon = (s_x1_full <= 0.0) | (s_z1 <= 0.0)
+        ratio, s_z1_full, s_x1_full = np.broadcast_arrays(v_z1 / s_z1, s_z1, s_x1)
+        no_single_photon = (s_x1_full <= 0.0) | (s_z1_full <= 0.0)
         # phi_x is capped at 0.5 off the live points
         live = ~(no_single_photon | (ratio >= 0.5))
         b = ratio[live]
-        phi_x = b + _fluct_gamma(eps_s + eps_c, b, s_z1[live], s_x1_full[live])
+        phi_x = b + _fluct_gamma(eps_s + eps_c, b, s_z1_full[live], s_x1_full[live])
+        phi_x = np.where(phi_x > 0.5, 0.5, phi_x)
         h_phi = np.full(ratio.shape, k.binary_entropy(0.5))
-        h_phi[live] = _binary_entropy(np.where(phi_x > 0.5, 0.5, phi_x))
+        h_phi[live] = _binary_entropy(phi_x)
 
         raw = s_x0 + s_x1 * (1.0 - h_phi) - lam - const
         no_counts = (n_x_tot <= 0.0) | (n_z_tot <= 0.0)
         raw = np.where(no_counts, -const, raw)
         ell = raw // 1.0
         ell = np.where(no_counts | no_single_photon | (ell <= 0.0), 0.0, ell)
-    return ell, raw
+    return ell, raw, (no_counts, no_single_photon, live, phi_x, (s_x0, s_x1, s_z0, s_z1, v_z1))
+
+
+def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
+    """``_kernels.bounds_ell_core`` over broadcasting count arrays: its whole
+    11-field record, with its zero-count tuple where a basis has no counts,
+    every element equal to the scalar kernel's.
+
+    ``n_x``, ``n_z``, ``m_x`` and ``m_z`` are per-intensity count triples
+    (arrays or scalars that broadcast together), ``mu`` and ``p_mu`` the
+    estimator's intensities and probabilities, and ``lam`` the leakage of
+    the same X-basis counts from ``finitekey._leakage``.  A basis' values
+    keep its shape until the two meet in the phase-error term.
+    """
+    ell, raw, (no_counts, no_single_photon, live, phi_live, bounds) = _ell_chain(
+        n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam)
+    phi_x = np.full(ell.shape, 0.5)
+    phi_x[live] = phi_live
+    qber_x = (m_x[0] + m_x[1] + m_x[2]) / np.where(no_counts, 1.0, n_x[0] + n_x[1] + n_x[2])
+    reason = np.select([no_counts, no_single_photon, ell <= 0.0], [
+        k.REASON_ZERO_COUNTS, k.REASON_NO_SINGLE_PHOTON, k.REASON_NEGATIVE_KEY], k.REASON_OK)
+    s_x0, s_x1, s_z0, s_z1, v_z1, lam, qber_x = (
+        np.where(no_counts, 0.0, v) for v in (*bounds, lam, qber_x))
+    return ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason
 
 
 def grid_key_lengths(model: IntensityUncertaintyModel,
@@ -292,8 +305,8 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
             if not _decoy_domain(est1, est2, mu3):
                 yield np.zeros(n_x[0].size * n_z[0].size)
                 continue
-            ell, _ = bounds_ell_array(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
-                                      sec.beta, sec.eps_s, sec.eps_c, lam)
+            ell, _, _ = _ell_chain(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
+                                   sec.beta, sec.eps_s, sec.eps_c, lam)
             yield ell.ravel()
 
 

@@ -1,9 +1,10 @@
 """Command-line interface: config handling, output formats, exit codes."""
+import itertools
 import json
 
 import pytest
 
-from fsqkd import cli
+from fsqkd import cli, scenarios
 
 BASE_CONFIG = """
 # reference link
@@ -263,6 +264,46 @@ class TestSweepCommand:
         assert out == ""
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3
+
+
+    def test_rows_equal_keylength_rows(self, capsys, tmp_path):
+        # every column but log10_pec, which keylength derives from p_ec
+        axes = {"eta_loss_db": [10.0, 27.5, 48.0], "log10_pec": [-6.3, -4.0],
+                "qber_i": [0.0, 0.013], "tau_s": [0.0, 60.0]}
+        path = tmp_path / "sweep.cfg"
+        path.write_text(BASE_CONFIG + "".join(
+            f"sweep.{name} = {', '.join(map(repr, values))}\n" for name, values in axes.items()))
+        code, out, _ = run_cli(capsys, ["sweep", "--config", str(path), "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 3 * 2 * 2 * 2
+        for line, (eta, lp, q, tau) in zip(lines[1:], itertools.product(*axes.values())):
+            point = tmp_path / "point.cfg"
+            point.write_text(BASE_CONFIG + f"channel.eta_loss_db = {eta!r}\n"
+                             f"channel.p_ec = {10.0 ** lp!r}\n"
+                             f"channel.qber_i = {q!r}\nchannel.integration_time_s = {tau!r}\n")
+            code, single, _ = run_cli(capsys, ["keylength", "--config", str(point),
+                                               "--format", "csv"])
+            assert code == 0
+            header, row = single.splitlines()
+            assert header == lines[0]
+            cells, want = line.split(","), row.split(",")
+            assert cells[:1] + cells[2:] == want[:1] + want[2:]
+            assert cells[1] == repr(lp)
+
+    def test_bad_axis_exits_before_any_optimization(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scenarios, "optimize", lambda *args: calls.append(args))
+        path = tmp_path / "sweep.cfg"
+        path.write_text("channel.p_ec = 1e-6\nchannel.qber_i = 0.01\n"
+                        "channel.integration_time_s = 60\n"
+                        "optimize.regime = full\noptimize.restarts = 1\n"
+                        "sweep.eta_loss_db = 20, 30\nsweep.log10_pec = -6\n"
+                        "sweep.qber_i = 0.01, 0.7\nsweep.tau_s = 60\n")
+        code, out, err = run_cli(capsys, ["sweep", "--config", str(path)])
+        assert code == 2
+        assert out == "" and "qber_i must be in [0, 0.5), got 0.7" in err
+        assert calls == []
 
 
 class TestEntryPoint:

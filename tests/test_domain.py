@@ -83,9 +83,18 @@ def test_non_finite_rejected(field, value):
     if (f, v) != ("SecurityParams.beta", None)  # None is beta's default
 ])
 def test_non_number_rejected(field, value):
-    # a comparison that raises TypeError counts as out of range
-    with pytest.raises(ParameterError):
+    # a comparison that raises TypeError counts as out of range, and the
+    # value is shown as it is: '30', not 30
+    with pytest.raises(ParameterError) as err:
         FLOAT_FIELDS[field](value)
+    # the bounds pairs are checked, and reported, as pairs; a None pbx is a missing one
+    if "bounds" not in field and (field, value) != ("OptimizationSpec.pbx", None):
+        assert str(err.value).endswith(f"got {value!r}")
+
+
+def test_number_message_unchanged():
+    with pytest.raises(ParameterError, match=r"^eta_loss_db must be in \[0, inf\), got -1\.5$"):
+        ChannelConditions(**{**CHANNEL_KW, "eta_loss_db": -1.5})
 
 
 def test_non_number_intensity_rejected():

@@ -1,13 +1,15 @@
 """Model-level properties of the key length for fixed protocol parameters,
 in both leakage modes: more loss, background or intrinsic error never adds
-key, a longer window never removes it, and the vacuum and single-photon
-bounds of a basis never exceed its count."""
+key, a longer window never removes it, the vacuum and single-photon
+bounds of a basis never exceed its count, and the worst case under
+intensity uncertainty never beats the nominal point."""
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsqkd import (ChannelConditions, ParameterError, ProtocolParams, SecurityParams,
-                   expected_block_counts, key_length_for_channel)
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, ParameterError,
+                   ProtocolParams, SecurityParams, expected_block_counts,
+                   key_length_for_channel, worst_case_key_length)
 
 EXAMPLES = 40
 MODES = [SecurityParams(ec_method="binomial"), SecurityParams(ec_method="rate-factor")]
@@ -66,3 +68,24 @@ def test_bounds_within_basis_count(sec, params, base):
     counts = expected_block_counts(params, channel)
     assert result.s_x0 + result.s_x1 <= counts.n_x_total
     assert result.s_z0 + result.s_z1 <= counts.n_z_total
+
+
+# an odd grid holds the nominal intensities exactly, in the middle of each
+# dimension; f = 0 collapses every candidate onto them
+@pytest.mark.parametrize("sec", MODES, ids=["binomial", "rate-factor"])
+@settings(max_examples=15, deadline=None)
+@given(params=protocols(), base=channels(), f=st.floats(0.0, 0.3))
+def test_worst_case_never_beats_nominal(sec, params, base, f):
+    channel = ChannelConditions(**base)
+    model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=3)
+    res = worst_case_key_length(model, channel, sec)
+    assert res.min_ell <= res.nominal_ell == key_length_for_channel(params, channel, sec).ell
+
+
+@pytest.mark.parametrize("sec", MODES, ids=["binomial", "rate-factor"])
+@settings(max_examples=15, deadline=None)
+@given(params=protocols(), base=channels(), g=st.sampled_from([1, 2, 3]))
+def test_worst_case_at_f_zero_is_nominal(sec, params, base, g):
+    model = IntensityUncertaintyModel(f=0.0, nominal=params, grid_points_per_dim=g)
+    res = worst_case_key_length(model, ChannelConditions(**base), sec)
+    assert res.min_ell == res.nominal_ell

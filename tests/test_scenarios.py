@@ -1,5 +1,6 @@
 """Scenario analyses: sweeps, loss budgets, key rate vs time, sifting identity."""
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -69,12 +70,65 @@ class TestSweep:
             SweepSpec(eta_loss_db=(), log10_pec=(-6.0,), qber_i=(0.01,),
                       tau_s=(60.0,), params=PARAMS)
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("eta_loss_db", (-1.0, 30.0), r"eta_loss_db must be in \[0, inf\), got -1\.0"),
+        ("qber_i", (0.01, 0.7), r"qber_i must be in \[0, 0\.5\), got 0\.7"),
+        ("tau_s", (-5.0,), r"integration_time_s must be in \[0, inf\), got -5\.0"),
+    ])
+    def test_axis_outside_channel_domain_rejected_at_construction(self, axis, values, message):
+        axes = dict(eta_loss_db=(30.0,), log10_pec=(-6.0,), qber_i=(0.01,), tau_s=(60.0,))
+        for policy in (dict(params=PARAMS), dict(opt_spec=OptimizationSpec())):
+            with pytest.raises(ParameterError, match=message):
+                SweepSpec(**{**axes, axis: values}, **policy)
+
     @pytest.mark.parametrize("lp", [400.0, 1.0, -0.25])
     def test_log10_pec_outside_p_ec_domain_rejected(self, lp):
         # 10**400 overflows; 10**1 and 10**-0.25 are outside [0, 0.5)
         with pytest.raises(ParameterError, match="p_ec"):
             SweepSpec(eta_loss_db=(30.0,), log10_pec=(-6.0, lp), qber_i=(0.01,),
                       tau_s=(60.0,), params=PARAMS)
+
+
+class TestFixedBatch:
+    """Fixed-parameter sweeps and ``skr_vs_time`` run as one batch; every
+    record equals the per-point ``key_length_for_channel`` bit for bit."""
+
+    SECS = [SecurityParams(), SecurityParams(ec_method="rate-factor"),
+            SecurityParams(beta=0.0), SecurityParams(ec_method="rate-factor", f_ec=1.3, beta=0.0)]
+
+    @staticmethod
+    def protocol(rng, mu3):
+        mu1 = rng.uniform(0.2, 0.9)
+        mu2 = mu1 * rng.uniform(0.1, 0.45)
+        p1 = rng.uniform(0.3, 0.8)
+        p2 = (1.0 - p1) * rng.uniform(0.2, 0.8)
+        return ProtocolParams(pax=rng.uniform(0.1, 0.9), pbx=rng.uniform(0.1, 0.9),
+                              mu=(mu1, mu2, mu3), p_mu=(p1, p2, 1.0 - p1 - p2))
+
+    @pytest.mark.parametrize("sec", SECS, ids=["binomial", "rate-factor", "beta0", "rate-factor-beta0"])
+    def test_records_equal_scalar_chain(self, sec):
+        rng = random.Random(1207)
+        base = replace(BASE, p_ap=0.02, f_s=5e8)
+        for mu3 in (0.0, 1e-9, 0.01, 0.0):
+            params = self.protocol(rng, mu3)
+            axes = (sorted(rng.uniform(0.0, 55.0) for _ in range(3)),
+                    sorted(rng.uniform(-8.0, -3.0) for _ in range(2)),
+                    [0.0, rng.uniform(0.0, 0.05)],
+                    [0.0, rng.uniform(1.0, 100.0), rng.uniform(100.0, 1e4)])
+            rows = sweep(SweepSpec(*axes, params=params), base, sec)
+            for row in rows:
+                cond = replace(base, eta_loss_db=row.eta_loss_db, p_ec=10.0 ** row.log10_pec,
+                               qber_i=row.qber_i, integration_time_s=row.tau_s)
+                assert row.params is params
+                assert repr(row.result) == repr(key_length_for_channel(params, cond, sec))
+            reasons = {row.result.reason for row in rows}
+            assert {"zero-counts", None} <= reasons
+            cond = replace(base, eta_loss_db=axes[0][0], p_ec=10.0 ** axes[1][0])
+            want = []
+            for tau in axes[3]:
+                ell = key_length_for_channel(params, replace(cond, integration_time_s=tau), sec).ell
+                want.append((tau, ell * 60.0 / tau if tau > 0.0 else 0.0, ell))
+            assert repr(skr_vs_time(axes[3], cond, sec, params=params)) == repr(want)
 
 
 class TestMaxLoss:
@@ -165,6 +219,15 @@ class TestSkrVsTime:
     def test_times_must_be_sorted(self):
         with pytest.raises(ParameterError):
             skr_vs_time([120.0, 60.0], BASE, SEC, params=PARAMS)
+
+    @pytest.mark.parametrize("times", [[-5.0, 60.0], [60.0, math.inf], [math.nan]])
+    def test_times_outside_channel_domain_rejected(self, times):
+        for policy in (dict(params=PARAMS), dict(opt_spec=OptimizationSpec())):
+            with pytest.raises(ParameterError, match=r"integration_time_s must be in \[0, inf\)"):
+                skr_vs_time(times, BASE, SEC, **policy)
+
+    def test_no_times(self):
+        assert skr_vs_time([], BASE, SEC, params=PARAMS) == []
 
     def test_rate_nondecreasing_with_time(self):
         times = [60.0, 120.0, 300.0, 600.0]

@@ -10,6 +10,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
+from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
 from fsqkd.uncertainty import (GRID_DIMS, _basis_bounds, _binary_entropy, _fluct_gamma,
                                bounds_ell_array, grid_key_lengths)
@@ -269,7 +270,7 @@ def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
     """Twelve expected counts: from ``counts_core`` at a random channel, or,
     to reach every clamp of the chain, drawn independently."""
     if not consistent:
-        return tuple(10.0 ** rng.uniform(-2, 8, 12))
+        return tuple((10.0 ** rng.uniform(-2, 8, 12)).tolist())
     return k.counts_core(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95),
                          *(mu * rng.uniform(0.9, 1.1) for mu in (mu1, mu2) * 4),
                          mu3, p1, p2, p3, 10.0 ** -rng.uniform(1, 6),
@@ -279,9 +280,9 @@ def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
 
 @pytest.mark.parametrize("consistent", [True, False])
 def test_bounds_ell_array_matches_scalar_kernel(consistent):
-    """Every element of the array chain equals ``bounds_ell_core``, including
-    the unfloored key expression, and each basis' bounds equal
-    ``basis_bounds_core``, also where the key expression hides them."""
+    """Every element of the array chain's record equals ``bounds_ell_core``'s,
+    all 11 fields, including at zero-count points, and each basis' bounds
+    equal ``basis_bounds_core``, also where the key expression hides them."""
     rng = np.random.default_rng(20240817)
     for _ in range(8):
         mu1 = rng.uniform(0.3, 0.9)
@@ -292,24 +293,24 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
         p3 = 1.0 - p1 - p2
         est = (mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1), mu3)
         counts, lam, want = [], [], []
-        for _ in range(200):
+        for i in range(200):
             c = random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent)
-            rate_factor = bool(rng.integers(2))
-            n_x = c[0] + c[1] + c[2]
-            qber_x = (c[6] + c[7] + c[8]) / n_x
-            f_inv = binom_ppf(SEC.eps_c, n_x, 1.0 - min(qber_x, 0.5))
+            if i % 20 == 0:  # no X-basis counts, then no Z-basis counts
+                c = (0.0,) * 3 + c[3:6] + (0.0,) * 3 + c[9:]
+            elif i % 20 == 1:
+                c = c[:3] + (0.0,) * 3 + c[6:9] + (0.0,) * 3
+            sec = SecurityParams(ec_method=["binomial", "rate-factor"][rng.integers(2)])
             counts.append(c)
-            lam.append(k.ec_leakage_core(n_x, qber_x, SEC.eps_c, rate_factor, 1.16,
-                                         f_inv))
+            lam.append(_count_leakage(c, sec)[0])
             want.append(k.bounds_ell_core(*c, *est, p1, p2, p3, SEC.beta,
                                           SEC.eps_s, SEC.eps_c, lam[-1]))
         cols = np.array(counts).T
-        ell, raw = bounds_ell_array(cols[0:3], cols[3:6], cols[9:12], est,
-                                    (p1, p2, p3), SEC.beta, SEC.eps_s,
-                                    SEC.eps_c, np.array(lam))
-        want = np.array(want).T
-        assert np.array_equal(ell, want[0])
-        assert np.array_equal(raw, want[1])
+        got = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], est,
+                               (p1, p2, p3), SEC.beta, SEC.eps_s, SEC.eps_c,
+                               np.array(lam))
+        assert len(got) == 11
+        assert [repr(v) for v in zip(*(a.tolist() for a in got))] == list(map(repr, want))
+        assert {w[10] for w in want} >= {k.REASON_ZERO_COUNTS, k.REASON_NO_SINGLE_PHOTON}
 
         taus = [k.poisson_tau(n, *est, p1, p2, p3) for n in (0, 1)]
         for basis in (cols[0:3], cols[3:6]):
