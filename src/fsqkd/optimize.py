@@ -82,12 +82,15 @@ class OptimizationSpec:
         try:
             # the stick-breaking transform needs plo < 1 - 2 plo
             prob_ok = 0.0 < plo < phi < 1.0 and plo < 1.0 / 3.0
-            mu_ok = 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
         except TypeError:  # not numbers
-            prob_ok = mu_ok = False
+            prob_ok = False
         if not prob_ok:
             raise ParameterError(
                 f"prob_bounds must satisfy 0 < lo < hi < 1 and lo < 1/3, got {self.prob_bounds}")
+        try:
+            mu_ok = 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
+        except TypeError:
+            mu_ok = False
         if not mu_ok:
             raise ParameterError(
                 f"intensity_bounds must satisfy 0 < lo < hi <= {DOMAIN['intensity'][2]:g}, "

@@ -8,30 +8,41 @@ points per dimension the search evaluates the key length on all 3^10
 combinations of interval endpoints and midpoints and reports the minimum,
 which is the length that privacy amplification must assume.
 
-The grid is evaluated in this order:
+Only the grid's distinct points are evaluated.  Each intensity axis is
+keyed by its distinct candidate values, so at f = 0 the whole grid is
+one point, the nominal one.  A basis' two states enter its counts only through the mean
+of their statistics, ``0.5 * (a + b)`` per intensity, which is the same
+float in either order, so a basis' counts depend only on the unordered
+pair of its states' mu1 values and the unordered pair of their mu2
+values: (g (g + 1) / 2)^2 = 36 combinations at g = 3, against g^4 = 81.
+The distinct points are evaluated in this order:
 
-1. expected counts, from ``_kernels.counts_core`` on Python floats.  The
-   X-basis counts depend only on the H and V intensities and the Z-basis
-   counts only on the D and A intensities, so one call per combination
-   of two states' intensity pairs gives the X counts of (H, V) and the Z
-   counts of (D, A) at that combination.  Its g^4 calls cover both bases,
-   and the g^8 true-intensity combinations are their outer product;
+1. expected counts, from ``_kernels.counts_core`` on Python floats, one
+   call per pair combination.  The X-basis counts depend only on the H
+   and V intensities and the Z-basis counts only on the D and A ones, so
+   one call gives both bases' counts at that combination, and the
+   distinct true-intensity points are the outer product of the two;
 2. the reconciliation leakage, with its inverse-binomial quantile, from
    ``finitekey._count_leakage`` once per X-basis combination, since it
    depends on the X-basis totals alone;
-3. the estimation chain, ``_ell_chain``, once per estimator pair over
-   the g^8 axis, so memory is O(g^8) although all g^10 points are
-   evaluated.  An estimator pair outside the decoy domain of
-   ``channel.check_intensities`` counts as zero key at every point.
+3. the estimation chain, ``_ell_chain``, once per distinct estimator
+   pair; this pair has no symmetry.  An estimator pair outside the decoy
+   domain of ``channel.check_intensities`` counts as zero key at every
+   point.
+
+Each estimator pair's g^8 key lengths are then gathered from its distinct
+results by index, one column at a time, so memory is O(g^8) and the
+result covers all g^10 points, bit-identical to evaluating each of them.
 
 Counts and leakage come from the scalar chain itself.  Only the
-estimation chain has an array twin, because only it runs g^10 times; it
-mirrors ``_kernels.bounds_ell_core`` function for function (one
-``_basis_bounds`` per basis for ``basis_bounds_core``, and one array
-function for each scalar step below it) and operation for operation,
-with logarithms taken through libm, so every element is bit-identical to
-the scalar chain.  Its whole record, ``bounds_ell_array``, also runs
-fixed-parameter sweeps; the grid takes ``ell`` alone, from ``_ell_chain``.
+estimation chain has an array twin, because only it runs over the outer
+product of both bases' combinations; it mirrors
+``_kernels.bounds_ell_core`` function for function (one ``_basis_bounds``
+per basis for ``basis_bounds_core``, and one array function for each
+scalar step below it) and operation for operation, with logarithms taken
+through libm, so every element is bit-identical to the scalar chain.
+Its whole record, ``bounds_ell_array``, also runs fixed-parameter sweeps;
+the grid takes ``ell`` alone, from ``_ell_chain``.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
 pulse are already covered by the extraneous-count probability.
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -277,37 +289,72 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     ``(est_mu1, est_mu2)``, the key lengths at all g^8 true-intensity
     combinations in row-major order over ``GRID_DIMS[:8]``.  Stacking the
     g^2 arrays as columns gives the whole grid in row-major order over
-    ``GRID_DIMS``.  An estimator pair outside the decoy domain yields
-    zeros without evaluating the chain.
+    ``GRID_DIMS``.  The chain runs once per distinct point (see the module
+    docstring) and each array is gathered from it.  An estimator pair
+    outside the decoy domain yields zeros without evaluating the chain.
     """
     params = model.nominal
     mu3 = params.mu[2]
     p1, p2, p3 = params.p_mu
-    cand1 = model.candidates(params.mu[0]).tolist()
-    cand2 = model.candidates(params.mu[1]).tolist()
+    vals1, idx1 = _distinct(model.candidates(params.mu[0]).tolist())
+    vals2, idx2 = _distinct(model.candidates(params.mu[1]).tolist())
+    pairs1, pair_of1 = _pairs(vals1, idx1)
+    pairs2, pair_of2 = _pairs(vals2, idx2)
     link = (channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
             channel.n_pulses)
-    # row i holds the X-basis counts for (H, V) = combination i and the
-    # Z-basis counts for (D, A) = combination i
+    # row r = i * len(pairs2) + j holds the X-basis counts of every (H, V)
+    # whose mu1 values form pair i and mu2 values pair j, and the Z-basis
+    # counts of every such (D, A)
     rows = [k.counts_core(params.pax, params.pbx, a1, a2, b1, b2, a1, a2, b1, b2,
                           mu3, p1, p2, p3, *link)
-            for a1, a2, b1, b2 in itertools.product(cand1, cand2, cand1, cand2)]
+            for (a1, b1), (a2, b2) in itertools.product(pairs1, pairs2)]
     lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
 
-    # X-basis combinations down the rows, Z-basis ones across the columns:
-    # raveled, the (g^4, g^4) result is row-major over GRID_DIMS[:8]
+    # the row of each state combination, row-major over (s_mu1, s_mu2, t_mu1,
+    # t_mu2) for the basis' states s and t; X-basis rows down, Z-basis rows
+    # across, so the gathered (g^4, g^4) block ravels row-major over GRID_DIMS[:8]
+    row_of = (pair_of1[:, None, :, None] * len(pairs2) + pair_of2[None, :, None, :]).ravel()
+    gather = (row_of[:, None] * len(rows) + row_of[None, :]).ravel()
     counts = np.array(rows)
     n_x = tuple(counts[:, j, None] for j in range(0, 3))
     n_z = tuple(counts[None, :, j] for j in range(3, 6))
     m_z = tuple(counts[None, :, j] for j in range(9, 12))
-    for est1 in cand1:
-        for est2 in cand2:
-            if not _decoy_domain(est1, est2, mu3):
-                yield np.zeros(n_x[0].size * n_z[0].size)
-                continue
-            ell, _, _ = _ell_chain(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
-                                   sec.beta, sec.eps_s, sec.eps_c, lam)
-            yield ell.ravel()
+    # an estimator pair's key lengths are kept only until its last repeat
+    uses = Counter(itertools.product(idx1, idx2))
+    distinct_ell = {}
+    for e1, e2 in itertools.product(idx1, idx2):
+        if (e1, e2) not in distinct_ell:
+            est1, est2 = vals1[e1], vals2[e2]
+            ell = None
+            if _decoy_domain(est1, est2, mu3):
+                ell, _, _ = _ell_chain(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
+                                       sec.beta, sec.eps_s, sec.eps_c, lam)
+            distinct_ell[e1, e2] = ell
+        uses[e1, e2] -= 1
+        ell = distinct_ell[e1, e2] if uses[e1, e2] else distinct_ell.pop((e1, e2))
+        yield np.zeros(gather.size) if ell is None else ell.ravel()[gather]
+
+
+def _distinct(values: list[float]) -> tuple[list[float], list[int]]:
+    """The distinct values in first-seen order, and the index of each value
+    among them."""
+    distinct = list(dict.fromkeys(values))
+    return distinct, [distinct.index(v) for v in values]
+
+
+def _pairs(distinct: list[float], idx: list[int]) -> tuple[list, np.ndarray]:
+    """The unordered pairs of ``distinct`` values, and the ``(g, g)`` map
+    from two states' candidate indices to the number of their pair.
+
+    The two states of a basis enter its counts only through the mean of
+    their statistics, ``0.5 * (a + b)``, which is the same float in either
+    order, so one pair's counts serve both orders bit for bit.
+    """
+    n = len(distinct)
+    number = {pair: i for i, pair in enumerate(
+        (a, b) for a in range(n) for b in range(a, n))}
+    pairs = [(distinct[a], distinct[b]) for a, b in number]
+    return pairs, np.array([[number[min(a, b), max(a, b)] for b in idx] for a in idx])
 
 
 def worst_case_key_length(model: IntensityUncertaintyModel,
@@ -316,8 +363,10 @@ def worst_case_key_length(model: IntensityUncertaintyModel,
     """Minimum key length over the full intensity-uncertainty grid.
 
     The grid is ordered row-major over ``GRID_DIMS``; ties in the minimum
-    keep the first point in that order.  All g^10 points are evaluated and
-    counted.
+    keep the first point in that order.  Each distinct point is evaluated
+    once and its key length stands for every grid point equal to it, so
+    the minimum and its first index are those of all g^10 points;
+    ``evaluations`` counts the grid points covered, g^10.
     """
     g = model.grid_points_per_dim
     mins = []

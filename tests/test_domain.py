@@ -87,8 +87,12 @@ def test_non_number_rejected(field, value):
     # value is shown as it is: '30', not 30
     with pytest.raises(ParameterError) as err:
         FLOAT_FIELDS[field](value)
-    # the bounds pairs are checked, and reported, as pairs; a None pbx is a missing one
-    if "bounds" not in field and (field, value) != ("OptimizationSpec.pbx", None):
+    # the bounds pairs are checked, and reported, as pairs, each under its
+    # own name; a None pbx is a missing one
+    if "bounds" in field:
+        pair = field.split(".")[1].split("[")[0]
+        assert str(err.value).startswith(f"{pair} must satisfy")
+    elif (field, value) != ("OptimizationSpec.pbx", None):
         assert str(err.value).endswith(f"got {value!r}")
 
 

@@ -1,12 +1,14 @@
 """Model-level properties of the key length for fixed protocol parameters,
 in both leakage modes: more loss, background or intrinsic error never adds
 key, a longer window never removes it, the vacuum and single-photon
-bounds of a basis never exceed its count, and the worst case under
-intensity uncertainty never beats the nominal point."""
+bounds of a basis never exceed its count, a basis' counts do not depend
+on which of its two states sends which intensity, and the worst case
+under intensity uncertainty never beats the nominal point."""
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fsqkd import _kernels as k
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, ParameterError,
                    ProtocolParams, SecurityParams, expected_block_counts,
                    key_length_for_channel, worst_case_key_length)
@@ -68,6 +70,29 @@ def test_bounds_within_basis_count(sec, params, base):
     counts = expected_block_counts(params, channel)
     assert result.s_x0 + result.s_x1 <= counts.n_x_total
     assert result.s_z0 + result.s_z1 <= counts.n_z_total
+
+
+# counts_core argument positions of the two states of a basis at one
+# intensity; the worst-case grid evaluates one count row per unordered
+# pair of values, which rests on this symmetry holding bit for bit
+SWAPS = {"mu1 H-V": (2, 4), "mu2 H-V": (3, 5), "mu1 D-A": (6, 8), "mu2 D-A": (7, 9)}
+
+
+@pytest.mark.parametrize("swap", sorted(SWAPS))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(params=protocols(), base=channels(),
+       scale=st.lists(st.floats(0.5, 1.5), min_size=8, max_size=8))
+def test_counts_symmetric_in_a_basis_states(swap, params, base, scale):
+    channel = ChannelConditions(**base)
+    mu1, mu2, mu3 = params.mu
+    args = [params.pax, params.pbx,
+            *(mu * s for mu, s in zip((mu1, mu2) * 4, scale)),
+            mu3, *params.p_mu, channel.transmittance, channel.p_ec, channel.qber_i,
+            channel.p_ap, channel.n_pulses]
+    i, j = SWAPS[swap]
+    swapped = list(args)
+    swapped[i], swapped[j] = args[j], args[i]
+    assert repr(k.counts_core(*swapped)) == repr(k.counts_core(*args))
 
 
 # an odd grid holds the nominal intensities exactly, in the middle of each

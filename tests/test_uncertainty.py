@@ -209,8 +209,9 @@ class TestArrayGridExactness:
         assert res.argmin_index == int(np.argmin(ref))
         return ref, reason, res
 
+    # at f = 1e-17 every candidate equals the nominal value
     @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
-    @pytest.mark.parametrize("f", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize("f", [0.0, 1e-17, 0.05, 0.1])
     def test_two_point_grid(self, f, ec_method):
         model = IntensityUncertaintyModel(f=f, nominal=PARAMS,
                                           grid_points_per_dim=2)
@@ -220,6 +221,15 @@ class TestArrayGridExactness:
     def test_three_point_grid(self):
         model = IntensityUncertaintyModel(f=0.1, nominal=PARAMS)
         self.check(model, CHANNEL, "binomial")
+
+    def test_some_candidates_equal(self):
+        # the upper two candidates round to one value, so estimator pairs
+        # repeat out of order: (1, 0) is the 4th and the 7th pair
+        model = IntensityUncertaintyModel(f=1e-16, nominal=PARAMS)
+        for mu in PARAMS.mu[:2]:
+            c = model.candidates(mu)
+            assert c[0] < c[1] == c[2]
+        self.check(model, CHANNEL, "rate-factor")
 
     def test_single_photon_clamp_ties_at_zero(self):
         # at 44 dB most points lose their single-photon bound and the rest
@@ -248,10 +258,12 @@ class TestArrayGridExactness:
         assert res.min_ell == 0 and res.argmin_index == 0
 
 
-@pytest.mark.parametrize("g", [2, 3])
-def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g):
+@pytest.mark.parametrize("g,f,expected", [(2, 0.05, 9), (3, 0.05, 36), (3, 0.0, 1)],
+                         ids=["2", "3", "f0-3"])
+def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g, f, expected):
     """The grid takes its counts from ``counts_core``: one call per
-    combination of a basis' two states' intensity pairs, g^4 in all."""
+    unordered pair of distinct mu1 values times unordered pair of distinct
+    mu2 values, (g (g + 1) / 2)^2 in all, and one call when f = 0."""
     calls = []
     counts_core = k.counts_core
 
@@ -260,10 +272,10 @@ def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g):
         return counts_core(*args)
 
     monkeypatch.setattr(k, "counts_core", counting)
-    model = IntensityUncertaintyModel(f=0.05, nominal=PARAMS, grid_points_per_dim=g)
+    model = IntensityUncertaintyModel(f=f, nominal=PARAMS, grid_points_per_dim=g)
     for _ in grid_key_lengths(model, CHANNEL, SEC):
         pass
-    assert len(calls) == g ** 4
+    assert len(calls) == expected
 
 
 def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
