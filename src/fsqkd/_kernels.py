@@ -11,6 +11,12 @@ the (possibly different) intensity pair assumed by the receiver.  With
 all intensities equal this reduces exactly to the plain three-intensity
 protocol chain.
 
+One evaluation computes each quantity once: ``detection_error_prob`` once
+per distinct intensity (three calls when all states share their pair),
+and the taus and intensity weights in one ``intensity_terms`` call; the
+caller passes in the privacy-amplification constant, which depends only
+on the eps budget.
+
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
     1  no detections
@@ -58,13 +64,14 @@ def chernoff_delta_minus(y, beta):
     return 0.5 * beta + math.sqrt(2.0 * beta * y + 0.25 * beta * beta)
 
 
-def poisson_tau(n, mu1, mu2, mu3, p1, p2, p3):
-    """Probability that a transmitted pulse contains n photons (n in {0, 1})."""
-    if n == 0:
-        return p1 * math.exp(-mu1) + p2 * math.exp(-mu2) + p3 * math.exp(-mu3)
-    return (p1 * math.exp(-mu1) * mu1
-            + p2 * math.exp(-mu2) * mu2
-            + p3 * math.exp(-mu3) * mu3)
+def intensity_terms(mu1, mu2, mu3, p1, p2, p3):
+    """(tau0, tau1, s1, s2, s3): the probabilities that a transmitted pulse
+    holds 0 or 1 photons, and the weights exp(mu) / p of each intensity's counts."""
+    w1 = p1 * math.exp(-mu1)
+    w2 = p2 * math.exp(-mu2)
+    w3 = p3 * math.exp(-mu3)
+    return (w1 + w2 + w3, w1 * mu1 + w2 * mu2 + w3 * mu3,
+            math.exp(mu1) / p1, math.exp(mu2) / p2, math.exp(mu3) / p3)
 
 
 def fluct_gamma(a, b, c, d):
@@ -81,23 +88,28 @@ def fluct_gamma(a, b, c, d):
     return math.sqrt(v)
 
 
-def basis_counts_core(sift, mu1_a, mu2_a, mu1_b, mu2_b, d3, e3, p1, p2, p3,
-                      p_d, p_ec, qber_i, p_ap):
+def pair_statistics(mu1_a, mu2_a, mu1_b, mu2_b, p_d, p_ec, p_ap, qber_i):
+    """Mean detection and error probabilities (d1, e1, d2, e2) of a basis'
+    two states (bit values are uniform); an intensity both states send is
+    evaluated once, as 0.5 * (d + d) == d exactly."""
+    d1, e1 = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
+    if mu1_b != mu1_a:
+        d, e = detection_error_prob(mu1_b, p_d, p_ec, p_ap, qber_i)
+        d1, e1 = 0.5 * (d1 + d), 0.5 * (e1 + e)
+    d2, e2 = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
+    if mu2_b != mu2_a:
+        d, e = detection_error_prob(mu2_b, p_d, p_ec, p_ap, qber_i)
+        d2, e2 = 0.5 * (d2 + d), 0.5 * (e2 + e)
+    return d1, e1, d2, e2
+
+
+def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
     """Expected sifted (n1, n2, n3, m1, m2, m3) of one basis.
 
-    ``sift`` is the basis' sift factor times the pulse count; the two
-    signal states' intensity pairs enter through the mean of their
-    statistics (bit values are uniform); ``d3``, ``e3`` are the third
-    intensity's, which both bases share.
+    ``sift`` is the basis' sift factor times the pulse count; ``d1..e2``
+    are its ``pair_statistics`` and ``d3``, ``e3`` the third intensity's,
+    which both bases share.
     """
-    d1a, e1a = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
-    d1b, e1b = detection_error_prob(mu1_b, p_d, p_ec, p_ap, qber_i)
-    d2a, e2a = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
-    d2b, e2b = detection_error_prob(mu2_b, p_d, p_ec, p_ap, qber_i)
-    d1 = 0.5 * (d1a + d1b)
-    d2 = 0.5 * (d2a + d2b)
-    e1 = 0.5 * (e1a + e1b)
-    e2 = 0.5 * (e2a + e2b)
     n1 = sift * p1 * d1
     n2 = sift * p2 * d2
     n3 = sift * p3 * d3
@@ -117,29 +129,28 @@ def counts_core(pax, pbx,
                 p_d, p_ec, qber_i, p_ap, n_pulses):
     """Expected sifted detection and error counts per basis and intensity.
 
-    The X basis is sent in the H and V states, the Z basis in D and A.
-    Returns (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-             m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
+    The X basis is sent in the H and V states, the Z basis in D and A (it
+    reuses the X statistics when D, A send what H, V send).  Returns
+    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
     """
     d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
+    x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
+    z = x if (mu1_d, mu2_d, mu1_a, mu2_a) == (mu1_h, mu2_h, mu1_v, mu2_v) else (
+        pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
     n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
-        pax * pbx * n_pulses, mu1_h, mu2_h, mu1_v, mu2_v, d3, e3,
-        p1, p2, p3, p_d, p_ec, qber_i, p_ap)
+        pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
     n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = basis_counts_core(
-        (1.0 - pax) * (1.0 - pbx) * n_pulses, mu1_d, mu2_d, mu1_a, mu2_a, d3, e3,
-        p1, p2, p3, p_d, p_ec, qber_i, p_ap)
+        (1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
     return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
             m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
 
 
-def scaled_bounds_core(c1, c2, c3, mu1, mu2, mu3, p1, p2, p3, beta):
-    """Concentration-corrected, intensity-rescaled counts.
+def scaled_bounds_core(c1, c2, c3, s1, s2, s3, beta):
+    """Concentration-corrected counts, each times its intensity's weight
+    ``s`` from ``intensity_terms``.
 
     Returns (lo1, lo2, lo3, hi1, hi2, hi3); lower values floored at zero.
     """
-    s1 = math.exp(mu1) / p1
-    s2 = math.exp(mu2) / p2
-    s3 = math.exp(mu3) / p3
     lo1 = s1 * (c1 - chernoff_delta_minus(c1, beta))
     lo2 = s2 * (c2 - chernoff_delta_minus(c2, beta))
     lo3 = s3 * (c3 - chernoff_delta_minus(c3, beta))
@@ -180,11 +191,10 @@ def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total
     return s1
 
 
-def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, p1, p2, p3, beta, tau0, tau1):
+def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, s1, s2, s3, beta, tau0, tau1):
     """Vacuum and single-photon lower bounds (s0, s1) of one basis from its
-    counts ``c1..c3``, their sum ``total`` and the ``poisson_tau`` values."""
-    lo1, lo2, lo3, hi1, hi2, hi3 = scaled_bounds_core(
-        c1, c2, c3, mu1, mu2, mu3, p1, p2, p3, beta)
+    counts ``c1..c3``, their sum ``total`` and the ``intensity_terms``."""
+    lo1, lo2, lo3, hi1, hi2, hi3 = scaled_bounds_core(c1, c2, c3, s1, s2, s3, beta)
     s0 = vacuum_bound_core(lo3, hi2, tau0, mu2, mu3, total)
     return s0, single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total)
 
@@ -224,10 +234,11 @@ def privacy_amplification_bits(eps_s, eps_c):
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
                     m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
                     mu1, mu2, mu3, p1, p2, p3,
-                    beta, eps_s, eps_c, lam):
+                    beta, eps, pa_bits, lam):
     """Finite-key estimation chain from expected counts to key length.
 
-    ``lam`` is the reconciliation leakage of the same X-basis counts, as
+    ``eps`` is eps_s + eps_c, ``pa_bits`` their ``privacy_amplification_bits``
+    and ``lam`` the reconciliation leakage of the same X-basis counts, as
     ``ec_leakage_core`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
     s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
     are no counts.  ``raw`` is the unfloored key expression (the
@@ -238,21 +249,18 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
     n_z = n_z1 + n_z2 + n_z3
     m_x = m_x1 + m_x2 + m_x3
 
-    const = privacy_amplification_bits(eps_s, eps_c)
-
     if n_x <= 0.0 or n_z <= 0.0:
-        return (0.0, -const, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
+        return (0.0, -pa_bits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
                 REASON_ZERO_COUNTS)
 
-    tau0 = poisson_tau(0, mu1, mu2, mu3, p1, p2, p3)
-    tau1 = poisson_tau(1, mu1, mu2, mu3, p1, p2, p3)
+    tau0, tau1, s1, s2, s3 = intensity_terms(mu1, mu2, mu3, p1, p2, p3)
 
     s_x0, s_x1 = basis_bounds_core(n_x1, n_x2, n_x3, n_x, mu1, mu2, mu3,
-                                   p1, p2, p3, beta, tau0, tau1)
+                                   s1, s2, s3, beta, tau0, tau1)
     s_z0, s_z1 = basis_bounds_core(n_z1, n_z2, n_z3, n_z, mu1, mu2, mu3,
-                                   p1, p2, p3, beta, tau0, tau1)
+                                   s1, s2, s3, beta, tau0, tau1)
     mz_lo1, mz_lo2, mz_lo3, mz_hi1, mz_hi2, mz_hi3 = scaled_bounds_core(
-        m_z1, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
+        m_z1, m_z2, m_z3, s1, s2, s3, beta)
 
     v_z1 = tau1 * (mz_hi2 - mz_lo3) / (mu2 - mu3)
     if v_z1 < 0.0:
@@ -269,11 +277,11 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
         if ratio >= 0.5:
             phi_x = 0.5
         else:
-            phi_x = ratio + fluct_gamma(eps_s + eps_c, ratio, s_z1, s_x1)
+            phi_x = ratio + fluct_gamma(eps, ratio, s_z1, s_x1)
             if phi_x > 0.5:
                 phi_x = 0.5
 
-    raw = s_x0 + s_x1 * (1.0 - binary_entropy(phi_x)) - lam - const
+    raw = s_x0 + s_x1 * (1.0 - binary_entropy(phi_x)) - lam - pa_bits
 
     if reason == REASON_OK:
         ell = raw // 1.0

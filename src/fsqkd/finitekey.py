@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from . import _kernels as k
@@ -66,9 +67,14 @@ class SecurityParams:
         else:
             check_range("beta", self.beta)
 
-    @property
+    @cached_property
     def eps(self) -> float:
         return self.eps_s + self.eps_c
+
+    @cached_property
+    def pa_bits(self) -> float:
+        """The privacy-amplification constant of the key expression."""
+        return k.privacy_amplification_bits(self.eps_s, self.eps_c)
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
     """
     lam, f_inv = _count_leakage(c, sec)
     return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3,
-                             sec.beta, sec.eps_s, sec.eps_c, lam), f_inv
+                             sec.beta, sec.eps, sec.pa_bits, lam), f_inv
 
 
 def secure_key_length(counts: BlockCounts, params: ProtocolParams,

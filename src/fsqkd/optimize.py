@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
                       check_integer, check_intensities, check_range)
@@ -126,15 +126,12 @@ class OptimizationResult:
         return self.result.raw
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    z = math.exp(t)
-    return z / (1.0 + z)
-
-
 def _interval(t: float, lo: float, hi: float) -> float:
-    return lo + (hi - lo) * _sigmoid(t)
+    """``lo + (hi - lo)`` times the logistic function of ``t``, without overflow."""
+    if t >= 0.0:
+        return lo + (hi - lo) * (1.0 / (1.0 + math.exp(-t)))
+    z = math.exp(t)
+    return lo + (hi - lo) * (z / (1.0 + z))
 
 
 def _halton(index: int, base: int) -> float:
@@ -151,11 +148,11 @@ def _halton(index: int, base: int) -> float:
 _HALTON_BASES = (2, 3, 5, 7, 11)
 
 
-def _start_points(spec: OptimizationSpec) -> list[list[float]]:
+def _start_points(spec: OptimizationSpec) -> Iterator[list[float]]:
     """Deterministic low-discrepancy start points in transformed coordinates."""
     offset = 17 + (spec.seed % (1 << 20)) * spec.restarts
-    return [[-4.0 + 8.0 * _halton(offset + r + 1, _HALTON_BASES[d]) for d in range(spec.ndim)]
-            for r in range(spec.restarts)]
+    for r in range(spec.restarts):
+        yield [-4.0 + 8.0 * _halton(offset + r + 1, _HALTON_BASES[d]) for d in range(spec.ndim)]
 
 
 def _decode(t: Sequence[float], spec: OptimizationSpec):

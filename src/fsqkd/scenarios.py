@@ -163,7 +163,7 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
     leak = [_count_leakage(c, sec) for c in counts]
     cols = np.array(counts).reshape(-1, 12).T  # (12, 0) for no points
     out = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], params.mu, params.p_mu,
-                           sec.beta, sec.eps_s, sec.eps_c, np.array([lam for lam, _ in leak]))
+                           sec.beta, sec.eps, sec.pa_bits, np.array([lam for lam, _ in leak]))
     kernel_tuples = zip(*(field.tolist() for field in out))
     return [(params, _record(r, f_inv)) for r, (_, f_inv) in zip(kernel_tuples, leak)]
 

@@ -183,11 +183,10 @@ def _fluct_gamma(a: float, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.nd
     return out
 
 
-def _scaled_bounds(c, mu, p_mu, beta):
+def _scaled_bounds(c, scales, beta):
     """``scaled_bounds_core`` over count arrays: ((lo1, lo2, lo3), (hi1, hi2, hi3))."""
     lo, hi = [], []
-    for c_k, mu_k, p_k in zip(c, mu, p_mu):
-        s = math.exp(mu_k) / p_k
+    for c_k, s in zip(c, scales):
         low = s * (c_k - (0.5 * beta + np.sqrt(2.0 * beta * c_k + 0.25 * beta * beta)))
         lo.append(np.where(low < 0.0, 0.0, low))
         hi.append(s * (c_k + (beta + np.sqrt(2.0 * beta * c_k + beta * beta))))
@@ -212,29 +211,26 @@ def _single_photon_bound(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total):
     return np.where(s1 > cap, cap, s1)
 
 
-def _basis_bounds(c, total, mu, p_mu, beta, tau0, tau1):
+def _basis_bounds(c, total, mu, scales, beta, tau0, tau1):
     """``basis_bounds_core`` over arrays: (s0, s1)."""
     mu1, mu2, mu3 = mu
-    lo, hi = _scaled_bounds(c, mu, p_mu, beta)
+    lo, hi = _scaled_bounds(c, scales, beta)
     s0 = _vacuum_bound(lo[2], hi[1], tau0, mu2, mu3, total)
     return s0, _single_photon_bound(lo[1], hi[2], hi[0], s0, tau0, tau1, mu1, mu2, mu3, total)
 
 
-def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
+def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
     """``bounds_ell_array`` up to ``ell``: ``(ell, raw, parts)``; the grid needs no more."""
     mu1, mu2, mu3 = mu
-    p1, p2, p3 = p_mu
-    const = k.privacy_amplification_bits(eps_s, eps_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_x_tot = n_x[0] + n_x[1] + n_x[2]
         n_z_tot = n_z[0] + n_z[1] + n_z[2]
 
-        tau0 = k.poisson_tau(0, mu1, mu2, mu3, p1, p2, p3)
-        tau1 = k.poisson_tau(1, mu1, mu2, mu3, p1, p2, p3)
+        tau0, tau1, *scales = k.intensity_terms(*mu, *p_mu)
 
-        s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, p_mu, beta, tau0, tau1)
-        s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, p_mu, beta, tau0, tau1)
-        mz_lo, mz_hi = _scaled_bounds(m_z, mu, p_mu, beta)
+        s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, scales, beta, tau0, tau1)
+        s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, scales, beta, tau0, tau1)
+        mz_lo, mz_hi = _scaled_bounds(m_z, scales, beta)
 
         v_z1 = tau1 * (mz_hi[1] - mz_lo[2]) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
@@ -244,32 +240,33 @@ def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
         # phi_x is capped at 0.5 off the live points
         live = ~(no_single_photon | (ratio >= 0.5))
         b = ratio[live]
-        phi_x = b + _fluct_gamma(eps_s + eps_c, b, s_z1_full[live], s_x1_full[live])
+        phi_x = b + _fluct_gamma(eps, b, s_z1_full[live], s_x1_full[live])
         phi_x = np.where(phi_x > 0.5, 0.5, phi_x)
         h_phi = np.full(ratio.shape, k.binary_entropy(0.5))
         h_phi[live] = _binary_entropy(phi_x)
 
-        raw = s_x0 + s_x1 * (1.0 - h_phi) - lam - const
+        raw = s_x0 + s_x1 * (1.0 - h_phi) - lam - pa_bits
         no_counts = (n_x_tot <= 0.0) | (n_z_tot <= 0.0)
-        raw = np.where(no_counts, -const, raw)
+        raw = np.where(no_counts, -pa_bits, raw)
         ell = raw // 1.0
         ell = np.where(no_counts | no_single_photon | (ell <= 0.0), 0.0, ell)
     return ell, raw, (no_counts, no_single_photon, live, phi_x, (s_x0, s_x1, s_z0, s_z1, v_z1))
 
 
-def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps_s, eps_c, lam):
+def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
     """``_kernels.bounds_ell_core`` over broadcasting count arrays: its whole
     11-field record, with its zero-count tuple where a basis has no counts,
     every element equal to the scalar kernel's.
 
     ``n_x``, ``n_z``, ``m_x`` and ``m_z`` are per-intensity count triples
     (arrays or scalars that broadcast together), ``mu`` and ``p_mu`` the
-    estimator's intensities and probabilities, and ``lam`` the leakage of
-    the same X-basis counts from ``finitekey._leakage``.  A basis' values
-    keep its shape until the two meet in the phase-error term.
+    estimator's intensities and probabilities, ``eps`` and ``pa_bits`` the
+    ``SecurityParams`` ones, and ``lam`` the leakage of the same X-basis
+    counts from ``finitekey._leakage``.  A basis' values keep its shape
+    until the two meet in the phase-error term.
     """
     ell, raw, (no_counts, no_single_photon, live, phi_live, bounds) = _ell_chain(
-        n_x, n_z, m_z, mu, p_mu, beta, eps_s, eps_c, lam)
+        n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam)
     phi_x = np.full(ell.shape, 0.5)
     phi_x[live] = phi_live
     qber_x = (m_x[0] + m_x[1] + m_x[2]) / np.where(no_counts, 1.0, n_x[0] + n_x[1] + n_x[2])
@@ -328,7 +325,7 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
             ell = None
             if _decoy_domain(est1, est2, mu3):
                 ell, _, _ = _ell_chain(n_x, n_z, m_z, (est1, est2, mu3), params.p_mu,
-                                       sec.beta, sec.eps_s, sec.eps_c, lam)
+                                       sec.beta, sec.eps, sec.pa_bits, lam)
             distinct_ell[e1, e2] = ell
         uses[e1, e2] -= 1
         ell = distinct_ell[e1, e2] if uses[e1, e2] else distinct_ell.pop((e1, e2))

@@ -324,17 +324,17 @@ class TestOracleEquivalence:
         ]
         params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 0.0),
                                 p_mu=(1/3, 1/3, 1/3))
-        checks.append(("tau_0", _kernels.poisson_tau(0, *params.mu, *params.p_mu),
+        checks.append(("tau_0", _kernels.intensity_terms(*params.mu, *params.p_mu)[0],
                        0.8371226925828643))
-        checks.append(("tau_1", _kernels.poisson_tau(1, *params.mu, *params.p_mu),
+        checks.append(("tau_1", _kernels.intensity_terms(*params.mu, *params.p_mu)[1],
                        0.1312496905533042))
 
         ref_params = ProtocolParams(pax=0.5, pbx=0.5, mu=(0.5, 0.1, 1e-9),
                                     p_mu=(1/3, 1/3, 1/3))
         counts = expected_block_counts(ref_params, channel(30.0, 1e-6, 0.01, 60.0))
         checks.append(("n_x[mu1]", counts.n_x[0], 251187.94755083777))
-        n_x_bounds = _kernels.scaled_bounds_core(*counts.n_x, *ref_params.mu,
-                                                 *ref_params.p_mu, SEC.beta)
+        n_x_bounds = _kernels.scaled_bounds_core(
+            *counts.n_x, *_kernels.intensity_terms(*ref_params.mu, *ref_params.p_mu)[2:], SEC.beta)
         checks.append(("n_x_minus[mu1]", n_x_bounds[0], 1225266.4696611103))
         checks.append(("n_x_plus[mu3]", n_x_bounds[5], 3732.584744370343))
         full = key_length_for_channel(ref_params, channel(30.0, 1e-6, 0.01, 60.0), SEC)

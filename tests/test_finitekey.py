@@ -21,12 +21,13 @@ BETA_REF = math.log(1.0 / (1e-9 + 1e-15))
 
 def tau(n, params):
     """Probability of an n-photon pulse, n in {0, 1}."""
-    return _kernels.poisson_tau(n, *params.mu, *params.p_mu)
+    return _kernels.intensity_terms(*params.mu, *params.p_mu)[n]
 
 
 def scaled(trip, params, beta):
     """Scaled (lower, upper) bounds of one per-intensity count triple."""
-    out = _kernels.scaled_bounds_core(*trip, *params.mu, *params.p_mu, beta)
+    out = _kernels.scaled_bounds_core(
+        *trip, *_kernels.intensity_terms(*params.mu, *params.p_mu)[2:], beta)
     return out[:3], out[3:]
 
 

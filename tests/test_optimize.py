@@ -56,6 +56,20 @@ class TestSpecValidation:
         assert OptimizationSpec(regime="fixed_pbx_and_mu", pbx=0.3,
                                 mu=(0.5, 0.1, 0.0)).ndim == 3
 
+    def test_feasibility_check_stops_at_first_feasible_start(self, monkeypatch):
+        # start points are made one at a time, so the check's cost does not
+        # grow with restarts
+        calls = []
+        halton = fsqkd_optimize._halton
+
+        def counted(index, base):
+            calls.append((index, base))
+            return halton(index, base)
+
+        monkeypatch.setattr(fsqkd_optimize, "_halton", counted)
+        spec = OptimizationSpec(restarts=100_000)
+        assert 0 < len(calls) <= spec.ndim
+
 
 class TestOptimize:
     def test_full_regime_ties_bases(self):

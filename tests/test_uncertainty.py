@@ -183,7 +183,7 @@ def scalar_grid(model, channel, sec):
         lam = k.ec_leakage_core(n_x, q, sec.eps_c, rate_factor, sec.f_ec, f_inv)
         for e1, e2 in itertools.product(range(g), repeat=2):
             out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
-                                    sec.beta, sec.eps_s, sec.eps_c, lam)
+                                    sec.beta, sec.eps, sec.pa_bits, lam)
             j = t * g * g + e1 * g + e2
             ell[j], reason[j] = out[0], out[10]
     return ell, reason
@@ -315,20 +315,20 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
             counts.append(c)
             lam.append(_count_leakage(c, sec)[0])
             want.append(k.bounds_ell_core(*c, *est, p1, p2, p3, SEC.beta,
-                                          SEC.eps_s, SEC.eps_c, lam[-1]))
+                                          SEC.eps, SEC.pa_bits, lam[-1]))
         cols = np.array(counts).T
         got = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], est,
-                               (p1, p2, p3), SEC.beta, SEC.eps_s, SEC.eps_c,
+                               (p1, p2, p3), SEC.beta, SEC.eps, SEC.pa_bits,
                                np.array(lam))
         assert len(got) == 11
         assert [repr(v) for v in zip(*(a.tolist() for a in got))] == list(map(repr, want))
         assert {w[10] for w in want} >= {k.REASON_ZERO_COUNTS, k.REASON_NO_SINGLE_PHOTON}
 
-        taus = [k.poisson_tau(n, *est, p1, p2, p3) for n in (0, 1)]
+        tau0, tau1, *weights = k.intensity_terms(*est, p1, p2, p3)
         for basis in (cols[0:3], cols[3:6]):
             total = basis[0] + basis[1] + basis[2]
-            got = _basis_bounds(basis, total, est, (p1, p2, p3), SEC.beta, *taus)
-            scalar = [k.basis_bounds_core(*c, t, *est, p1, p2, p3, SEC.beta, *taus)
+            got = _basis_bounds(basis, total, est, weights, SEC.beta, tau0, tau1)
+            scalar = [k.basis_bounds_core(*c, t, *est, *weights, SEC.beta, tau0, tau1)
                       for c, t in zip(basis.T, total)]
             assert np.array_equal(np.array(got), np.array(scalar).T)
 
