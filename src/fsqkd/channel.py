@@ -117,6 +117,8 @@ class ChannelConditions:
         check_range("p_ap", self.p_ap)
         check_range("integration_time_s", self.integration_time_s, "non-negative")
         check_range("f_s", self.f_s, "positive")
+        # each factor can be finite while the pulse count overflows
+        check_range("f_s * integration_time_s", self.n_pulses, "non-negative")
 
     @property
     def transmittance(self) -> float:
@@ -226,12 +228,14 @@ def expected_block_counts(params: ProtocolParams,
     acc = [0.0] * 12
     for dt, cond in slots:
         check_range("slot duration", dt, "non-negative")
+        n_pulses = cond.f_s * dt
+        check_range("f_s * slot duration", n_pulses, "non-negative")
         out = k.counts_core(
             params.pax, params.pbx,
             mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2,
             mu3, p1, p2, p3,
             cond.transmittance, cond.p_ec, cond.qber_i, cond.p_ap,
-            cond.f_s * dt)
+            n_pulses)
         for i in range(12):
             acc[i] += out[i]
     return BlockCounts(

@@ -19,7 +19,6 @@ from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_i
 from .finitekey import (KeyLengthResult, SecurityParams, _count_leakage, _record,
                         key_length_for_channel)
 from .optimize import OptimizationSpec, OptimizationResult, optimize
-from .uncertainty import bounds_ell_array
 
 
 def _check_one_policy(params: ProtocolParams | None,
@@ -150,7 +149,10 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
                    ) -> list[tuple[ProtocolParams, KeyLengthResult]]:
     """``_evaluate_point`` on the row-major grid over ``axes`` of loss (dB), p_ec,
     qber_i and window (s), ``base`` giving the rest.  Fixed ``params`` run as one
-    batch: scalar counts and leakage per point, then one ``bounds_ell_array``."""
+    batch: scalar counts and leakage per point, then one ``bounds_ell_array``.
+    Every window's pulse count is checked before any point is evaluated."""
+    for tau in axes[3]:
+        check_range("f_s * integration_time_s", base.f_s * tau, "non-negative")
     if params is None:
         return [_evaluate_point(replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
                                         integration_time_s=tau), sec, None, opt_spec)
@@ -162,8 +164,9 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
               for t, p_ec, q, tau in points]
     leak = [_count_leakage(c, sec) for c in counts]
     cols = np.array(counts).reshape(-1, 12).T  # (12, 0) for no points
-    out = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], params.mu, params.p_mu,
-                           sec.beta, sec.eps, sec.pa_bits, np.array([lam for lam, _ in leak]))
+    out = k.bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], params.mu,
+                             params.p_mu, sec.beta, sec.eps, sec.pa_bits,
+                             np.array([lam for lam, _ in leak]))
     kernel_tuples = zip(*(field.tolist() for field in out))
     return [(params, _record(r, f_inv)) for r, (_, f_inv) in zip(kernel_tuples, leak)]
 

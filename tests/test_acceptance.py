@@ -333,10 +333,13 @@ class TestOracleEquivalence:
                                     p_mu=(1/3, 1/3, 1/3))
         counts = expected_block_counts(ref_params, channel(30.0, 1e-6, 0.01, 60.0))
         checks.append(("n_x[mu1]", counts.n_x[0], 251187.94755083777))
-        n_x_bounds = _kernels.scaled_bounds_core(
-            *counts.n_x, *_kernels.intensity_terms(*ref_params.mu, *ref_params.p_mu)[2:], SEC.beta)
-        checks.append(("n_x_minus[mu1]", n_x_bounds[0], 1225266.4696611103))
-        checks.append(("n_x_plus[mu3]", n_x_bounds[5], 3732.584744370343))
+        weights = _kernels.intensity_terms(*ref_params.mu, *ref_params.p_mu)[2:]
+        checks.append(("n_x_minus[mu1]",
+                       _kernels.count_lower_core(counts.n_x[0], weights[0], SEC.beta),
+                       1225266.4696611103))
+        checks.append(("n_x_plus[mu3]",
+                       _kernels.count_upper_core(counts.n_x[2], weights[2], SEC.beta),
+                       3732.584744370343))
         full = key_length_for_channel(ref_params, channel(30.0, 1e-6, 0.01, 60.0), SEC)
         checks.append(("chain s_x0", full.s_x0, 1935.4033092284933))
         checks.append(("chain s_x1", full.s_x1, 180504.6510175041))

@@ -27,7 +27,7 @@ PUBLIC = [
 ]
 
 # public module-level callables that are not re-exported by the package
-MODULE_ONLY = {"fsqkd.uncertainty": {"bounds_ell_array", "grid_key_lengths"},
+MODULE_ONLY = {"fsqkd.uncertainty": {"grid_key_lengths"},
                "fsqkd.optimize": {"minimize"}}
 
 

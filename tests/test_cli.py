@@ -131,10 +131,17 @@ class TestConfigErrors:
         ("budget", ["budget.resolution_db = 1e-300"], None),
         ("keylength", ["channel.p_ec = 0.7"],
          "fsqkd: configuration error: p_ec must be in [0, 0.5), got 0.7\n"),
+        ("keylength", ["channel.f_s = 1e300", "channel.integration_time_s = 1e10"],
+         "fsqkd: configuration error: "
+         "f_s * integration_time_s must be in [0, inf), got inf\n"),
+        ("sweep", ["sweep.eta_loss_db = 30", "sweep.log10_pec = -6",
+                   "sweep.qber_i = 0.01", "sweep.tau_s = 60, 1e301"],
+         "fsqkd: configuration error: "
+         "f_s * integration_time_s must be in [0, inf), got inf\n"),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
             "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
             "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
-            "p_ec-pinned"])
+            "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow"])
     def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")

@@ -13,8 +13,9 @@ import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
                    OptimizationSpec, ParameterError, ProtocolParams, Regime,
-                   SecurityParams, expected_block_counts, key_length_for_channel,
-                   key_length_for_intensities)
+                   SecurityParams, SweepSpec, expected_block_counts, key_length_for_channel,
+                   key_length_for_intensities, scenarios, skr_vs_time, sweep)
+from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
@@ -104,6 +105,32 @@ def test_number_message_unchanged():
 def test_non_number_intensity_rejected():
     with pytest.raises(ParameterError, match="h_mu1 must be in"):
         key_length_for_intensities({"h_mu1": "0.3"}, PARAMS, CHANNEL, SEC)
+
+
+def _sweep(**policy):
+    spec = SweepSpec(eta_loss_db=(30.0,), log10_pec=(-6.0,), qber_i=(0.01,),
+                     tau_s=(60.0, 1e301), **policy)
+    return sweep(spec, CHANNEL, SEC)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ChannelConditions(**{**CHANNEL_KW, "f_s": 1e300, "integration_time_s": 1e10}),
+    lambda: expected_block_counts(PARAMS, [(1e301, CHANNEL)]),
+    lambda: _sweep(params=PARAMS),
+    lambda: _sweep(opt_spec=OptimizationSpec(restarts=1)),
+    lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, params=PARAMS),
+    lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, opt_spec=OptimizationSpec(restarts=1)),
+], ids=["channel", "slot", "sweep-fixed", "sweep-optimized", "skr-fixed", "skr-optimized"])
+def test_overflowing_pulse_count_rejected(monkeypatch, build):
+    # f_s and the window are each finite, but their product is inf; it is
+    # rejected before any point is counted or optimized
+    def evaluated(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(k, "counts_core", evaluated)
+    monkeypatch.setattr(scenarios, "optimize", evaluated)
+    with pytest.raises(ParameterError, match=r"^f_s \* .* must be in \[0, inf\), got inf$"):
+        build()
 
 
 class TestIntensityDomain:

@@ -26,9 +26,9 @@ def tau(n, params):
 
 def scaled(trip, params, beta):
     """Scaled (lower, upper) bounds of one per-intensity count triple."""
-    out = _kernels.scaled_bounds_core(
-        *trip, *_kernels.intensity_terms(*params.mu, *params.p_mu)[2:], beta)
-    return out[:3], out[3:]
+    weights = _kernels.intensity_terms(*params.mu, *params.p_mu)[2:]
+    return (tuple(_kernels.count_lower_core(c, s, beta) for c, s in zip(trip, weights)),
+            tuple(_kernels.count_upper_core(c, s, beta) for c, s in zip(trip, weights)))
 
 
 class TestBinaryEntropy:
@@ -389,24 +389,29 @@ class TestOneScalarChain:
     def test_one_kernel_evaluation_per_query(self, monkeypatch, reference_params,
                                              reference_channel, ec_method):
         # the record comes from the one chain evaluation, with no second pass
-        bounds_calls, scaled_calls = [], []
-        bounds, scaled_core = _kernels.bounds_ell_core, _kernels.scaled_bounds_core
+        bounds_calls, delta_calls = [], []
+        bounds = _kernels.bounds_ell_core
 
         def counted_bounds(*args):
             out = bounds(*args)
             bounds_calls.append((args, out))
             return out
 
-        def counted_scaled(*args):
-            scaled_calls.append(args)
-            return scaled_core(*args)
+        def counted(delta):
+            def count(*args):
+                delta_calls.append(args)
+                return delta(*args)
+            return count
 
         monkeypatch.setattr(_kernels, "bounds_ell_core", counted_bounds)
-        monkeypatch.setattr(_kernels, "scaled_bounds_core", counted_scaled)
+        # only the 12 concentration-corrected counts the key uses: five per
+        # basis for its vacuum and single-photon bounds, two for v_z1
+        for name in ("chernoff_delta_plus", "chernoff_delta_minus"):
+            monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
         sec = SecurityParams(ec_method=ec_method)
         result = key_length_for_channel(reference_params, reference_channel, sec)
         assert len(bounds_calls) == 1
-        assert len(scaled_calls) == 3
+        assert len(delta_calls) == 12
 
         args, out = bounds_calls[0]
         s_z0, s_z1, v_z1 = out[4:7]

@@ -12,8 +12,8 @@ from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
 from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
-from fsqkd.uncertainty import (GRID_DIMS, _basis_bounds, _binary_entropy, _fluct_gamma,
-                               bounds_ell_array, grid_key_lengths)
+from fsqkd._kernels import _basis_bounds, _binary_entropy, _fluct_gamma, bounds_ell_array
+from fsqkd.uncertainty import GRID_DIMS, grid_key_lengths
 
 # fixed-hardware point with a comfortable key margin
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
