@@ -24,9 +24,13 @@ grid in :mod:`fsqkd.uncertainty`, over the outer product of both bases'
 count combinations, and fixed-parameter sweeps.  It mirrors
 ``bounds_ell_core`` function for function (one ``_basis_bounds`` per
 basis for ``basis_bounds_core``, and one array function for each scalar
-step below it) and operation for operation, with logarithms taken
-through libm, so every element is bit-identical to the scalar chain.
-The grid takes ``ell`` alone, from ``_ell_chain``.
+step below it) and operation for operation, so every element is
+bit-identical to the scalar chain.  Its log, scipy's ``xlogy(1, x)``, calls
+glibc's ``log`` as ``math.log`` does (they differ only at x <= 0, which the
+twin never passes); NumPy's vectorized ``log`` differs in the last bit on
+some inputs.  The estimator's mu1 and mu2 may be arrays of one shape on a
+leading axis ahead of the counts', one pair per entry, each with the taus
+and weights of the scalar ``intensity_terms``; the grid takes ``ell`` alone.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 LN2 = 0.6931471805599453
 
@@ -305,13 +310,8 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
 # --- array twin of the estimation chain ---------------------------------
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.log`` of a 1-d array.
-
-    NumPy's vectorized log differs from libm in the last bit on some
-    inputs; going through ``math`` keeps the array chain bit-identical to
-    the scalar kernels.
-    """
-    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+    """Elementwise ``math.log`` of an array of positive values, through libm."""
+    return xlogy(1.0, x)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -383,7 +383,8 @@ def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
         n_x_tot = n_x[0] + n_x[1] + n_x[2]
         n_z_tot = n_z[0] + n_z[1] + n_z[2]
 
-        tau0, tau1, *scales = intensity_terms(*mu, *p_mu)
+        tau0, tau1, *scales = np.array([intensity_terms(a, b, mu3, *p_mu) for a, b in zip(
+            np.ravel(mu1).tolist(), np.ravel(mu2).tolist())]).T.reshape(5, *np.shape(mu1))
 
         s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, scales, beta, tau0, tau1)
         s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, scales, beta, tau0, tau1)
@@ -430,5 +431,5 @@ def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
     reason = np.select([no_counts, no_single_photon, ell <= 0.0], [
         REASON_ZERO_COUNTS, REASON_NO_SINGLE_PHOTON, REASON_NEGATIVE_KEY], REASON_OK)
     s_x0, s_x1, s_z0, s_z1, v_z1, lam, qber_x = (
-        np.where(no_counts, 0.0, v) for v in (*bounds, lam, qber_x))
+        np.where(np.broadcast_to(no_counts, ell.shape), 0.0, v) for v in (*bounds, lam, qber_x))
     return ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason

@@ -225,11 +225,14 @@ def expected_block_counts(params: ProtocolParams,
 
     mu1, mu2, mu3 = params.mu
     p1, p2, p3 = params.p_mu
-    acc = [0.0] * 12
+    windows = []
     for dt, cond in slots:
         check_range("slot duration", dt, "non-negative")
-        n_pulses = cond.f_s * dt
-        check_range("f_s * slot duration", n_pulses, "non-negative")
+        windows.append((cond, cond.f_s * dt))
+        check_range("f_s * slot duration", windows[-1][1], "non-negative")
+    check_range("f_s * slot duration, summed", sum(n for _, n in windows), "non-negative")
+    acc = [0.0] * 12
+    for cond, n_pulses in windows:
         out = k.counts_core(
             params.pax, params.pbx,
             mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2,

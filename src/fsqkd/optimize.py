@@ -97,7 +97,7 @@ class OptimizationSpec:
                 f"got {self.intensity_bounds}")
         # mu1 must exceed mu3 + max(mu3, lo); a mu3 that leaves no such mu1
         # at any start point would leave the search nothing to decode
-        if all(_decode(t, self) is None for t in _start_points(self)):
+        if not any(map(_decoder(self), _start_points(self))):
             raise ParameterError(
                 f"mu3 = {self.mu3} leaves no feasible start point: mu1 must exceed "
                 f"mu3 + max(mu3, lo) = {self.mu3 + max(self.mu3, mlo):g} "
@@ -155,30 +155,33 @@ def _start_points(spec: OptimizationSpec) -> Iterator[list[float]]:
         yield [-4.0 + 8.0 * _halton(offset + r + 1, _HALTON_BASES[d]) for d in range(spec.ndim)]
 
 
-def _decode(t: Sequence[float], spec: OptimizationSpec):
-    """Transformed coordinates -> (pax, pbx, mu1, mu2, mu3, p1, p2, p3)."""
+def _decoder(spec: OptimizationSpec):
+    """Transformed coordinates -> (pax, pbx, mu1, mu2, mu3, p1, p2, p3), or
+    None for an infeasible intensity pair; the regime is read once."""
     plo, phi = spec.prob_bounds
-    pax = _interval(t[0], plo, phi)
-    if spec.regime is Regime.FULL:
-        pbx = pax
-    else:
-        pbx = spec.pbx
-    # stick-breaking keeps (p1, p2, p3) strictly inside the simplex
-    p1 = _interval(t[1], plo, 1.0 - 2.0 * plo)
-    p2 = _interval(t[2], plo, 1.0 - p1 - plo)
-    p3 = 1.0 - p1 - p2
-    if spec.regime is Regime.FIXED_PBX_AND_MU:
-        mu1, mu2, mu3 = spec.mu
-    else:
-        mlo, mhi = spec.intensity_bounds
-        mu3 = spec.mu3
-        mu1 = _interval(t[3], mlo, mhi)
-        r_lo = max(mu3 / mu1, mlo / mu1)
-        r_hi = 1.0 - mu3 / mu1 - 1e-9
-        if r_hi <= r_lo:
-            return None
-        mu2 = mu1 * _interval(t[4], r_lo, r_hi)
-    return pax, pbx, mu1, mu2, mu3, p1, p2, p3
+    mlo, mhi = spec.intensity_bounds
+    pbx_free = spec.regime is Regime.FULL
+    mu_fixed = spec.regime is Regime.FIXED_PBX_AND_MU
+
+    def decode(t: Sequence[float]):
+        pax = _interval(t[0], plo, phi)
+        pbx = pax if pbx_free else spec.pbx
+        # stick-breaking keeps (p1, p2, p3) strictly inside the simplex
+        p1 = _interval(t[1], plo, 1.0 - 2.0 * plo)
+        p2 = _interval(t[2], plo, 1.0 - p1 - plo)
+        p3 = 1.0 - p1 - p2
+        if mu_fixed:
+            mu1, mu2, mu3 = spec.mu
+        else:
+            mu3 = spec.mu3
+            mu1 = _interval(t[3], mlo, mhi)
+            r_lo = max(mu3 / mu1, mlo / mu1)
+            r_hi = 1.0 - mu3 / mu1 - 1e-9
+            if r_hi <= r_lo:
+                return None
+            mu2 = mu1 * _interval(t[4], r_lo, r_hi)
+        return pax, pbx, mu1, mu2, mu3, p1, p2, p3
+    return decode
 
 
 class _CallLimit(Exception):
@@ -270,10 +273,11 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     p_d = channel.transmittance
     n_pulses = channel.n_pulses
     n_evals = 0
+    decode = _decoder(spec)
 
     def neg_raw(t: list[float]) -> float:
         nonlocal n_evals
-        dec = _decode(t, spec)
+        dec = decode(t)
         if dec is None:
             return 1e30
         pax, pbx, mu1, mu2, mu3, p1, p2, p3 = dec
@@ -297,8 +301,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
             best_fun = cand_fun
             best_t = cand_t
 
-    dec = _decode(best_t, spec)
-    pax, pbx, mu1, mu2, mu3, p1, p2, p3 = dec
+    pax, pbx, mu1, mu2, mu3, p1, p2, p3 = decode(best_t)
     best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3),
                                  p_mu=(p1, p2, p3))
     # authoritative evaluation through the standard path

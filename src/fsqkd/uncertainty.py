@@ -26,13 +26,16 @@ against g^4 = 81.  The distinct points are evaluated in this order:
    depends on the X-basis totals alone;
 3. the estimation chain, ``_kernels._ell_chain`` (the array twin of
    ``bounds_ell_core`` up to ``ell``), over the outer product of both
-   bases' combinations, once per distinct estimator pair; this pair has
-   no symmetry.  An estimator pair outside the decoy domain of
-   ``channel.check_intensities`` counts as zero key at every point.
+   bases' combinations, once per block of distinct estimator pairs; this
+   pair has no symmetry.  A pair outside the decoy domain of
+   ``channel.check_intensities`` is not evaluated: it counts as zero key.
 
 Each estimator pair's g^8 key lengths are then gathered from its distinct
-results by index, one column at a time, so memory is O(g^8) and the
-result covers all g^10 points, bit-identical to evaluating each of them.
+results by index, one column at a time.  With rows count combinations a
+block holds g^8 // rows^2 pairs, at least one, so each array of a call
+has at most g^8 elements; the distinct results hold at most g^2 rows^2
+(11,664 at g = 3).  The result covers all g^10 points, bit-identical to
+evaluating each of them.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
 pulse are already covered by the extraneous-count probability.
@@ -40,7 +43,6 @@ pulse are already covered by the extraneous-count probability.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -178,19 +180,20 @@ def grid_key_lengths(model: IntensityUncertaintyModel,
     n_x = tuple(counts[:, j, None] for j in range(0, 3))
     n_z = tuple(counts[None, :, j] for j in range(3, 6))
     m_z = tuple(counts[None, :, j] for j in range(9, 12))
-    # estimator pairs are keyed by value too, and a pair's key lengths are
-    # kept only until its last repeat
+    # estimator pairs are keyed by value too; a block of the distinct ones
+    # in the decoy domain holds at most g^8 points, as a gathered column does
     estimators = list(itertools.product(cand1, cand2))
-    uses = Counter(estimators)
-    distinct_ell = {}
+    index = {est: i for i, est in enumerate(
+        dict.fromkeys(est for est in estimators if _decoy_domain(*est, mu3)))}
+    est_mu1, est_mu2 = np.reshape(list(index), (-1, 2)).T[..., None, None]
+    ell = np.empty((len(index), len(rows) ** 2))
+    step = max(1, gather.size // len(rows) ** 2)
+    for i in range(0, len(index), step):
+        ell[i:i + step] = k._ell_chain(
+            n_x, n_z, m_z, (est_mu1[i:i + step], est_mu2[i:i + step], mu3), params.p_mu,
+            sec.beta, sec.eps, sec.pa_bits, lam)[0].reshape(-1, len(rows) ** 2)
     for est in estimators:
-        if est not in distinct_ell:
-            distinct_ell[est] = k._ell_chain(
-                n_x, n_z, m_z, (*est, mu3), params.p_mu, sec.beta, sec.eps, sec.pa_bits,
-                lam)[0] if _decoy_domain(*est, mu3) else None
-        uses[est] -= 1
-        ell = distinct_ell[est] if uses[est] else distinct_ell.pop(est)
-        yield np.zeros(gather.size) if ell is None else ell.ravel()[gather]
+        yield ell[index[est]][gather] if est in index else np.zeros(gather.size)
 
 
 def worst_case_key_length(model: IntensityUncertaintyModel,

@@ -1,18 +1,21 @@
-"""Bit-identity of the scalar chain, pinned by digests.
+"""Bit-identity of the scalar chain and the worst-case grid, pinned by digests.
 
 Each digest is the SHA-256 of the ``repr`` of every result of a seeded
-sample, one result per line, recorded at commit e7d2311.  A change to the
-chain's arithmetic that moves any bit of any field fails here, so work
-may be reordered or shared only where it gives the same floats.  The
+sample, one result per line, recorded at commit e7d2311 (the worst-case
+digest at 16c222c).  A change to the chain's arithmetic that moves any
+bit of any field fails here, so work may be reordered or shared only
+where it gives the same floats.  The
 digests depend on the platform's libm and on scipy's ``betainc``; they
 were recorded on x86-64 Linux (glibc) with Python 3.11 and scipy 1.17.1.
 """
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from fsqkd import SecurityParams
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, ProtocolParams,
+                   SecurityParams, worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import ParameterError, check_intensities
 from fsqkd.finitekey import _evaluate_flat
@@ -38,6 +41,8 @@ COUNTS_DIGESTS = {
     "da-equal-hv":
         "5a5cc6b27ca716d3520fcad8899d5f06051d6d5f6b989c901794b2447b583cb4",
 }
+
+WORST_CASE_DIGEST = "c0514053608f84bd9ae444fc2cd9fbf0bb9f9185dbb6f4436e645769f027f5bd"
 
 
 def _digest(rows) -> str:
@@ -128,3 +133,43 @@ def test_evaluate_flat_digest(ec_method, mu3):
 @pytest.mark.parametrize("case", list(COUNTS_DIGESTS))
 def test_counts_core_digest(case):
     assert _digest(counts_rows(case)) == COUNTS_DIGESTS[case]
+
+
+def worst_case_rows(n: int = 240) -> tuple[list, int]:
+    """``worst_case_key_length`` over g = 2, 3 and 4, every f in the list
+    and both leakage modes, with the number of cases in which some
+    estimator pair leaves the decoy domain."""
+    rng = random.Random("worst_case_key_length")
+    rows, outside = [], 0
+    for i in range(n):
+        g = (2, 3, 4)[i % 3]
+        f = rng.choice([0.0, 1e-16, 0.01, 0.05, 0.1, 0.3])
+        mu1 = rng.uniform(0.2, 0.9)
+        mu2 = mu1 * rng.uniform(0.1, 0.75)
+        mu3 = rng.choice([0.0, 1e-9, mu2 * 0.01])
+        p1 = rng.uniform(0.5, 0.9)
+        p2 = rng.uniform(0.03, 0.95 - p1)
+        params = ProtocolParams(pax=rng.uniform(0.3, 0.9), pbx=rng.uniform(0.3, 0.9),
+                                mu=(mu1, mu2, mu3), p_mu=(p1, p2, 1.0 - p1 - p2))
+        channel = ChannelConditions(eta_loss_db=rng.uniform(15.0, 35.0),
+                                    p_ec=10.0 ** -rng.uniform(4.0, 7.0),
+                                    qber_i=rng.uniform(0.0, 0.03),
+                                    integration_time_s=rng.choice([0.0, 10.0, 60.0, 600.0]))
+        sec = SecurityParams(ec_method=rng.choice(["binomial", "rate-factor"]))
+        model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
+        res = worst_case_key_length(model, channel, sec)
+        rows.append((res.min_ell, res.nominal_ell, res.argmin_index,
+                     tuple(res.argmin.items()), res.evaluations))
+        try:
+            for est in itertools.product(model.candidates(mu1), model.candidates(mu2)):
+                check_intensities((*map(float, est), mu3))
+        except ParameterError:
+            outside += 1
+    return rows, outside
+
+
+def test_worst_case_digest():
+    rows, outside = worst_case_rows()
+    assert sum(row[0] > 0 for row in rows) >= 50
+    assert outside >= 10
+    assert _digest(rows) == WORST_CASE_DIGEST

@@ -116,11 +116,13 @@ def _sweep(**policy):
 @pytest.mark.parametrize("build", [
     lambda: ChannelConditions(**{**CHANNEL_KW, "f_s": 1e300, "integration_time_s": 1e10}),
     lambda: expected_block_counts(PARAMS, [(1e301, CHANNEL)]),
+    # each slot's count is finite, their sum is not
+    lambda: expected_block_counts(PARAMS, [(1.7e300, CHANNEL)] * 10),
     lambda: _sweep(params=PARAMS),
     lambda: _sweep(opt_spec=OptimizationSpec(restarts=1)),
     lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, params=PARAMS),
     lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, opt_spec=OptimizationSpec(restarts=1)),
-], ids=["channel", "slot", "sweep-fixed", "sweep-optimized", "skr-fixed", "skr-optimized"])
+], ids=["channel", "slot", "slot-sum", "sweep-fixed", "sweep-optimized", "skr-fixed", "skr-optimized"])
 def test_overflowing_pulse_count_rejected(monkeypatch, build):
     # f_s and the window are each finite, but their product is inf; it is
     # rejected before any point is counted or optimized

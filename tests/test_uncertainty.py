@@ -1,5 +1,6 @@
 """Worst-case key length under bounded intensity uncertainty."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fsqkd import _kernels as k
 from fsqkd._quantile import binom_ppf
 from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
-from fsqkd._kernels import _basis_bounds, _binary_entropy, _fluct_gamma, bounds_ell_array
+from fsqkd._kernels import (_basis_bounds, _binary_entropy, _ell_chain, _fluct_gamma,
+                            _libm_log, bounds_ell_array)
 from fsqkd.uncertainty import GRID_DIMS, grid_key_lengths
 
 # fixed-hardware point with a comfortable key margin
@@ -349,6 +351,47 @@ def test_array_logarithmic_terms_match_scalar_kernels():
                           [k.fluct_gamma(a, *t) for t in zip(b, c, d)])
 
 
+def test_array_log_is_libm_log():
+    """The array log equals ``math.log`` element for element: subnormals up
+    to the largest doubles, the neighbourhood of 1, and (0, 1)."""
+    rng = np.random.default_rng(11)
+    x = np.concatenate([10.0 ** rng.uniform(-323.3, 308.2, 600_000),
+                        rng.uniform(0.999, 1.001, 300_000), rng.uniform(0.0, 1.0, 300_000),
+                        [5e-324, 2.2250738585072014e-308, 1.0, 1.7e308]])
+    assert x.min() > 0.0 and x.max() >= 1.7e308
+    assert np.array_equal(_libm_log(x), [math.log(v) for v in x.tolist()])
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_batched_estimators_match_one_call_each(consistent):
+    """``_ell_chain`` over an (E, 1, 1) estimator axis equals E calls with a
+    scalar estimator each, bit for bit, and so does every field of
+    ``bounds_ell_array``'s record, each with the estimator axis."""
+    rng = np.random.default_rng(31)
+    mu1, mu2, mu3 = 0.6, 0.15, 1e-9
+    p_mu = (0.7, 0.2, 0.1)
+    counts = np.array([random_counts(rng, mu1, mu2, mu3, *p_mu, consistent)
+                       for _ in range(40)])
+    n_x = tuple(counts[:, j, None] for j in range(0, 3))
+    n_z = tuple(counts[None, :, j] for j in range(3, 6))
+    m_x = tuple(counts[:, j, None] for j in range(6, 9))
+    m_z = tuple(counts[None, :, j] for j in range(9, 12))
+    lam = np.array([_count_leakage(c, SEC)[0] for c in counts.tolist()])[:, None]
+    est = [(mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1)) for _ in range(7)]
+    args = (p_mu, SEC.beta, SEC.eps, SEC.pa_bits, lam)
+    est_mu1, est_mu2 = np.array(est).T[..., None, None]
+    ell, raw, _ = _ell_chain(n_x, n_z, m_z, (est_mu1, est_mu2, mu3), *args)
+    record = bounds_ell_array(n_x, n_z, m_x, m_z, (est_mu1, est_mu2, mu3), *args)
+    assert ell.shape == raw.shape == (7, 40, 40)
+    assert all(field.shape == (7, 40, 40) for field in record)
+    for e, (a, b) in enumerate(est):
+        one_ell, one_raw, _ = _ell_chain(n_x, n_z, m_z, (a, b, mu3), *args)
+        assert np.array_equal(ell[e], one_ell) and np.array_equal(raw[e], one_raw)
+        one = bounds_ell_array(n_x, n_z, m_x, m_z, (a, b, mu3), *args)
+        assert all(np.array_equal(f[e], g) for f, g in zip(record, one))
+    assert np.any(ell > 0.0) or not consistent
+
+
 # nominal point whose estimator pairs can leave the decoy domain under uncertainty
 NEAR = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.3, 0.2, 0.0), p_mu=(0.8, 0.13, 0.07))
 
@@ -387,3 +430,36 @@ class TestEstimatorOutsideDecoyDomain:
         assert outside > 0
         res = worst_case_key_length(model, CHANNEL, SEC)
         assert res.min_ell == 0 and res.nominal_ell == 192950
+
+
+@pytest.mark.parametrize("params,g,f,calls,pairs", [
+    (PARAMS, 3, 0.05, 2, 9), (PARAMS, 3, 0.0, 1, 1), (PARAMS, 2, 0.05, 2, 4),
+    (PARAMS, 4, 0.05, 3, 16), (NEAR, 3, 0.3, 2, 8)], ids=["3", "f0-3", "2", "4", "near-0.3"])
+def test_chain_runs_over_blocks_of_estimator_pairs(monkeypatch, params, g, f, calls, pairs):
+    """The grid runs the chain over blocks of estimator pairs, each call
+    covering at most g^8 points, and each distinct pair in the decoy domain
+    once; a pair outside it never reaches the chain."""
+    sizes, seen = [], []
+
+    def counting(n_x, n_z, m_z, mu, *args):
+        seen.extend(zip(np.ravel(mu[0]).tolist(), np.ravel(mu[1]).tolist()))
+        out = _ell_chain(n_x, n_z, m_z, mu, *args)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(k, "_ell_chain", counting)
+    model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
+    for _ in grid_key_lengths(model, CHANNEL, SEC):
+        pass
+    assert len(sizes) == calls
+    assert max(sizes) <= g ** 8
+    inside = set()
+    for est in itertools.product(model.candidates(params.mu[0]).tolist(),
+                                 model.candidates(params.mu[1]).tolist()):
+        try:
+            check_intensities((*est, params.mu[2]))
+        except ParameterError:
+            continue
+        inside.add(est)
+    assert sorted(seen) == sorted(inside)
+    assert len(inside) == pairs
