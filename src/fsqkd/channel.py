@@ -42,9 +42,15 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "f": ("[", 0.0, 0.5, ")"),
     "non-negative": ("[", 0.0, math.inf, ")"),
     "positive": ("(", 0.0, math.inf, ")"),
+    # f_s times a window; a count stays below 2 and a counts_core term below 4
+    # times it, since every detection probability is below 1 + p_ap < 2
+    "pulse count": ("[", 0.0, 1e300, "]"),
     "integer": ("(", -math.inf, math.inf, ")"),
     "non-negative integer": ("[", 0, math.inf, ")"),
     "positive integer": ("[", 1, math.inf, ")"),
+    # worst-case grid points per dimension: g^10 points, and g = 6 already
+    # takes about 1.6 s and 200 MB
+    "grid points": ("[", 1, 6, "]"),
 }
 
 
@@ -118,7 +124,7 @@ class ChannelConditions:
         check_range("integration_time_s", self.integration_time_s, "non-negative")
         check_range("f_s", self.f_s, "positive")
         # each factor can be finite while the pulse count overflows
-        check_range("f_s * integration_time_s", self.n_pulses, "non-negative")
+        check_range("f_s * integration_time_s", self.n_pulses, "pulse count")
 
     @property
     def transmittance(self) -> float:
@@ -229,8 +235,8 @@ def expected_block_counts(params: ProtocolParams,
     for dt, cond in slots:
         check_range("slot duration", dt, "non-negative")
         windows.append((cond, cond.f_s * dt))
-        check_range("f_s * slot duration", windows[-1][1], "non-negative")
-    check_range("f_s * slot duration, summed", sum(n for _, n in windows), "non-negative")
+        check_range("f_s * slot duration", windows[-1][1], "pulse count")
+    check_range("f_s * slot duration, summed", sum(n for _, n in windows), "pulse count")
     acc = [0.0] * 12
     for cond, n_pulses in windows:
         out = k.counts_core(

@@ -152,7 +152,7 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
     batch: scalar counts and leakage per point, then one ``bounds_ell_array``.
     Every window's pulse count is checked before any point is evaluated."""
     for tau in axes[3]:
-        check_range("f_s * integration_time_s", base.f_s * tau, "non-negative")
+        check_range("f_s * integration_time_s", base.f_s * tau, "pulse count")
     if params is None:
         return [_evaluate_point(replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
                                         integration_time_s=tau), sec, None, opt_spec)

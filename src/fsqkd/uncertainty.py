@@ -30,12 +30,13 @@ against g^4 = 81.  The distinct points are evaluated in this order:
    pair has no symmetry.  A pair outside the decoy domain of
    ``channel.check_intensities`` is not evaluated: it counts as zero key.
 
-Each estimator pair's g^8 key lengths are then gathered from its distinct
-results by index, one column at a time.  With rows count combinations a
-block holds g^8 // rows^2 pairs, at least one, so each array of a call
-has at most g^8 elements; the distinct results hold at most g^2 rows^2
-(11,664 at g = 3).  The result covers all g^10 points, bit-identical to
-evaluating each of them.
+A distinct point stands for the grid points that give its X-basis row,
+Z-basis row and estimator pair, a product set, so its least grid index is
+``(first_x * g^4 + first_z) * g^2 + first_est`` from the first index of
+each; the least key length at the least such index is that of all g^10
+points.  With rows count combinations the table holds g^2 rows^2 entries
+at most (11,664 at g = 3) and a chain call, over a block of g^8 // rows^2
+pairs or one, at most g^8; no g^8 array is kept.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
 pulse are already covered by the extraneous-count probability.
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class IntensityUncertaintyModel:
 
     def __post_init__(self) -> None:
         check_range("f", self.f)
-        check_integer("grid_points_per_dim", self.grid_points_per_dim, "positive integer")
+        check_integer("grid_points_per_dim", self.grid_points_per_dim, "grid points")
         if self.grid_points_per_dim < 2 and self.f > 0.0:
             raise ParameterError("need at least 2 grid points per dimension for f > 0")
 
@@ -104,9 +104,7 @@ def key_length_for_intensities(state_mu: dict[str, float],
     gives 0 key.
     """
     mu1, mu2, mu3 = params.mu
-    vals = {"h_mu1": mu1, "v_mu1": mu1, "d_mu1": mu1, "a_mu1": mu1,
-            "h_mu2": mu2, "v_mu2": mu2, "d_mu2": mu2, "a_mu2": mu2,
-            "est_mu1": mu1, "est_mu2": mu2}
+    vals = dict(zip(GRID_DIMS, (mu1, mu2) * 5))  # GRID_DIMS alternates mu1 and mu2
     for name, v in state_mu.items():
         if name not in vals:
             raise ParameterError(f"unknown intensity dimension {name!r}")
@@ -114,14 +112,10 @@ def key_length_for_intensities(state_mu: dict[str, float],
         vals[name] = float(v)
     if not _decoy_domain(vals["est_mu1"], vals["est_mu2"], mu3):
         return 0
-    p1, p2, p3 = params.p_mu
-    c = k.counts_core(params.pax, params.pbx,
-                      vals["h_mu1"], vals["h_mu2"], vals["v_mu1"], vals["v_mu2"],
-                      vals["d_mu1"], vals["d_mu2"], vals["a_mu1"], vals["a_mu2"],
-                      mu3, p1, p2, p3,
-                      channel.transmittance, channel.p_ec, channel.qber_i,
-                      channel.p_ap, channel.n_pulses)
-    out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, p1, p2, p3, sec)
+    c = k.counts_core(params.pax, params.pbx, *(vals[name] for name in GRID_DIMS[:8]),
+                      mu3, *params.p_mu, channel.transmittance, channel.p_ec,
+                      channel.qber_i, channel.p_ap, channel.n_pulses)
+    out, _ = _key_chain(c, vals["est_mu1"], vals["est_mu2"], mu3, *params.p_mu, sec)
     return int(out[0])
 
 
@@ -139,61 +133,51 @@ def _decoy_domain(mu1: float, mu2: float, mu3: float) -> bool:
     return True
 
 
-def grid_key_lengths(model: IntensityUncertaintyModel,
-                     channel: ChannelConditions,
-                     sec: SecurityParams) -> Iterator[np.ndarray]:
-    """Key lengths over the uncertainty grid, one estimator pair at a time.
+def _distinct_grid(model: IntensityUncertaintyModel,
+                   channel: ChannelConditions,
+                   sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Key lengths at the grid's distinct points, and each point's first grid index.
 
-    Yields, for each estimator pair in row-major order over
-    ``(est_mu1, est_mu2)``, the key lengths at all g^8 true-intensity
-    combinations in row-major order over ``GRID_DIMS[:8]``.  Stacking the
-    g^2 arrays as columns gives the whole grid in row-major order over
-    ``GRID_DIMS``.  The chain runs once per distinct point (see the module
-    docstring) and each array is gathered from it.  An estimator pair
-    outside the decoy domain yields zeros without evaluating the chain.
+    Both arrays are indexed (estimator pair, X-basis row, Z-basis row), each
+    distinct value in order of first appearance.  A pair outside the decoy
+    domain gets zeros without evaluating the chain.
     """
     params = model.nominal
+    g = model.grid_points_per_dim
     mu3 = params.mu[2]
-    p1, p2, p3 = params.p_mu
     cand1 = model.candidates(params.mu[0]).tolist()
     cand2 = model.candidates(params.mu[1]).tolist()
-    link = (channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
-            channel.n_pulses)
-    # one count row per distinct (min, max) mu1 pair and (min, max) mu2 pair
-    # of a basis' two states, and the row of each state combination,
-    # row-major over (s_mu1, s_mu2, t_mu1, t_mu2) for the basis' states s and t
-    row = {}
-    row_of = np.array([row.setdefault((min(s1, t1), max(s1, t1), min(s2, t2), max(s2, t2)),
-                                      len(row))
-                       for s1, s2, t1, t2 in itertools.product(cand1, cand2, cand1, cand2)])
+    # one count row per distinct (min, max) mu1 and mu2 pair of a basis' two
+    # states s and t, and one estimator pair per distinct value, each keyed to
+    # its first index row-major over (s_mu1, s_mu2, t_mu1, t_mu2) or GRID_DIMS[8:]
+    row, est = {}, {}
+    for i, (s1, s2, t1, t2) in enumerate(itertools.product(cand1, cand2, cand1, cand2)):
+        row.setdefault((min(s1, t1), max(s1, t1), min(s2, t2), max(s2, t2)), i)
+    for i, pair in enumerate(itertools.product(cand1, cand2)):
+        est.setdefault(pair, i)
     # each row holds the X-basis counts of its (H, V) and the Z-basis counts
     # of its (D, A)
     rows = [k.counts_core(params.pax, params.pbx, lo1, lo2, hi1, hi2, lo1, lo2, hi1, hi2,
-                          mu3, p1, p2, p3, *link)
+                          mu3, *params.p_mu, channel.transmittance, channel.p_ec,
+                          channel.qber_i, channel.p_ap, channel.n_pulses)
             for lo1, hi1, lo2, hi2 in row]
     lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
 
-    # X-basis rows down, Z-basis rows across, so the gathered (g^4, g^4)
-    # block ravels row-major over GRID_DIMS[:8]
-    gather = (row_of[:, None] * len(rows) + row_of[None, :]).ravel()
-    counts = np.array(rows)
-    n_x = tuple(counts[:, j, None] for j in range(0, 3))
-    n_z = tuple(counts[None, :, j] for j in range(3, 6))
-    m_z = tuple(counts[None, :, j] for j in range(9, 12))
-    # estimator pairs are keyed by value too; a block of the distinct ones
-    # in the decoy domain holds at most g^8 points, as a gathered column does
-    estimators = list(itertools.product(cand1, cand2))
-    index = {est: i for i, est in enumerate(
-        dict.fromkeys(est for est in estimators if _decoy_domain(*est, mu3)))}
-    est_mu1, est_mu2 = np.reshape(list(index), (-1, 2)).T[..., None, None]
-    ell = np.empty((len(index), len(rows) ** 2))
-    step = max(1, gather.size // len(rows) ** 2)
-    for i in range(0, len(index), step):
-        ell[i:i + step] = k._ell_chain(
+    # X-basis rows down, Z-basis rows across
+    cols = np.array(rows).T
+    n_x, n_z, m_z = cols[0:3, :, None], cols[3:6, None, :], cols[9:12, None, :]
+    # blocks of the pairs in the decoy domain, at most g^8 points each
+    inside = [j for j, pair in enumerate(est) if _decoy_domain(*pair, mu3)]
+    est_mu1, est_mu2 = np.reshape(list(est), (-1, 2))[inside].T[..., None, None]
+    ell = np.zeros((len(est), len(row), len(row)))
+    step = max(1, g ** 8 // len(row) ** 2)
+    for i in range(0, len(inside), step):
+        ell[inside[i:i + step]] = k._ell_chain(
             n_x, n_z, m_z, (est_mu1[i:i + step], est_mu2[i:i + step], mu3), params.p_mu,
-            sec.beta, sec.eps, sec.pa_bits, lam)[0].reshape(-1, len(rows) ** 2)
-    for est in estimators:
-        yield ell[index[est]][gather] if est in index else np.zeros(gather.size)
+            sec.beta, sec.eps, sec.pa_bits, lam)[0]
+    first_row = np.array(list(row.values())) * g * g
+    first = np.add.outer(list(est.values()), np.add.outer(first_row * g ** 4, first_row))
+    return ell, first
 
 
 def worst_case_key_length(model: IntensityUncertaintyModel,
@@ -208,25 +192,15 @@ def worst_case_key_length(model: IntensityUncertaintyModel,
     ``evaluations`` counts the grid points covered, g^10.
     """
     g = model.grid_points_per_dim
-    mins = []
-    evaluations = 0
-    for ell in grid_key_lengths(model, channel, sec):
-        t = int(np.argmin(ell))
-        mins.append((ell[t], t))
-        evaluations += ell.size
-    min_ell = min(m for m, _ in mins)
-    argmin_idx = min(t * g * g + e for e, (m, t) in enumerate(mins) if m == min_ell)
+    ell, first = _distinct_grid(model, channel, sec)
+    min_ell = ell.min()
+    argmin_idx = int(first[ell == min_ell].min())
 
     params = model.nominal
-    cand1 = model.candidates(params.mu[0])
-    cand2 = model.candidates(params.mu[1])
+    cands = (model.candidates(params.mu[0]), model.candidates(params.mu[1])) * 5
     digits = np.unravel_index(argmin_idx, (g,) * len(GRID_DIMS))
-    argmin = {}
-    for name, digit in zip(GRID_DIMS, digits):
-        cands = cand1 if name.endswith("mu1") else cand2
-        argmin[name] = float(cands[digit])
-
+    argmin = {name: float(c[d]) for name, c, d in zip(GRID_DIMS, cands, digits)}
     nominal_ell = key_length_for_intensities({}, params, channel, sec)
     return WorstCaseResult(min_ell=int(min_ell), nominal_ell=nominal_ell,
                            argmin=argmin, argmin_index=argmin_idx,
-                           evaluations=evaluations)
+                           evaluations=g ** len(GRID_DIMS))

@@ -133,15 +133,24 @@ class TestConfigErrors:
          "fsqkd: configuration error: p_ec must be in [0, 0.5), got 0.7\n"),
         ("keylength", ["channel.f_s = 1e300", "channel.integration_time_s = 1e10"],
          "fsqkd: configuration error: "
-         "f_s * integration_time_s must be in [0, inf), got inf\n"),
+         "f_s * integration_time_s must be in [0, 1e+300], got inf\n"),
         ("sweep", ["sweep.eta_loss_db = 30", "sweep.log10_pec = -6",
                    "sweep.qber_i = 0.01", "sweep.tau_s = 60, 1e301"],
          "fsqkd: configuration error: "
-         "f_s * integration_time_s must be in [0, inf), got inf\n"),
+         "f_s * integration_time_s must be in [0, 1e+300], got inf\n"),
+        ("keylength", ["protocol.pax = 0.998", "protocol.pbx = 0.998", "protocol.mu1 = 10",
+                       "protocol.mu2 = 0.1", "protocol.p_mu1 = 0.998", "protocol.p_mu2 = 0.001",
+                       "channel.eta_loss_db = 0", "channel.p_ap = 0.99",
+                       "channel.integration_time_s = 1.7e300"],
+         "fsqkd: configuration error: "
+         "f_s * integration_time_s must be in [0, 1e+300], got 1.7000000000000001e+308\n"),
+        ("worstcase", ["worstcase.f = 0.05", "worstcase.grid_points = 7"],
+         "fsqkd: configuration error: grid_points_per_dim must be in [1, 6], got 7\n"),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
             "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
             "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
-            "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow"])
+            "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow",
+            "finite-pulse-count-overflowing-counts", "worstcase-grid-points"])
     def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")

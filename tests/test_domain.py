@@ -14,7 +14,8 @@ import pytest
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
                    OptimizationSpec, ParameterError, ProtocolParams, Regime,
                    SecurityParams, SweepSpec, expected_block_counts, key_length_for_channel,
-                   key_length_for_intensities, scenarios, skr_vs_time, sweep)
+                   key_length_for_intensities, scenarios, skr_vs_time, sweep,
+                   worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
 
@@ -122,17 +123,47 @@ def _sweep(**policy):
     lambda: _sweep(opt_spec=OptimizationSpec(restarts=1)),
     lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, params=PARAMS),
     lambda: skr_vs_time([60.0, 1e301], CHANNEL, SEC, opt_spec=OptimizationSpec(restarts=1)),
-], ids=["channel", "slot", "slot-sum", "sweep-fixed", "sweep-optimized", "skr-fixed", "skr-optimized"])
+    # a finite pulse count of 1.7e308 whose counts overflow: a detection
+    # probability reaches 1 + p_ap
+    lambda: key_length_for_channel(
+        ProtocolParams(pax=0.998, pbx=0.998, mu=(10.0, 0.1, 0.0), p_mu=(0.998, 0.001, 0.001)),
+        ChannelConditions(**{**CHANNEL_KW, "eta_loss_db": 0.0, "p_ap": 0.99,
+                             "integration_time_s": 1.7e300}), SEC),
+], ids=["channel", "slot", "slot-sum", "sweep-fixed", "sweep-optimized", "skr-fixed",
+        "skr-optimized", "finite-overflowing-counts"])
 def test_overflowing_pulse_count_rejected(monkeypatch, build):
-    # f_s and the window are each finite, but their product is inf; it is
-    # rejected before any point is counted or optimized
+    # f_s and the window are each finite, but their product is inf or so
+    # large that the counts overflow; it is rejected before any point is
+    # counted or optimized
     def evaluated(*args):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(k, "counts_core", evaluated)
     monkeypatch.setattr(scenarios, "optimize", evaluated)
-    with pytest.raises(ParameterError, match=r"^f_s \* .* must be in \[0, inf\), got inf$"):
+    with pytest.raises(ParameterError,
+                       match=r"^f_s \* .* must be in \[0, 1e\+300\], got (inf|1\.7\d*e\+308)$"):
         build()
+
+
+def test_pulse_count_upper_end_is_accepted():
+    # the largest pulse count keeps every count and the key finite
+    channel = ChannelConditions(**{**CHANNEL_KW, "integration_time_s": 1e292})
+    assert channel.n_pulses == 1e300
+    res = key_length_for_channel(PARAMS, channel, SEC)
+    assert math.isfinite(res.raw) and res.ell > 0
+
+
+def test_grid_points_have_an_upper_end(monkeypatch):
+    # the grid has g^10 points: g = 1000 looped over 10^12 state
+    # combinations before anything failed
+    def evaluated(*args):
+        raise AssertionError("a point was evaluated")
+
+    IntensityUncertaintyModel(f=0.1, nominal=PARAMS, grid_points_per_dim=6)
+    monkeypatch.setattr(k, "counts_core", evaluated)
+    with pytest.raises(ParameterError, match=r"^grid_points_per_dim must be in \[1, 6\], got 7$"):
+        worst_case_key_length(
+            IntensityUncertaintyModel(f=0.1, nominal=PARAMS, grid_points_per_dim=7), CHANNEL, SEC)
 
 
 class TestIntensityDomain:

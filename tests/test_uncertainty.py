@@ -15,7 +15,7 @@ from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
 from fsqkd._kernels import (_basis_bounds, _binary_entropy, _ell_chain, _fluct_gamma,
                             _libm_log, bounds_ell_array)
-from fsqkd.uncertainty import GRID_DIMS, grid_key_lengths
+from fsqkd.uncertainty import GRID_DIMS, _distinct_grid
 
 # fixed-hardware point with a comfortable key margin
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
@@ -197,14 +197,16 @@ def loss_channel(eta_loss_db, integration_time_s=60.0):
 
 
 class TestArrayGridExactness:
-    """The array grid reproduces the scalar chain at every point, bit for bit."""
+    """Each distinct point of the array grid equals the scalar chain at its
+    first grid index, bit for bit, and the grid holds no other value."""
 
     @staticmethod
     def check(model, channel, ec_method):
         sec = SecurityParams(ec_method=ec_method)
-        ell = np.stack(list(grid_key_lengths(model, channel, sec)), axis=1).ravel()
+        ell, first = _distinct_grid(model, channel, sec)
         ref, reason = scalar_grid(model, channel, sec)
-        assert np.array_equal(ell, ref)
+        assert np.array_equal(ell, ref[first])
+        assert np.array_equal(np.unique(ell), np.unique(ref))
         res = worst_case_key_length(model, channel, sec)
         assert res.evaluations == ref.size
         assert res.min_ell == ref.min()
@@ -275,8 +277,7 @@ def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g, f, expected):
 
     monkeypatch.setattr(k, "counts_core", counting)
     model = IntensityUncertaintyModel(f=f, nominal=PARAMS, grid_points_per_dim=g)
-    for _ in grid_key_lengths(model, CHANNEL, SEC):
-        pass
+    _distinct_grid(model, CHANNEL, SEC)
     assert len(calls) == expected
 
 
@@ -413,20 +414,24 @@ class TestEstimatorOutsideDecoyDomain:
     def test_grid_pairs_outside_domain_yield_zeros(self, f):
         model = IntensityUncertaintyModel(f=f, nominal=NEAR)
         cand1, cand2 = model.candidates(0.3), model.candidates(0.2)
-        columns = list(grid_key_lengths(model, CHANNEL, SEC))
+        ell, first = _distinct_grid(model, CHANNEL, SEC)
+        # every candidate differs, so each of the g^2 pairs has its own slab,
+        # whose first cell is at the lowest candidate of every true intensity
+        assert len(ell) == 9
         outside = 0
-        for col, (est1, est2) in zip(columns, itertools.product(cand1, cand2)):
+        for slab, (est1, est2) in zip(ell, itertools.product(cand1, cand2)):
             try:
                 check_intensities((est1, est2, 0.0))
             except ParameterError:
                 outside += 1
-                assert not np.any(col)
+                assert not np.any(slab)
             else:
-                assert np.any(col)
+                assert np.any(slab)
             state = {name: cand1[0] if name.endswith("mu1") else cand2[0]
                      for name in GRID_DIMS[:8]}
             state.update(est_mu1=est1, est_mu2=est2)
-            assert col[0] == key_length_for_intensities(state, NEAR, CHANNEL, SEC)
+            assert slab[0, 0] == key_length_for_intensities(state, NEAR, CHANNEL, SEC)
+        assert np.array_equal(first[:, 0, 0], np.arange(9))
         assert outside > 0
         res = worst_case_key_length(model, CHANNEL, SEC)
         assert res.min_ell == 0 and res.nominal_ell == 192950
@@ -449,8 +454,7 @@ def test_chain_runs_over_blocks_of_estimator_pairs(monkeypatch, params, g, f, ca
 
     monkeypatch.setattr(k, "_ell_chain", counting)
     model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
-    for _ in grid_key_lengths(model, CHANNEL, SEC):
-        pass
+    _distinct_grid(model, CHANNEL, SEC)
     assert len(sizes) == calls
     assert max(sizes) <= g ** 8
     inside = set()
