@@ -18,19 +18,31 @@ its vacuum and single-photon bounds, and two Z-basis error counts for
 ``v_z1``.  The caller passes in the privacy-amplification constant, which
 depends only on the eps budget.
 
-The estimation chain, and it alone, has an array twin, ``bounds_ell_array``,
-for callers that run it over many count vectors at once: the worst-case
-grid in :mod:`fsqkd.uncertainty`, over the outer product of both bases'
-count combinations, and fixed-parameter sweeps.  It mirrors
-``bounds_ell_core`` function for function (one ``_basis_bounds`` per
-basis for ``basis_bounds_core``, and one array function for each scalar
-step below it) and operation for operation, so every element is
-bit-identical to the scalar chain.  Its log, scipy's ``xlogy(1, x)``, calls
-glibc's ``log`` as ``math.log`` does (they differ only at x <= 0, which the
-twin never passes); NumPy's vectorized ``log`` differs in the last bit on
-some inputs.  The estimator's mu1 and mu2 may be arrays of one shape on a
-leading axis ahead of the counts', one pair per entry, each with the taus
-and weights of the scalar ``intensity_terms``; the grid takes ``ell`` alone.
+Three steps have array twins, for callers that run the chain over many
+points at once: ``counts_array`` for ``counts_core``, ``ec_leakage_array``
+for ``ec_leakage_core`` (its quantile comes from
+``_quantile.binom_ppf_array``), and ``bounds_ell_array`` for
+``bounds_ell_core``.  A fixed-parameter sweep runs all three over its
+whole grid, each axis on a dimension of its own; the worst-case grid in
+:mod:`fsqkd.uncertainty` runs the last over the outer product of both
+bases' count combinations, and takes its few count rows and their leakage
+from the scalar steps, which cost less than one array call on so few rows.
+Each twin mirrors its scalar step function for function (one
+``_basis_counts`` and ``_basis_bounds`` per basis, and one array function
+for each scalar step below them) and operation for operation, so every
+element is bit-identical to the scalar chain.  NumPy's vectorized ``exp``
+and ``log`` differ from libm's in the last bit on some inputs, so neither
+is used: ``_libm_exp`` calls ``math.exp`` once per distinct value, one per
+loss and intensity in a sweep, and ``_libm_log`` is scipy's ``xlogy(1, x)``,
+which calls glibc's ``log`` as ``math.log`` does (they differ only at
+x <= 0, which no twin passes).  The transmittance stays the scalar
+``db_to_transmittance`` of each loss.  The quantile twin keeps its search
+in int64 and follows the scalar one step for step below 2^53 trials; a
+count at or above 2^53 goes to the scalar ``binom_ppf``, whose Python ints
+a float k could not follow.  The estimator's mu1 and mu2 may be arrays of
+one shape on a leading axis ahead of the counts', one pair per entry, each
+with the taus and weights of the scalar ``intensity_terms``; the grid takes
+``ell`` alone.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -307,11 +319,96 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
     return (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason)
 
 
-# --- array twin of the estimation chain ---------------------------------
+# --- array twins ----------------------------------------------------------
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
     """Elementwise ``math.log`` of an array of positive values, through libm."""
     return xlogy(1.0, x)
+
+
+def _libm_exp(x) -> np.ndarray:
+    """Elementwise ``math.exp`` of an array, one call per distinct value."""
+    x = np.asarray(x, dtype=float)
+    vals = x.ravel().tolist()
+    exps = {v: math.exp(v) for v in set(vals)}
+    return np.array([exps[v] for v in vals]).reshape(x.shape)
+
+
+def _detection_error(k, p_d, p_ec, p_ap, qber_i):
+    """``detection_error_prob`` over arrays."""
+    t = _libm_exp(-p_d * k)
+    d_k = (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * t)
+    return d_k, p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - t)
+
+
+def _pair_statistics(mu1_a, mu2_a, mu1_b, mu2_b, p_d, p_ec, p_ap, qber_i):
+    """``pair_statistics`` over arrays.  A state pair passed as one object
+    is evaluated once; equal values in two arrays are averaged, which gives
+    the same float, as 0.5 * (d + d) == d."""
+    d1, e1 = _detection_error(mu1_a, p_d, p_ec, p_ap, qber_i)
+    if mu1_b is not mu1_a:
+        d, e = _detection_error(mu1_b, p_d, p_ec, p_ap, qber_i)
+        d1, e1 = 0.5 * (d1 + d), 0.5 * (e1 + e)
+    d2, e2 = _detection_error(mu2_a, p_d, p_ec, p_ap, qber_i)
+    if mu2_b is not mu2_a:
+        d, e = _detection_error(mu2_b, p_d, p_ec, p_ap, qber_i)
+        d2, e2 = 0.5 * (d2 + d), 0.5 * (e2 + e)
+    return d1, e1, d2, e2
+
+
+def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
+    """``basis_counts_core`` over arrays."""
+    n1 = sift * p1 * d1
+    n2 = sift * p2 * d2
+    n3 = sift * p3 * d3
+    sum_pd = p1 * d1 + p2 * d2 + p3 * d3
+    sum_pe = p1 * e1 + p2 * e2 + p3 * e3
+    none = ~(sum_pd > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
+        return (n1, n2, n3, *(np.where(none, 0.0, m_tot * p * d / sum_pd)
+                              for p, d in ((p1, d1), (p2, d2), (p3, d3))))
+
+
+def counts_array(pax, pbx,
+                 mu1_h, mu2_h, mu1_v, mu2_v,
+                 mu1_d, mu2_d, mu1_a, mu2_a,
+                 mu3, p1, p2, p3,
+                 p_d, p_ec, qber_i, p_ap, n_pulses):
+    """``counts_core`` over broadcasting arrays: its 12 counts, each array
+    of the shape its own inputs broadcast to, every element equal to the
+    scalar kernel's.  The Z basis reuses the X statistics when D and A are
+    passed the very objects H and V are."""
+    d3, e3 = _detection_error(mu3, p_d, p_ec, p_ap, qber_i)
+    x = _pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
+    z = x if all(a is b for a, b in zip((mu1_d, mu2_d, mu1_a, mu2_a),
+                                        (mu1_h, mu2_h, mu1_v, mu2_v))) else (
+        _pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
+    n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = _basis_counts(
+        pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
+    n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = _basis_counts(
+        (1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
+    return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
+            m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
+
+
+def ec_leakage_array(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
+    """``ec_leakage_core`` over broadcasting arrays ``n_x``, ``qber_x`` and
+    ``f_inv``; the other arguments are the scalar kernel's."""
+    n_x, q, f_inv = np.broadcast_arrays(n_x, qber_x, f_inv)
+    lam = np.zeros(n_x.shape)
+    live = ~(n_x <= 0.0) if rate_factor else ~((n_x <= 0.0) | (q <= 0.0))
+    n, q, f_inv = n_x[live], q[live], f_inv[live]
+    if rate_factor:
+        lam[live] = f_ec * n * _binary_entropy(q)
+        return lam
+    q = np.where(q > 0.5, 0.5, q)
+    lr = _libm_log((1.0 - q) / q) / LN2
+    out = (n * _binary_entropy(q) + n * (1.0 - q) * lr - (f_inv - 1.0) * lr
+           - 0.5 * (_libm_log(n) / LN2) - (math.log(1.0 / eps_c) / LN2))
+    out = np.where(out < 0.0, 0.0, out)
+    lam[live] = np.where(out > n, n, out)
+    return lam
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
+import numpy as np
+
 from . import _kernels as k
-from ._quantile import binom_ppf
+from ._quantile import binom_ppf, binom_ppf_array
 from .channel import (BlockCounts, ChannelConditions, ParameterError, ProtocolParams,
                       check_range, expected_block_counts)
 
@@ -156,6 +158,28 @@ def _count_leakage(c: tuple, sec: SecurityParams) -> tuple[float, float]:
     n_x = c[0] + c[1] + c[2]
     qber_x = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
     return _leakage(n_x, qber_x, sec)
+
+
+def _leakage_array(n_x, qber_x, sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
+    """``_leakage`` over broadcasting arrays: the leakage and its quantile
+    at every point, each equal to the scalar function's."""
+    n_x, qber_x = np.broadcast_arrays(n_x, qber_x)
+    f_inv = np.zeros(n_x.shape)
+    binomial = sec.ec_method == "binomial"
+    if binomial:
+        live = (n_x > 0.0) & (qber_x > 0.0)
+        f_inv[live] = binom_ppf_array(sec.eps_c, n_x[live], 1.0 - np.minimum(qber_x[live], 0.5))
+    lam = k.ec_leakage_array(n_x, qber_x, sec.eps_c, not binomial, sec.f_ec, f_inv)
+    return lam, f_inv
+
+
+def _count_leakage_array(c: tuple, sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
+    """``_count_leakage`` over the 12 broadcasting count arrays of
+    ``_kernels.counts_array``."""
+    n_x = c[0] + c[1] + c[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qber_x = np.where(n_x > 0.0, (c[6] + c[7] + c[8]) / n_x, 0.0)
+    return _leakage_array(n_x, qber_x, sec)
 
 
 def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,

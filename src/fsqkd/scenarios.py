@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as k
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
                       check_range)
-from .finitekey import (KeyLengthResult, SecurityParams, _count_leakage, _record,
+from .finitekey import (KeyLengthResult, SecurityParams, _count_leakage_array, _record,
                         key_length_for_channel)
 from .optimize import OptimizationSpec, OptimizationResult, optimize
 
@@ -149,7 +149,8 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
                    ) -> list[tuple[ProtocolParams, KeyLengthResult]]:
     """``_evaluate_point`` on the row-major grid over ``axes`` of loss (dB), p_ec,
     qber_i and window (s), ``base`` giving the rest.  Fixed ``params`` run as one
-    batch: scalar counts and leakage per point, then one ``bounds_ell_array``.
+    batch: one ``counts_array``, one ``_count_leakage_array`` and one
+    ``bounds_ell_array`` call over the whole grid.
     Every window's pulse count is checked before any point is evaluated."""
     for tau in axes[3]:
         check_range("f_s * integration_time_s", base.f_s * tau, "pulse count")
@@ -157,18 +158,17 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
         return [_evaluate_point(replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
                                         integration_time_s=tau), sec, None, opt_spec)
                 for eta, p_ec, q, tau in itertools.product(*axes)]
-    # H, V, D and A all send (mu1, mu2); the transmittance is taken once per loss
+    # H, V, D and A all send (mu1, mu2); each axis has a dimension of its own,
+    # and the transmittance is the scalar one of each loss
     fixed = (params.pax, params.pbx, *params.mu[:2] * 4, params.mu[2], *params.p_mu)
-    points = itertools.product(map(k.db_to_transmittance, axes[0]), *axes[1:])
-    counts = [k.counts_core(*fixed, t, p_ec, q, base.p_ap, base.f_s * tau)
-              for t, p_ec, q, tau in points]
-    leak = [_count_leakage(c, sec) for c in counts]
-    cols = np.array(counts).reshape(-1, 12).T  # (12, 0) for no points
-    out = k.bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], params.mu,
-                             params.p_mu, sec.beta, sec.eps, sec.pa_bits,
-                             np.array([lam for lam, _ in leak]))
-    kernel_tuples = zip(*(field.tolist() for field in out))
-    return [(params, _record(r, f_inv)) for r, (_, f_inv) in zip(kernel_tuples, leak)]
+    p_d, p_ec, qber_i, tau = np.ix_([k.db_to_transmittance(eta) for eta in axes[0]], *axes[1:])
+    counts = k.counts_array(*fixed, p_d, p_ec, qber_i, base.p_ap, base.f_s * tau)
+    lam, f_inv = _count_leakage_array(counts, sec)
+    out = k.bounds_ell_array(counts[0:3], counts[3:6], counts[6:9], counts[9:12], params.mu,
+                             params.p_mu, sec.beta, sec.eps, sec.pa_bits, lam)
+    shape = tuple(map(len, axes))
+    fields = (np.broadcast_to(field, shape).ravel().tolist() for field in (*out, f_inv))
+    return [(params, _record(r[:-1], r[-1])) for r in zip(*fields)]
 
 
 def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list[SweepRow]:

@@ -2,7 +2,7 @@
 
 Each digest is the SHA-256 of the ``repr`` of every result of a seeded
 sample, one result per line, recorded at commit e7d2311 (the worst-case
-digest at 16c222c).  A change to the chain's arithmetic that moves any
+digest at 16c222c, the fixed-parameter sweep digest at 12cd620).  A change to the chain's arithmetic that moves any
 bit of any field fails here, so work may be reordered or shared only
 where it gives the same floats.  The
 digests depend on the platform's libm and on scipy's ``betainc``; they
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, ProtocolParams,
-                   SecurityParams, worst_case_key_length)
+                   SecurityParams, SweepSpec, skr_vs_time, sweep, worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import ParameterError, check_intensities
 from fsqkd.finitekey import _evaluate_flat
@@ -43,6 +43,8 @@ COUNTS_DIGESTS = {
 }
 
 WORST_CASE_DIGEST = "c0514053608f84bd9ae444fc2cd9fbf0bb9f9185dbb6f4436e645769f027f5bd"
+
+FIXED_SWEEP_DIGEST = "4b04f29e649c100a0e80ef8919046d4c8ef1c36bf6a20229dbbc60778dca166f"
 
 
 def _digest(rows) -> str:
@@ -173,3 +175,41 @@ def test_worst_case_digest():
     assert sum(row[0] > 0 for row in rows) >= 50
     assert outside >= 10
     assert _digest(rows) == WORST_CASE_DIGEST
+
+
+def fixed_sweep_rows(n: int = 24) -> list:
+    """Fixed-parameter ``sweep`` rows and ``skr_vs_time`` tuples in both
+    leakage modes.  The axes reach p_ec = 0 (log10_pec = -400), qber_i = 0,
+    empty windows, a loss whose transmittance underflows to 0 (3300 dB) and
+    windows of up to 1e20 pulses, so X-basis counts pass 1e11 and 2^53."""
+    rng = random.Random("fixed-parameter sweep")
+    rows = [skr_vs_time([], ChannelConditions(30.0, 1e-6, 0.01, 1.0), SecurityParams(),
+                        params=ProtocolParams(0.5, 0.5, (0.5, 0.1, 0.0), (0.5, 0.25, 0.25)))]
+    for i in range(n):
+        mu3 = rng.choice([0.0, 1e-9, 1e-3])
+        params = ProtocolParams(pax=rng.uniform(0.001, 0.999), pbx=rng.uniform(0.001, 0.999),
+                                mu=(*_intensities(rng, mu3), mu3),
+                                p_mu=_probabilities(rng))
+        axes = (sorted([rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0),
+                        rng.choice([0.0, 3300.0, rng.uniform(60.0, 100.0)])]),
+                sorted([rng.uniform(-9.0, -3.0), rng.choice([-400.0, rng.uniform(-9.0, -3.0)])]),
+                [0.0, rng.uniform(0.0, 0.05)],
+                [0.0, rng.uniform(1.0, 1e3), 10.0 ** rng.uniform(3.0, 5.0),
+                 10.0 ** rng.uniform(8.0, 11.0)])
+        base = ChannelConditions(eta_loss_db=0.0, p_ec=0.0, qber_i=0.0, integration_time_s=1.0,
+                                 p_ap=rng.choice([0.0, 1e-3, 0.02]), f_s=rng.choice([1e8, 1e9]))
+        sec = SecurityParams(ec_method=("binomial", "rate-factor")[i % 2])
+        rows.extend(sweep(SweepSpec(*axes, params=params), base, sec))
+        cond = ChannelConditions(axes[0][i % 3], 10.0 ** axes[1][0], axes[2][i % 2], 1.0,
+                                 base.p_ap, base.f_s)
+        rows.append(skr_vs_time(axes[3], cond, sec, params=params))
+    return rows
+
+
+def test_fixed_sweep_digest():
+    rows = fixed_sweep_rows()
+    results = [row.result for row in rows if not isinstance(row, list)]
+    assert {r.reason for r in results} >= {None, "zero-counts", "negative-key-expression"}
+    assert any(1e11 < r.ec_quantile < 2.0 ** 53 for r in results)
+    assert any(r.ec_quantile > 2.0 ** 53 for r in results)
+    assert _digest(rows) == FIXED_SWEEP_DIGEST

@@ -139,6 +139,7 @@ def test_overflowing_pulse_count_rejected(monkeypatch, build):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(k, "counts_core", evaluated)
+    monkeypatch.setattr(k, "counts_array", evaluated)
     monkeypatch.setattr(scenarios, "optimize", evaluated)
     with pytest.raises(ParameterError,
                        match=r"^f_s \* .* must be in \[0, 1e\+300\], got (inf|1\.7\d*e\+308)$"):

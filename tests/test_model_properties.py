@@ -61,7 +61,7 @@ def test_key_length_is_monotone(axis, sec, params, base, u):
         assert ell_large <= ell_small
 
 
-# two known counterexamples to the binomial-mode property: the leakage's
+# three known counterexamples to the binomial-mode property: the leakage's
 # inverse-binomial quantile is an integer, so lambda_ec saw-tooths in the
 # X-basis count, and a step of the quantile can move the key against the axis
 SAWTOOTH = "binomial leakage saw-tooths with the quantile step (ROADMAP item 4)"
@@ -88,6 +88,18 @@ def test_more_background_never_adds_key_sawtooth_case():
            for p_ec in (1e-8, 10.0 ** (-8.0 + 5e-5))]
     # 8,350,976,527 bits, then 8,350,976,535: the quantile steps from
     # 9,619,829,908 to 9,619,829,909 and lambda_ec falls by 8.7 bits
+    assert ell[1] <= ell[0]
+
+
+@pytest.mark.xfail(reason=SAWTOOTH, strict=True)
+def test_more_loss_never_adds_key_sawtooth_case():
+    params = ProtocolParams(pax=0.75, pbx=0.25, mu=(1.0, 0.5, 0.001),
+                            p_mu=(0.25, 0.28125, 0.46875))
+    ell = [key_length_for_channel(params, ChannelConditions(
+               eta_loss_db=eta, p_ec=1e-8, qber_i=0.0, integration_time_s=1.0), MODES[0]).ell
+           for eta in (0.0, 2.9802322387695312e-06)]
+    # 2,783,244 bits, then 2,783,245: the quantile falls from 5,048,897 to
+    # 5,048,895 and lambda_ec by 3.17 bits
     assert ell[1] <= ell[0]
 
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import binom
 
-from fsqkd._quantile import binom_ppf
+from fsqkd._quantile import EXACT_TRIALS, binom_ppf, binom_ppf_array
 
 EPS_C = 1e-15
 
@@ -192,3 +192,47 @@ class TestEdges:
         k = binom_ppf(q, n, p)
         assert binom_ppf(q * 0.5, n, p) <= k <= binom_ppf(min(2.0 * q, 1.0), n, p)
         crossing(q, n, p, k)
+
+
+def array_sample(rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, p) pairs: n in (0, 1), log-uniform over 1-1e13, in 1e11-1e13,
+    within 2 of 2^53, and 1e300, 0, inf, nan and negative counts; p near 0.5
+    or near 1, and 0.5 and 1 themselves.  At n = 1e300, p is one of a few
+    values near 1: at some others, such as 0.9475 or 0.500006, one scalar
+    search there takes seconds."""
+    def pair(u):
+        p = rng.choice([0.5 + 10.0 ** rng.uniform(-12.0, -1.0),
+                        1.0 - 10.0 ** rng.uniform(-12.0, -1.0), rng.choice([0.5, 1.0])])
+        if u < 0.15:
+            return rng.uniform(0.0, 1.0), p
+        if u < 0.55:
+            return 10.0 ** rng.uniform(0.0, 13.0), p
+        if u < 0.9:
+            return rng.uniform(1e11, 1e13), p
+        if u < 0.99:
+            return EXACT_TRIALS + rng.randint(-2, 2), p
+        if u < 0.995:
+            return 1e300, 1.0 - 10.0 ** rng.choice([-12, -10, -8, -6, -5, -4, -3, -2, -1.3])
+        return rng.choice([0.0, math.inf, math.nan, -5.0]), p
+
+    return tuple(np.array(v) for v in zip(*(pair(rng.random()) for _ in range(size))))
+
+
+@pytest.mark.parametrize("q", [EPS_C, 1e-10, 1e-3])
+def test_array_twin_equals_scalar(q):
+    """binom_ppf_array runs the scalar search in lockstep: each of 35,000
+    elements per q equals binom_ppf's, 1e300 and 2^53 +- 2 included."""
+    n, p = array_sample(random.Random(f"binom_ppf_array {q}"), 35_000)
+    got = binom_ppf_array(q, n, p)
+    want = [binom_ppf(q, a, b) for a, b in zip(n.tolist(), p.tolist())]
+    assert got.tolist() == want
+    assert np.sum(n == 1e300) > 10 and np.sum(np.abs(n - EXACT_TRIALS) <= 2.0) > 1000
+
+
+def test_array_twin_broadcasts_and_keeps_shape():
+    n = np.array([[0.0], [0.5], [1e12], [2.0 ** 53 + 2.0]])
+    p = np.array([0.51, 0.999])
+    got = binom_ppf_array(EPS_C, n, p)
+    assert got.shape == (4, 2)
+    assert got.tolist() == [[binom_ppf(EPS_C, a, b) for b in p.tolist()] for a in n.ravel().tolist()]
+    assert binom_ppf_array(EPS_C, np.array([]), 0.9).shape == (0,)

@@ -200,6 +200,29 @@ class TestMaxLoss:
         assert key_length_for_channel(PARAMS, replace(cond, eta_loss_db=beyond), SEC).ell < 1
 
 
+class TestOptimizedBudgetUnderReports:
+    """An optimized budget reports less loss than the model tolerates
+    (ROADMAP item 2): bisection takes each probe's optimized key at face
+    value, and a cold optimization at 44.0625 dB finds no key."""
+
+    CONDITIONS = ChannelConditions(eta_loss_db=44.0625, p_ec=1e-7, qber_i=0.01,
+                                   integration_time_s=60.0)
+    WITNESS = ProtocolParams(
+        pax=0.535657081727324, pbx=0.535657081727324,
+        mu=(0.6989045317053661, 0.19687151198798003, 1e-09),
+        p_mu=(0.3415751808375967, 0.5451136171918562, 0.11331120197054712))
+
+    def test_witness_has_key_at_44_dB(self):
+        assert key_length_for_channel(self.WITNESS, self.CONDITIONS, SEC).ell == 344
+
+    @pytest.mark.xfail(reason="the optimized budget stops at 31.25 dB (ROADMAP item 2)",
+                       strict=True)
+    def test_budget_reaches_the_witness(self):
+        query = LossBudgetQuery(conditions=self.CONDITIONS, eta_min_db=10.0, eta_max_db=50.0,
+                                resolution_db=0.5, opt_spec=OptimizationSpec())
+        assert max_loss(query, SEC).max_eta_db >= 44.0625
+
+
 class TestSkrVsTime:
     def test_zero_key_gives_zero_rate(self):
         lossy = ChannelConditions(eta_loss_db=55.0, p_ec=1e-4, qber_i=0.01,
