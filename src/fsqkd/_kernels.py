@@ -18,31 +18,34 @@ its vacuum and single-photon bounds, and two Z-basis error counts for
 ``v_z1``.  The caller passes in the privacy-amplification constant, which
 depends only on the eps budget.
 
-Three steps have array twins, for callers that run the chain over many
-points at once: ``counts_array`` for ``counts_core``, ``ec_leakage_array``
-for ``ec_leakage_core`` (its quantile comes from
-``_quantile.binom_ppf_array``), and ``bounds_ell_array`` for
-``bounds_ell_core``.  A fixed-parameter sweep runs all three over its
-whole grid, each axis on a dimension of its own; the worst-case grid in
-:mod:`fsqkd.uncertainty` runs the last over the outer product of both
-bases' count combinations, and takes its few count rows and their leakage
-from the scalar steps, which cost less than one array call on so few rows.
-Each twin mirrors its scalar step function for function (one
-``_basis_counts`` and ``_basis_bounds`` per basis, and one array function
-for each scalar step below them) and operation for operation, so every
-element is bit-identical to the scalar chain.  NumPy's vectorized ``exp``
-and ``log`` differ from libm's in the last bit on some inputs, so neither
-is used: ``_libm_exp`` calls ``math.exp`` once per distinct value, one per
-loss and intensity in a sweep, and ``_libm_log`` is scipy's ``xlogy(1, x)``,
-which calls glibc's ``log`` as ``math.log`` does (they differ only at
-x <= 0, which no twin passes).  The transmittance stays the scalar
-``db_to_transmittance`` of each loss.  The quantile twin keeps its search
-in int64 and follows the scalar one step for step below 2^53 trials; a
-count at or above 2^53 goes to the scalar ``binom_ppf``, whose Python ints
-a float k could not follow.  The estimator's mu1 and mu2 may be arrays of
-one shape on a leading axis ahead of the counts', one pair per entry, each
-with the taus and weights of the scalar ``intensity_terms``; the grid takes
-``ell`` alone.
+Each straight-line step has one body, run with a float or an array set of
+operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0`` and ``clamp``
+by module name, and its array twin (``counts_array`` for ``counts_core``)
+runs the same code with the globals ``_ARRAY``, where these are
+``_libm_exp``, ``_libm_log``, ``np.sqrt`` and ``np.where`` clamps,
+``binary_entropy`` is ``_binary_entropy`` and each step's name is its
+twin.  As an array cannot say whether two states send one intensity, a
+step asks if they are one object; equal values in two objects are both
+evaluated and averaged, which gives the same float, as 0.5 * (d + d) == d.
+An ``if`` cannot branch per element, so the steps with control flow keep
+array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
+return, ``ec_leakage_array`` keeps the live set of ``ec_leakage_core``,
+``_binary_entropy`` and ``_fluct_gamma`` keep their logs to their domains,
+and ``_ell_chain`` (up to ``ell`` of ``bounds_ell_array``) masks the
+zero-count, no-single-photon and phase-error cases of ``bounds_ell_core``.
+A fixed-parameter sweep runs ``counts_array``, ``ec_leakage_array`` (its
+quantile from ``_quantile.binom_ppf_array``) and ``bounds_ell_array`` over
+its whole grid, each axis on a dimension of its own; the worst-case grid
+runs ``_ell_chain`` over both bases' count rows, which come from the
+scalar steps.  Every element is bit-identical to the scalar chain: NumPy's
+``exp`` and ``log`` differ from libm's in the last bit on some inputs, so
+``_libm_exp`` calls ``math.exp`` once per element and ``_libm_log``
+is scipy's ``xlogy(1, x)``, which calls glibc's ``log`` as ``math.log``
+does (at x > 0, all a twin passes).  The quantile twin follows the scalar
+search in int64 below 2^53 trials and sends larger counts to ``binom_ppf``.
+The estimator's mu1 and mu2 may be arrays on a leading axis ahead of the
+counts', one pair per entry, with taus and weights from one
+``intensity_terms`` twin call.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -53,6 +56,8 @@ Reason codes returned by ``bounds_ell_core``:
 from __future__ import annotations
 
 import math
+import types
+from math import exp, log, sqrt
 
 import numpy as np
 from scipy.special import xlogy
@@ -65,6 +70,17 @@ REASON_NO_SINGLE_PHOTON = 2.0
 REASON_NEGATIVE_KEY = 3.0
 
 
+def floor0(x):
+    """``x`` floored at zero."""
+    return 0.0 if x < 0.0 else x
+
+
+def clamp(x, top):
+    """``x`` capped at ``top``, then floored at zero."""
+    x = top if x > top else x
+    return 0.0 if x < 0.0 else x
+
+
 def db_to_transmittance(eta_loss_db):
     """Linear system transmittance from total loss in dB."""
     return 10.0 ** (-eta_loss_db / 10.0)
@@ -72,7 +88,7 @@ def db_to_transmittance(eta_loss_db):
 
 def detection_error_prob(k, p_d, p_ec, p_ap, qber_i):
     """Per-pulse detection and error probabilities for mean photon number k."""
-    t = math.exp(-p_d * k)
+    t = exp(-p_d * k)
     d_k = (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * t)
     return d_k, p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - t)
 
@@ -81,27 +97,27 @@ def binary_entropy(x):
     """Binary entropy in bits, with h(0) = h(1) = 0 by continuity."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / LN2
+    return -(x * log(x) + (1.0 - x) * log(1.0 - x)) / LN2
 
 
 def chernoff_delta_plus(y, beta):
     """Upper-tail concentration correction for an expected count y."""
-    return beta + math.sqrt(2.0 * beta * y + beta * beta)
+    return beta + sqrt(2.0 * beta * y + beta * beta)
 
 
 def chernoff_delta_minus(y, beta):
     """Lower-tail concentration correction for an expected count y."""
-    return 0.5 * beta + math.sqrt(2.0 * beta * y + 0.25 * beta * beta)
+    return 0.5 * beta + sqrt(2.0 * beta * y + 0.25 * beta * beta)
 
 
 def intensity_terms(mu1, mu2, mu3, p1, p2, p3):
     """(tau0, tau1, s1, s2, s3): the probabilities that a transmitted pulse
     holds 0 or 1 photons, and the weights exp(mu) / p of each intensity's counts."""
-    w1 = p1 * math.exp(-mu1)
-    w2 = p2 * math.exp(-mu2)
-    w3 = p3 * math.exp(-mu3)
+    w1 = p1 * exp(-mu1)
+    w2 = p2 * exp(-mu2)
+    w3 = p3 * exp(-mu3)
     return (w1 + w2 + w3, w1 * mu1 + w2 * mu2 + w3 * mu3,
-            math.exp(mu1) / p1, math.exp(mu2) / p2, math.exp(mu3) / p3)
+            exp(mu1) / p1, exp(mu2) / p2, exp(mu3) / p3)
 
 
 def fluct_gamma(a, b, c, d):
@@ -112,22 +128,23 @@ def fluct_gamma(a, b, c, d):
     arg = ((c + d) / (c * d * (1.0 - b) * b)) * (21.0 / a) ** 2
     if arg <= 1.0:
         return 0.0
-    v = t1 * math.log(arg) / LN2
+    v = t1 * log(arg) / LN2
     if v <= 0.0:
         return 0.0
-    return math.sqrt(v)
+    return sqrt(v)
 
 
 def pair_statistics(mu1_a, mu2_a, mu1_b, mu2_b, p_d, p_ec, p_ap, qber_i):
     """Mean detection and error probabilities (d1, e1, d2, e2) of a basis'
-    two states (bit values are uniform); an intensity both states send is
-    evaluated once, as 0.5 * (d + d) == d exactly."""
+    two states (bit values are uniform).  An intensity both states send as
+    one object is evaluated once; equal values in two objects are averaged,
+    which gives the same float, as 0.5 * (d + d) == d exactly."""
     d1, e1 = detection_error_prob(mu1_a, p_d, p_ec, p_ap, qber_i)
-    if mu1_b != mu1_a:
+    if mu1_b is not mu1_a:
         d, e = detection_error_prob(mu1_b, p_d, p_ec, p_ap, qber_i)
         d1, e1 = 0.5 * (d1 + d), 0.5 * (e1 + e)
     d2, e2 = detection_error_prob(mu2_a, p_d, p_ec, p_ap, qber_i)
-    if mu2_b != mu2_a:
+    if mu2_b is not mu2_a:
         d, e = detection_error_prob(mu2_b, p_d, p_ec, p_ap, qber_i)
         d2, e2 = 0.5 * (d2 + d), 0.5 * (e2 + e)
     return d1, e1, d2, e2
@@ -160,12 +177,13 @@ def counts_core(pax, pbx,
     """Expected sifted detection and error counts per basis and intensity.
 
     The X basis is sent in the H and V states, the Z basis in D and A (it
-    reuses the X statistics when D, A send what H, V send).  Returns
+    reuses the X statistics when D, A are passed the very objects H, V
+    are).  Returns
     (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
     """
     d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
     x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
-    z = x if (mu1_d, mu2_d, mu1_a, mu2_a) == (mu1_h, mu2_h, mu1_v, mu2_v) else (
+    z = x if mu1_d is mu1_h and mu2_d is mu2_h and mu1_a is mu1_v and mu2_a is mu2_v else (
         pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
     n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
         pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
@@ -178,10 +196,7 @@ def counts_core(pax, pbx,
 def count_lower_core(c, s, beta):
     """Lower concentration bound on an expected count ``c``, times its
     intensity's weight ``s`` from ``intensity_terms``; floored at zero."""
-    lo = s * (c - chernoff_delta_minus(c, beta))
-    if lo < 0.0:
-        lo = 0.0
-    return lo
+    return floor0(s * (c - chernoff_delta_minus(c, beta)))
 
 
 def count_upper_core(c, s, beta):
@@ -192,27 +207,14 @@ def count_upper_core(c, s, beta):
 
 def vacuum_bound_core(lo3, hi2, tau0, mu2, mu3, total):
     """Lower bound on vacuum-origin events, capped by the basis total."""
-    s0 = tau0 * (mu2 * lo3 - mu3 * hi2) / (mu2 - mu3)
-    if s0 < 0.0:
-        s0 = 0.0
-    if s0 > total:
-        s0 = total
-    return s0
+    return clamp(tau0 * (mu2 * lo3 - mu3 * hi2) / (mu2 - mu3), total)
 
 
 def single_photon_bound_core(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total):
     """Lower bound on single-photon events, capped so s0 + s1 <= total."""
     den = mu1 * (mu2 - mu3) - mu2 * mu2 + mu3 * mu3
     num = lo2 - hi3 - ((mu2 * mu2 - mu3 * mu3) / (mu1 * mu1)) * (hi1 - s0 / tau0)
-    s1 = tau1 * mu1 * num / den
-    if s1 < 0.0:
-        s1 = 0.0
-    cap = total - s0
-    if cap < 0.0:
-        cap = 0.0
-    if s1 > cap:
-        s1 = cap
-    return s1
+    return clamp(tau1 * mu1 * num / den, total - s0)
 
 
 def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, s1, s2, s3, beta, tau0, tau1):
@@ -234,27 +236,25 @@ def ec_leakage_core(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     """
     if n_x <= 0.0:
         return 0.0
-    q = qber_x
     if rate_factor:
-        return f_ec * n_x * binary_entropy(q)
-    if q <= 0.0:
+        return f_ec * n_x * binary_entropy(qber_x)
+    if qber_x <= 0.0:
         return 0.0
-    if q > 0.5:
-        q = 0.5
-    lr = math.log((1.0 - q) / q) / LN2
-    lam = (n_x * binary_entropy(q) + n_x * (1.0 - q) * lr - (f_inv - 1.0) * lr
-           - 0.5 * (math.log(n_x) / LN2) - (math.log(1.0 / eps_c) / LN2))
-    if lam < 0.0:
-        return 0.0
-    if lam > n_x:
-        return n_x
-    return lam
+    return finite_leakage_core(n_x, 0.5 if qber_x > 0.5 else qber_x, eps_c, f_inv)
+
+
+def finite_leakage_core(n_x, q, eps_c, f_inv):
+    """``ec_leakage_core``'s finite-size estimate at n_x > 0 and 0 < q <= 0.5,
+    floored at zero and capped at ``n_x``."""
+    lr = log((1.0 - q) / q) / LN2
+    return clamp(n_x * binary_entropy(q) + n_x * (1.0 - q) * lr - (f_inv - 1.0) * lr
+                 - 0.5 * (log(n_x) / LN2) - (log(1.0 / eps_c) / LN2), n_x)
 
 
 def privacy_amplification_bits(eps_s, eps_c):
     """Bits the key expression gives up for secrecy and correctness:
     6 log2(21 / eps_s) + log2(2 / eps_c)."""
-    return 6.0 * (math.log(21.0 / eps_s) / LN2) + (math.log(2.0 / eps_c) / LN2)
+    return 6.0 * (log(21.0 / eps_s) / LN2) + (log(2.0 / eps_c) / LN2)
 
 
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
@@ -327,37 +327,13 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 
 
 def _libm_exp(x) -> np.ndarray:
-    """Elementwise ``math.exp`` of an array, one call per distinct value."""
+    """Elementwise ``math.exp`` of an array."""
     x = np.asarray(x, dtype=float)
-    vals = x.ravel().tolist()
-    exps = {v: math.exp(v) for v in set(vals)}
-    return np.array([exps[v] for v in vals]).reshape(x.shape)
-
-
-def _detection_error(k, p_d, p_ec, p_ap, qber_i):
-    """``detection_error_prob`` over arrays."""
-    t = _libm_exp(-p_d * k)
-    d_k = (1.0 + p_ap) * (1.0 - (1.0 - 2.0 * p_ec) * t)
-    return d_k, p_ec + 0.5 * p_ap * d_k + qber_i * (1.0 - t)
-
-
-def _pair_statistics(mu1_a, mu2_a, mu1_b, mu2_b, p_d, p_ec, p_ap, qber_i):
-    """``pair_statistics`` over arrays.  A state pair passed as one object
-    is evaluated once; equal values in two arrays are averaged, which gives
-    the same float, as 0.5 * (d + d) == d."""
-    d1, e1 = _detection_error(mu1_a, p_d, p_ec, p_ap, qber_i)
-    if mu1_b is not mu1_a:
-        d, e = _detection_error(mu1_b, p_d, p_ec, p_ap, qber_i)
-        d1, e1 = 0.5 * (d1 + d), 0.5 * (e1 + e)
-    d2, e2 = _detection_error(mu2_a, p_d, p_ec, p_ap, qber_i)
-    if mu2_b is not mu2_a:
-        d, e = _detection_error(mu2_b, p_d, p_ec, p_ap, qber_i)
-        d2, e2 = 0.5 * (d2 + d), 0.5 * (e2 + e)
-    return d1, e1, d2, e2
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
-    """``basis_counts_core`` over arrays."""
+    """``basis_counts_core`` over arrays, its zero-detection return a mask."""
     n1 = sift * p1 * d1
     n2 = sift * p2 * d2
     n3 = sift * p3 * d3
@@ -370,28 +346,6 @@ def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
                               for p, d in ((p1, d1), (p2, d2), (p3, d3))))
 
 
-def counts_array(pax, pbx,
-                 mu1_h, mu2_h, mu1_v, mu2_v,
-                 mu1_d, mu2_d, mu1_a, mu2_a,
-                 mu3, p1, p2, p3,
-                 p_d, p_ec, qber_i, p_ap, n_pulses):
-    """``counts_core`` over broadcasting arrays: its 12 counts, each array
-    of the shape its own inputs broadcast to, every element equal to the
-    scalar kernel's.  The Z basis reuses the X statistics when D and A are
-    passed the very objects H and V are."""
-    d3, e3 = _detection_error(mu3, p_d, p_ec, p_ap, qber_i)
-    x = _pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
-    z = x if all(a is b for a, b in zip((mu1_d, mu2_d, mu1_a, mu2_a),
-                                        (mu1_h, mu2_h, mu1_v, mu2_v))) else (
-        _pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
-    n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = _basis_counts(
-        pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
-    n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = _basis_counts(
-        (1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
-    return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-            m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
-
-
 def ec_leakage_array(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     """``ec_leakage_core`` over broadcasting arrays ``n_x``, ``qber_x`` and
     ``f_inv``; the other arguments are the scalar kernel's."""
@@ -402,12 +356,7 @@ def ec_leakage_array(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     if rate_factor:
         lam[live] = f_ec * n * _binary_entropy(q)
         return lam
-    q = np.where(q > 0.5, 0.5, q)
-    lr = _libm_log((1.0 - q) / q) / LN2
-    out = (n * _binary_entropy(q) + n * (1.0 - q) * lr - (f_inv - 1.0) * lr
-           - 0.5 * (_libm_log(n) / LN2) - (math.log(1.0 / eps_c) / LN2))
-    out = np.where(out < 0.0, 0.0, out)
-    lam[live] = np.where(out > n, n, out)
+    lam[live] = _ARRAY["finite_leakage_core"](n, np.where(q > 0.5, 0.5, q), eps_c, f_inv)
     return lam
 
 
@@ -433,44 +382,29 @@ def _fluct_gamma(a: float, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.nd
     return out
 
 
-def _count_lower(c, s, beta):
-    """``count_lower_core`` over an array."""
-    lo = s * (c - (0.5 * beta + np.sqrt(2.0 * beta * c + 0.25 * beta * beta)))
-    return np.where(lo < 0.0, 0.0, lo)
+def _clamp_array(x, top):
+    """``clamp`` over arrays."""
+    x = np.where(x > top, top, x)
+    return np.where(x < 0.0, 0.0, x)
 
 
-def _count_upper(c, s, beta):
-    """``count_upper_core`` over an array."""
-    return s * (c + (beta + np.sqrt(2.0 * beta * c + beta * beta)))
-
-
-def _vacuum_bound(lo3, hi2, tau0, mu2, mu3, total):
-    """``vacuum_bound_core`` over arrays."""
-    s0 = tau0 * (mu2 * lo3 - mu3 * hi2) / (mu2 - mu3)
-    s0 = np.where(s0 < 0.0, 0.0, s0)
-    return np.where(s0 > total, total, s0)
-
-
-def _single_photon_bound(lo2, hi3, hi1, s0, tau0, tau1, mu1, mu2, mu3, total):
-    """``single_photon_bound_core`` over arrays."""
-    den = mu1 * (mu2 - mu3) - mu2 * mu2 + mu3 * mu3
-    num = lo2 - hi3 - ((mu2 * mu2 - mu3 * mu3) / (mu1 * mu1)) * (hi1 - s0 / tau0)
-    s1 = tau1 * mu1 * num / den
-    s1 = np.where(s1 < 0.0, 0.0, s1)
-    cap = total - s0
-    cap = np.where(cap < 0.0, 0.0, cap)
-    return np.where(s1 > cap, cap, s1)
+# An array twin runs its straight-line step's own code with these globals:
+# the array operations, the masked ``_basis_counts`` and ``_binary_entropy``,
+# and each step's twin.
+_ARRAY = dict(globals(), exp=_libm_exp, log=_libm_log, sqrt=np.sqrt,
+              floor0=lambda x: np.where(x < 0.0, 0.0, x), clamp=_clamp_array,
+              basis_counts_core=_basis_counts, binary_entropy=_binary_entropy)
+_ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__name__)
+               for step in (detection_error_prob, pair_statistics, counts_core,
+                            chernoff_delta_plus, chernoff_delta_minus, count_lower_core,
+                            count_upper_core, vacuum_bound_core, single_photon_bound_core,
+                            basis_bounds_core, intensity_terms, finite_leakage_core)})
+counts_array = _ARRAY["counts_core"]
 
 
 def _basis_bounds(c, total, mu, scales, beta, tau0, tau1):
-    """``basis_bounds_core`` over arrays: (s0, s1)."""
-    mu1, mu2, mu3 = mu
-    s1, s2, s3 = scales
-    s0 = _vacuum_bound(_count_lower(c[2], s3, beta), _count_upper(c[1], s2, beta),
-                       tau0, mu2, mu3, total)
-    return s0, _single_photon_bound(
-        _count_lower(c[1], s2, beta), _count_upper(c[2], s3, beta),
-        _count_upper(c[0], s1, beta), s0, tau0, tau1, mu1, mu2, mu3, total)
+    """``basis_bounds_core`` over arrays, from per-intensity triples: (s0, s1)."""
+    return _ARRAY["basis_bounds_core"](*c, total, *mu, *scales, beta, tau0, tau1)
 
 
 def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
@@ -480,14 +414,14 @@ def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
         n_x_tot = n_x[0] + n_x[1] + n_x[2]
         n_z_tot = n_z[0] + n_z[1] + n_z[2]
 
-        tau0, tau1, *scales = np.array([intensity_terms(a, b, mu3, *p_mu) for a, b in zip(
-            np.ravel(mu1).tolist(), np.ravel(mu2).tolist())]).T.reshape(5, *np.shape(mu1))
+        tau0, tau1, *scales = _ARRAY["intensity_terms"](mu1, mu2, mu3, *p_mu)
 
         s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, scales, beta, tau0, tau1)
         s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, scales, beta, tau0, tau1)
 
-        v_z1 = tau1 * (_count_upper(m_z[1], scales[1], beta)
-                       - _count_lower(m_z[2], scales[2], beta)) / (mu2 - mu3)
+        upper, lower = _ARRAY["count_upper_core"], _ARRAY["count_lower_core"]
+        v_z1 = tau1 * (upper(m_z[1], scales[1], beta)
+                       - lower(m_z[2], scales[2], beta)) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
 
         ratio, s_z1_full, s_x1_full = np.broadcast_arrays(v_z1 / s_z1, s_z1, s_x1)

@@ -1,9 +1,11 @@
 """The array twins of the scalar counts and leakage steps, element for
 element: ``_kernels.counts_array`` against ``counts_core`` and
 ``finitekey._leakage_array`` against ``_leakage``, compared by ``repr``
-so that every bit counts, -0.0 included."""
+so that every bit counts, -0.0 included.  The straight-line steps' twins
+run the scalar steps' own code."""
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,74 @@ def test_counts_array_broadcasts_each_input_on_its_own_axis():
     want = [repr(k.counts_core(*fixed, a, b, c, 0.01, d))
             for a in p_d for b in p_ec for c in qber_i for d in n_pulses]
     assert _rows(got, (4, 3, 2, 3)) == want
+
+
+# the straight-line steps, each written once for floats and arrays
+FOLDED = ("detection_error_prob", "pair_statistics", "counts_core", "chernoff_delta_plus",
+          "chernoff_delta_minus", "count_lower_core", "count_upper_core", "vacuum_bound_core",
+          "single_photon_bound_core", "basis_bounds_core", "intensity_terms",
+          "finite_leakage_core")
+# the array glue: the array operations, and the masks of the steps with control flow
+GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_basis_counts",
+        "ec_leakage_array", "_binary_entropy", "_fluct_gamma", "binary_entropy",
+        "_basis_bounds", "_ell_chain", "bounds_ell_array"}
+
+
+def test_array_steps_run_the_scalar_steps_code():
+    assert k.counts_array.__code__ is k.counts_core.__code__
+    for name in FOLDED:
+        twin = k._ARRAY[name]
+        assert twin is not getattr(k, name)
+        assert twin.__code__ is getattr(k, name).__code__ and twin.__globals__ is k._ARRAY
+    # a fixed sweep's whole array chain runs no step body of its own
+    rng = random.Random("one body per step")
+    points = [_point(rng) for _ in range(50)]
+    points[0][-1] = 0.0  # no counts
+    cols = [np.array(col) for col in zip(*points)]
+    run = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == k.__file__:
+            run.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        c = k.counts_array(*cols)
+        n_x = c[0] + c[1] + c[2]
+        qber_x = (c[6] + c[7] + c[8]) / np.where(n_x > 0.0, n_x, 1.0)
+        lam = k.ec_leakage_array(n_x, qber_x, 1e-10, False, 1.0, 0.5 * n_x)
+        k.bounds_ell_array(c[0:3], c[3:6], c[6:9], c[9:12], (0.6, 0.15, 1e-9),
+                           (0.7, 0.2, 0.1), 40.0, 1e-9, 100.0, lam)
+    finally:
+        sys.setprofile(None)
+    shared = {getattr(k, name).__code__ for name in FOLDED}
+    assert shared <= run
+    assert {code.co_name for code in run - shared} - {"<listcomp>", "<dictcomp>",
+                                                       "<genexpr>"} <= GLUE
+
+
+@pytest.mark.parametrize("states", ["HHHH", "HVHV", "HHDD", "HVDA"])
+def test_states_equal_by_value_count_as_one_object(states):
+    # each letter gives the (mu1, mu2) pair a state sends, in H, V, D, A order;
+    # pairs of distinct float objects are averaged where shared ones are
+    # evaluated once, and 0.5 * (d + d) == d exactly
+    rng = random.Random(f"equal states {states}")
+    points = [_point(rng) for _ in range(300)]
+    pick = ["HVDA".index(s) for s in states]
+
+    def args(p, fresh):
+        mu = [fresh(p[2 + 2 * j + i]) for j in pick for i in (0, 1)]
+        return p[:2] + mu + p[10:]
+
+    for p in points:
+        shared, distinct = args(p, lambda v: v), args(p, lambda v: float(repr(v)))
+        assert len(set(map(id, distinct[2:10]))) == 8
+        assert repr(k.counts_core(*distinct)) == repr(k.counts_core(*shared))
+    cols = [np.array(col) for col in zip(*points)]
+    shared, distinct = args(cols, lambda a: a), args(cols, np.copy)
+    want = [repr(k.counts_core(*args(p, lambda v: v))) for p in points]
+    assert _rows(k.counts_array(*shared), (300,)) == want
+    assert _rows(k.counts_array(*distinct), (300,)) == want
 
 
 @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])

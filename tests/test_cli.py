@@ -324,16 +324,23 @@ class TestSweepCommand:
 
 class TestEntryPoint:
     def test_console_script(self):
+        import os
         import shutil
         import subprocess
         import sys
+
+        import fsqkd
         exe = shutil.which("fsqkd")
         if exe is None:
             cmd = [sys.executable, "-m", "fsqkd.cli"]
         else:
             cmd = [exe]
+        # the child imports the fsqkd under test, installed or not
+        src = os.path.dirname(os.path.dirname(fsqkd.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = subprocess.run(cmd + ["sift-equiv", "--pax", "0.9", "--pbx", "0.5"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert json.loads(out.stdout)["k_ratio"] == pytest.approx(9.0)
 
