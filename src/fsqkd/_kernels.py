@@ -10,7 +10,7 @@ intensities equal this reduces exactly to the plain three-intensity
 protocol chain.
 
 One evaluation computes each quantity once, and only what the key uses:
-``detection_error_prob`` once per distinct intensity (three calls when all
+``detection_error_prob`` once per intensity object (three calls when all
 states share their pair), the taus and intensity weights in one
 ``intensity_terms`` call, and 12 concentration-corrected counts, one
 ``count_lower_core`` or ``count_upper_core`` call each: five per basis for
