@@ -326,8 +326,10 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return xlogy(1.0, x)
 
 
-def _libm_exp(x) -> np.ndarray:
-    """Elementwise ``math.exp`` of an array."""
+def _libm_exp(x) -> np.ndarray | float:
+    """Elementwise ``math.exp`` of an array; a float's is ``math.exp`` itself."""
+    if isinstance(x, float):
+        return math.exp(x)
     x = np.asarray(x, dtype=float)
     return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 

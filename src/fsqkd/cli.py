@@ -10,6 +10,7 @@ valid answer), 2 configuration or usage error, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from .channel import ParameterError, ProtocolParams
 from .config import ConfigError, RunConfig
 from .finitekey import KeyLengthResult, key_length_for_channel
 from .optimize import optimize
-from .scenarios import SweepRow, max_loss, sifting_equivalence, sweep
+from .scenarios import _columns, _sweep_table, max_loss, sifting_equivalence
 from .uncertainty import worst_case_key_length
 
 SWEEP_HEADER = ("eta_loss_db,log10_pec,qber_i,tau_s,ell,s_x0,s_x1,phi_x,"
@@ -38,35 +39,41 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+_JSON_FIELDS = ("ell", "raw", "s_x0", "s_x1", "phi_x", "lambda_ec", "qber_x", "reason")
+_CSV_FIELDS = ("ell", "s_x0", "s_x1", "phi_x", "lambda_ec")
+_AXES = ("eta_loss_db", "log10_pec", "qber_i", "tau_s")
+
+
+def _params_obj(params: ProtocolParams) -> dict:
+    return {"pax": params.pax, "pbx": params.pbx,
+            "mu": list(params.mu), "p_mu": list(params.p_mu)}
+
+
 def _result_obj(result: KeyLengthResult, params: ProtocolParams) -> dict:
-    return {
-        "ell": result.ell,
-        "raw": result.raw,
-        "s_x0": result.s_x0,
-        "s_x1": result.s_x1,
-        "phi_x": result.phi_x,
-        "lambda_ec": result.lambda_ec,
-        "qber_x": result.qber_x,
-        "reason": result.reason,
-        "params": {
-            "pax": params.pax, "pbx": params.pbx,
-            "mu": list(params.mu), "p_mu": list(params.p_mu),
-        },
-    }
+    return {**{name: getattr(result, name) for name in _JSON_FIELDS},
+            "params": _params_obj(params)}
 
 
-def _sweep_csv(axes, rows: list[SweepRow]) -> str:
-    """CSV of ``rows``, row-major over ``axes``, formatting each axis value once
-    and each run of rows sharing one ``ProtocolParams`` (a fixed sweep) once."""
+def _table_text(fmt: str, axes, params, columns: dict[str, list]) -> str:
+    """CSV or JSON text of a key-length table, row-major over ``axes``.
+
+    ``params`` is one ``ProtocolParams`` for every row or a list of one per
+    row, and ``columns`` maps each ``KeyLengthResult`` field to its values
+    (``scenarios._grid_table``), ints and floats, whose ``repr`` is their
+    ``_num`` text.  Each axis value and each params set is formatted once."""
+    def per_row(text):
+        one = isinstance(params, ProtocolParams)
+        return itertools.repeat(text(params)) if one else map(text, params)
+
+    if fmt == "json":
+        rows = zip(zip(*(columns[name] for name in _JSON_FIELDS)), per_row(_params_obj),
+                   itertools.product(*axes))
+        return _dump_json([{**dict(zip(_JSON_FIELDS, values)), "params": p,
+                            **dict(zip(_AXES, point))} for values, p, point in rows])
     points = itertools.product(*([_num(v) for v in axis] for axis in axes))
-    lines, params, param_cells = [SWEEP_HEADER], None, ""
-    for point, row in zip(points, rows):
-        r, p = row.result, row.params
-        if p is not params:
-            params, param_cells = p, ",".join(map(_num, (p.pax, p.pbx, *p.mu, *p.p_mu)))
-        lines.append(",".join((*point, *map(_num, (r.ell, r.s_x0, r.s_x1, r.phi_x, r.lambda_ec)),
-                               param_cells)))
-    return "\n".join(lines)
+    cells = per_row(lambda p: ",".join(map(_num, (p.pax, p.pbx, *p.mu, *p.p_mu))))
+    return "\n".join((SWEEP_HEADER, *map(",".join, zip(
+        map(",".join, points), *(map(repr, columns[name]) for name in _CSV_FIELDS), cells))))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -80,6 +87,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsqkd",
@@ -101,60 +109,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_keylength(cfg: RunConfig, args) -> str:
-    channel = cfg.channel()
-    params = cfg.protocol()
-    sec = cfg.security()
+    channel, params, sec = cfg.channel(), cfg.protocol(), cfg.security()
     result = key_length_for_channel(params, channel, sec)
     if args.format == "csv":
         lp = math.log10(channel.p_ec) if channel.p_ec > 0 else float("-inf")
         point = (channel.eta_loss_db, lp, channel.qber_i, channel.integration_time_s)
-        return _sweep_csv([[v] for v in point], [SweepRow(*point, params, result)])
+        return _table_text("csv", [[v] for v in point], params, _columns([result]))
     return _dump_json(_result_obj(result, params))
 
 
 def _cmd_optimize(cfg: RunConfig, args) -> str:
-    channel = cfg.channel()
-    sec = cfg.security()
-    spec = cfg.opt_spec()
+    channel, sec, spec = cfg.channel(), cfg.security(), cfg.opt_spec()
     res = optimize(spec, channel, sec)
-    obj = _result_obj(res.result, res.best_params)
-    obj["evaluations"] = res.evaluations
-    obj["regime"] = spec.regime.value
-    obj["seed"] = spec.seed
-    return _dump_json(obj)
+    return _dump_json({**_result_obj(res.result, res.best_params), "evaluations": res.evaluations,
+                       "regime": spec.regime.value, "seed": spec.seed})
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> str:
-    base = cfg.channel(loss_optional=True)
-    sec = cfg.security()
-    spec = cfg.sweep_spec()
-    rows = sweep(spec, base, sec)
-    if args.format == "json":
-        return _dump_json([{**_result_obj(r.result, r.params),
-                            "eta_loss_db": r.eta_loss_db,
-                            "log10_pec": r.log10_pec,
-                            "qber_i": r.qber_i, "tau_s": r.tau_s}
-                           for r in rows])
-    return _sweep_csv((spec.eta_loss_db, spec.log10_pec, spec.qber_i, spec.tau_s), rows)
+    base, sec, spec = cfg.channel(loss_optional=True), cfg.security(), cfg.sweep_spec()
+    return _table_text(args.format or "csv",
+                       (spec.eta_loss_db, spec.log10_pec, spec.qber_i, spec.tau_s),
+                       *_sweep_table(spec, base, sec))
 
 
 def _cmd_budget(cfg: RunConfig, args) -> str:
     sec = cfg.security()
-    query = cfg.budget_query()
-    res = max_loss(query, sec)
-    obj = {"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
-           "probes": [[eta, ell] for eta, ell in res.probes]}
+    res = max_loss(cfg.budget_query(), sec)
     if args.format == "csv":
-        head = "max_eta_db,target_bits"
         val = "" if res.max_eta_db is None else _num(res.max_eta_db)
-        return head + "\n" + f"{val},{res.target_bits}"
-    return _dump_json(obj)
+        return f"max_eta_db,target_bits\n{val},{res.target_bits}"
+    return _dump_json({"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
+                       "probes": [[eta, ell] for eta, ell in res.probes]})
 
 
 def _cmd_worstcase(cfg: RunConfig, args) -> str:
-    channel = cfg.channel()
-    sec = cfg.security()
-    model = cfg.uncertainty_model()
+    channel, sec, model = cfg.channel(), cfg.security(), cfg.uncertainty_model()
     res = worst_case_key_length(model, channel, sec)
     return _dump_json({"min_ell": res.min_ell, "nominal_ell": res.nominal_ell,
                        "argmin": res.argmin, "argmin_index": res.argmin_index,

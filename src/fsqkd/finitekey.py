@@ -204,13 +204,8 @@ def secure_key_length(counts: BlockCounts, params: ProtocolParams,
     Every failure mode (no detections, degenerate single-photon estimate,
     negative key expression) maps to ``ell = 0`` with a reason string.
     """
-    return _record(*_key_chain(counts.n_x + counts.n_z + counts.m_x + counts.m_z,
-                               *params.mu, *params.p_mu, sec))
-
-
-def _record(out: tuple, f_inv: float) -> KeyLengthResult:
-    """The record of one ``bounds_ell_core`` tuple and its leakage quantile."""
-    ell, *fields, reason = out
+    (ell, *fields, reason), f_inv = _key_chain(
+        counts.n_x + counts.n_z + counts.m_x + counts.m_z, *params.mu, *params.p_mu, sec)
     return KeyLengthResult(int(ell), *fields, _REASONS.get(reason), f_inv)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,9 +16,9 @@ import numpy as np
 from . import _kernels as k
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
                       check_range)
-from .finitekey import (KeyLengthResult, SecurityParams, _count_leakage_array, _record,
+from .finitekey import (_REASONS, KeyLengthResult, SecurityParams, _count_leakage_array,
                         key_length_for_channel)
-from .optimize import OptimizationSpec, OptimizationResult, optimize
+from .optimize import OptimizationSpec, optimize
 
 
 def _check_one_policy(params: ProtocolParams | None,
@@ -135,29 +135,31 @@ class SiftingEquivalence:
     f_symmetric: float
 
 
-def _evaluate_point(channel: ChannelConditions, sec: SecurityParams,
-                    params: ProtocolParams | None,
-                    opt_spec: OptimizationSpec | None) -> tuple[ProtocolParams, KeyLengthResult]:
-    if params is not None:
-        return params, key_length_for_channel(params, channel, sec)
-    res: OptimizationResult = optimize(opt_spec, channel, sec)
-    return res.best_params, res.result
+_FIELDS = tuple(f.name for f in fields(KeyLengthResult))
 
 
-def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
-                   params: ProtocolParams | None, opt_spec: OptimizationSpec | None
-                   ) -> list[tuple[ProtocolParams, KeyLengthResult]]:
-    """``_evaluate_point`` on the row-major grid over ``axes`` of loss (dB), p_ec,
-    qber_i and window (s), ``base`` giving the rest.  Fixed ``params`` run as one
-    batch: one ``counts_array``, one ``_count_leakage_array`` and one
-    ``bounds_ell_array`` call over the whole grid.
+def _columns(results) -> dict[str, list]:
+    """The ``KeyLengthResult`` field columns of ``results``, in field order."""
+    return {name: [getattr(r, name) for r in results] for name in _FIELDS}
+
+
+def _grid_table(axes, base: ChannelConditions, sec: SecurityParams,
+                params: ProtocolParams | None, opt_spec: OptimizationSpec | None
+                ) -> tuple[ProtocolParams | list[ProtocolParams], dict[str, list]]:
+    """The key length on the row-major grid over ``axes`` of loss (dB), p_ec,
+    qber_i and window (s), ``base`` giving the rest, as one table: the params
+    (the fixed ones, or each point's ``optimize`` answer) and ``_columns`` of
+    the results.  Fixed ``params`` run as one batch: one ``counts_array``, one
+    ``_count_leakage_array`` and one ``bounds_ell_array`` call over the whole
+    grid, each field then one ``.tolist()``.
     Every window's pulse count is checked before any point is evaluated."""
     for tau in axes[3]:
         check_range("f_s * integration_time_s", base.f_s * tau, "pulse count")
     if params is None:
-        return [_evaluate_point(replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
-                                        integration_time_s=tau), sec, None, opt_spec)
+        runs = [optimize(opt_spec, replace(base, eta_loss_db=eta, p_ec=p_ec, qber_i=q,
+                                           integration_time_s=tau), sec)
                 for eta, p_ec, q, tau in itertools.product(*axes)]
+        return [r.best_params for r in runs], _columns([r.result for r in runs])
     # H, V, D and A all send (mu1, mu2); each axis has a dimension of its own,
     # and the transmittance is the scalar one of each loss
     fixed = (params.pax, params.pbx, *params.mu[:2] * 4, params.mu[2], *params.p_mu)
@@ -167,8 +169,16 @@ def _evaluate_grid(axes, base: ChannelConditions, sec: SecurityParams,
     out = k.bounds_ell_array(counts[0:3], counts[3:6], counts[6:9], counts[9:12], params.mu,
                              params.p_mu, sec.beta, sec.eps, sec.pa_bits, lam)
     shape = tuple(map(len, axes))
-    fields = (np.broadcast_to(field, shape).ravel().tolist() for field in (*out, f_inv))
-    return [(params, _record(r[:-1], r[-1])) for r in zip(*fields)]
+    ell, *values, reason, f_inv = (np.broadcast_to(v, shape).ravel().tolist()
+                                   for v in (*out, f_inv))
+    columns = (list(map(int, ell)), *values, list(map(_REASONS.get, reason)), f_inv)
+    return params, dict(zip(_FIELDS, columns))
+
+
+def _sweep_table(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams):
+    """``_grid_table`` on the grid of ``spec``."""
+    axes = (spec.eta_loss_db, [10.0 ** lp for lp in spec.log10_pec], spec.qber_i, spec.tau_s)
+    return _grid_table(axes, base, sec, spec.params, spec.opt_spec)
 
 
 def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list[SweepRow]:
@@ -176,9 +186,11 @@ def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list
 
     Rows are returned in grid order; fixed parameters run as one batch.
     """
-    axes = (spec.eta_loss_db, [10.0 ** lp for lp in spec.log10_pec], spec.qber_i, spec.tau_s)
-    return [SweepRow(*point, *evaluated) for point, evaluated in
-            zip(spec.grid, _evaluate_grid(axes, base, sec, spec.params, spec.opt_spec))]
+    params, columns = _sweep_table(spec, base, sec)
+    if isinstance(params, ProtocolParams):
+        params = itertools.repeat(params)
+    return [SweepRow(*point, p, r) for point, p, r in
+            zip(spec.grid, params, map(KeyLengthResult, *columns.values()))]
 
 
 def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:
@@ -193,9 +205,10 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:
 
     def ell_at(eta: float) -> int:
         cond = replace(query.conditions, eta_loss_db=eta)
-        _, result = _evaluate_point(cond, sec, query.params, query.opt_spec)
-        probes.append((eta, result.ell))
-        return result.ell
+        ell = (optimize(query.opt_spec, cond, sec).best_ell if query.params is None
+               else key_length_for_channel(query.params, cond, sec).ell)
+        probes.append((eta, ell))
+        return ell
 
     lo, hi = query.eta_min_db, query.eta_max_db
     ell_lo = ell_at(lo)
@@ -231,8 +244,8 @@ def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
     for tau in times:
         check_range("integration_time_s", tau, "non-negative")
     axes = ((base.eta_loss_db,), (base.p_ec,), (base.qber_i,), times)
-    return [(tau, r.ell * 60.0 / tau if tau > 0.0 else 0.0, r.ell)
-            for tau, (_, r) in zip(times, _evaluate_grid(axes, base, sec, params, opt_spec))]
+    ells = _grid_table(axes, base, sec, params, opt_spec)[1]["ell"]
+    return [(tau, ell * 60.0 / tau if tau > 0.0 else 0.0, ell) for tau, ell in zip(times, ells)]
 
 
 def sifting_equivalence(pax: float, pbx: float) -> SiftingEquivalence:

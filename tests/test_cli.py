@@ -35,6 +35,46 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+# a fixed sweep's axes: zero and positive p_ec, qber_i and window
+SWEEP_AXES = {"eta_loss_db": [10.0, 27.5, 48.0], "log10_pec": [-6.3, -4.0],
+              "qber_i": [0.0, 0.013], "tau_s": [0.0, 60.0]}
+
+
+def _axis_lines(axes) -> str:
+    return "".join(f"sweep.{name} = {', '.join(map(repr, values))}\n"
+                   for name, values in axes.items())
+
+
+def _point_config(tmp_path, config: str, eta, lp, q, tau) -> str:
+    """A config file of ``config`` with its channel at one sweep point."""
+    point = tmp_path / "point.cfg"
+    point.write_text(config + f"channel.eta_loss_db = {eta!r}\n"
+                     f"channel.p_ec = {10.0 ** lp!r}\n"
+                     f"channel.qber_i = {q!r}\nchannel.integration_time_s = {tau!r}\n")
+    return str(point)
+
+
+def _assert_csv_rows_equal_keylength_rows(capsys, tmp_path, config: str) -> None:
+    """Each csv row of a fixed sweep is the point's ``keylength --format csv``
+    row, in every column but log10_pec, which keylength derives from p_ec."""
+    path = tmp_path / "sweep.cfg"
+    path.write_text(config + _axis_lines(SWEEP_AXES))
+    code, out, _ = run_cli(capsys, ["sweep", "--config", str(path), "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 3 * 2 * 2 * 2
+    for line, point in zip(lines[1:], itertools.product(*SWEEP_AXES.values())):
+        code, single, _ = run_cli(capsys, ["keylength", "--config",
+                                           _point_config(tmp_path, config, *point),
+                                           "--format", "csv"])
+        assert code == 0
+        header, row = single.splitlines()
+        assert header == lines[0]
+        cells, want = line.split(","), row.split(",")
+        assert cells[:1] + cells[2:] == want[:1] + want[2:]
+        assert cells[1] == repr(point[1])
+
+
 class TestKeylength:
     def test_json_output(self, capsys, config_file):
         code, out, err = run_cli(capsys, ["keylength", "--config", config_file])
@@ -228,6 +268,18 @@ class TestFormatFlag:
         assert isinstance(json.loads(out), dict)
 
 
+    def test_usage_errors_exit_2_on_every_call(self, capsys, config_file):
+        # the parser is built once per process; it must still reject each bad call
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["keylength", "--config", config_file, "--format", "xml"])
+            assert exc.value.code == 2
+            assert "--format" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, ["keylength", "--config", config_file])
+        assert code == 0
+        assert json.loads(out)["ell"] > 0
+
+
 class TestJsonConfigAndEnv:
     def test_json_config(self, capsys, tmp_path):
         cfg = {
@@ -283,29 +335,63 @@ class TestSweepCommand:
 
 
     def test_rows_equal_keylength_rows(self, capsys, tmp_path):
-        # every column but log10_pec, which keylength derives from p_ec
-        axes = {"eta_loss_db": [10.0, 27.5, 48.0], "log10_pec": [-6.3, -4.0],
-                "qber_i": [0.0, 0.013], "tau_s": [0.0, 60.0]}
+        _assert_csv_rows_equal_keylength_rows(capsys, tmp_path, BASE_CONFIG)
+
+    def test_rate_factor_rows_equal_keylength_rows(self, capsys, tmp_path):
+        _assert_csv_rows_equal_keylength_rows(capsys, tmp_path,
+                                              BASE_CONFIG + "ec.method = rate-factor\n")
+
+    @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+    def test_json_rows_equal_keylength_json(self, capsys, tmp_path, ec_method):
+        # each object is the point's keylength object plus its four axis keys
+        config = BASE_CONFIG + f"ec.method = {ec_method}\n"
         path = tmp_path / "sweep.cfg"
-        path.write_text(BASE_CONFIG + "".join(
-            f"sweep.{name} = {', '.join(map(repr, values))}\n" for name, values in axes.items()))
-        code, out, _ = run_cli(capsys, ["sweep", "--config", str(path), "--format", "csv"])
+        path.write_text(config + _axis_lines(SWEEP_AXES))
+        code, out, _ = run_cli(capsys, ["sweep", "--config", str(path), "--format", "json"])
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 1 + 3 * 2 * 2 * 2
-        for line, (eta, lp, q, tau) in zip(lines[1:], itertools.product(*axes.values())):
-            point = tmp_path / "point.cfg"
-            point.write_text(BASE_CONFIG + f"channel.eta_loss_db = {eta!r}\n"
-                             f"channel.p_ec = {10.0 ** lp!r}\n"
-                             f"channel.qber_i = {q!r}\nchannel.integration_time_s = {tau!r}\n")
-            code, single, _ = run_cli(capsys, ["keylength", "--config", str(point),
-                                               "--format", "csv"])
+        objs = json.loads(out)
+        points = list(itertools.product(*SWEEP_AXES.values()))
+        assert len(objs) == len(points)
+        for obj, point in zip(objs, points):
+            code, single, _ = run_cli(capsys, ["keylength", "--config",
+                                               _point_config(tmp_path, config, *point)])
             assert code == 0
-            header, row = single.splitlines()
-            assert header == lines[0]
-            cells, want = line.split(","), row.split(",")
-            assert cells[:1] + cells[2:] == want[:1] + want[2:]
-            assert cells[1] == repr(lp)
+            assert obj == {**json.loads(single), **dict(zip(SWEEP_AXES, point))}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_optimized_rows_equal_optimize(self, capsys, tmp_path, fmt):
+        config = ("channel.p_ec = 1e-5\n"
+                  "channel.qber_i = 0.01\n"
+                  "channel.integration_time_s = 60.0\n"
+                  "optimize.regime = fixed_pbx_and_mu\n"
+                  "optimize.pbx = 0.5\n"
+                  "optimize.mu1 = 0.5\n"
+                  "optimize.mu2 = 0.1\n"
+                  "optimize.restarts = 1\n"
+                  "optimize.max_evals = 200\n")
+        axes = {"eta_loss_db": [20.0, 30.0], "log10_pec": [-5.0], "qber_i": [0.01],
+                "tau_s": [60.0]}
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config + _axis_lines(axes))
+        code, out, _ = run_cli(capsys, ["sweep", "--config", str(path), "--format", fmt])
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else out.splitlines()[1:]
+        points = list(itertools.product(*axes.values()))
+        assert len(rows) == len(points) == 2
+        for row, point in zip(rows, points):
+            code, single, _ = run_cli(capsys, ["optimize", "--config",
+                                               _point_config(tmp_path, config, *point)])
+            assert code == 0
+            want = json.loads(single)
+            for key in ("evaluations", "regime", "seed"):
+                del want[key]
+            if fmt == "json":
+                assert row == {**want, **dict(zip(axes, point))}
+            else:
+                p = want["params"]
+                cells = [*point, want["ell"], want["s_x0"], want["s_x1"], want["phi_x"],
+                         want["lambda_ec"], p["pax"], p["pbx"], *p["mu"], *p["p_mu"]]
+                assert row == ",".join(map(cli._num, cells))
 
     def test_bad_axis_exits_before_any_optimization(self, capsys, tmp_path, monkeypatch):
         calls = []
