@@ -92,6 +92,19 @@ def test_more_background_never_adds_key_sawtooth_case():
 
 
 @pytest.mark.xfail(reason=SAWTOOTH, strict=True)
+def test_more_background_never_adds_key_sawtooth_case_at_12p5_db():
+    params = ProtocolParams(pax=0.65625, pbx=0.328125, mu=(0.5, 0.125, 0.0),
+                            p_mu=(0.5, 0.375, 0.125))
+    ell = [key_length_for_channel(params, ChannelConditions(
+               eta_loss_db=12.5, p_ec=p_ec, qber_i=0.05, integration_time_s=1.0),
+               MODES[0]).ell
+           for p_ec in (1e-8, 2.053525026457146e-08)]
+    # 21,813 bits, then 21,814: the quantile steps from 336,449 to 336,450
+    # and lambda_ec falls by 2.3 bits
+    assert ell[1] <= ell[0]
+
+
+@pytest.mark.xfail(reason=SAWTOOTH, strict=True)
 def test_more_loss_never_adds_key_sawtooth_case():
     params = ProtocolParams(pax=0.75, pbx=0.25, mu=(1.0, 0.5, 0.001),
                             p_mu=(0.25, 0.28125, 0.46875))
