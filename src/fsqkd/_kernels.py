@@ -29,20 +29,22 @@ step asks if they are one object; equal values in two objects are both
 evaluated and averaged, which gives the same float, as 0.5 * (d + d) == d.
 An ``if`` cannot branch per element, so the steps with control flow keep
 array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
-return, ``ec_leakage_array`` keeps the live set of ``ec_leakage_core``,
-``_binary_entropy`` and ``_fluct_gamma`` keep their logs to their domains,
-and ``_ell_chain`` (up to ``ell`` of ``bounds_ell_array``) masks the
-zero-count, no-single-photon and phase-error cases of ``bounds_ell_core``.
-A fixed-parameter sweep runs ``counts_array``, ``ec_leakage_array`` (its
-quantile from ``_quantile.binom_ppf_array``) and ``bounds_ell_array`` over
-its whole grid, each axis on a dimension of its own; the worst-case grid
-runs ``_ell_chain`` over both bases' count rows, which come from the
-scalar steps.  Every element is bit-identical to the scalar chain: NumPy's
-``exp`` and ``log`` differ from libm's in the last bit on some inputs, so
-``_libm_exp`` calls ``math.exp`` once per element and ``_libm_log``
-is scipy's ``xlogy(1, x)``, which calls glibc's ``log`` as ``math.log``
-does (at x > 0, all a twin passes).  The quantile twin follows the scalar
-search in int64 below 2^53 trials and sends larger counts to ``binom_ppf``.
+return, ``ec_leakage_array`` that of ``ec_leakage_core``, and
+``bounds_ell_core``'s twin runs in two stages, the decoy bounds
+(``_chain_bounds``) at each basis' own shape and the key (``_chain_key``,
+with ``_binary_entropy`` and ``_fluct_gamma``) where the bases meet.  These
+evaluate every lane, with no gather or scatter: each branch is a mask, the
+scalar ``if`` itself (so NaN lanes follow the scalar), built at the small
+shapes and combined once.  A fixed-parameter sweep runs ``counts_array``,
+``ec_leakage_array`` (its quantile from ``_quantile.binom_ppf_array``) and
+``bounds_ell_array`` over its whole grid, each axis on a dimension of its
+own; the worst-case grid runs the bounds once per query and the key per
+block of at most g^8 points.  Every element is bit-identical to the
+scalar chain: NumPy's ``exp`` and ``log`` differ from libm's in the last
+bit on some inputs, so ``_libm_exp`` calls ``math.exp`` once per element
+and ``_libm_log`` is scipy's ``xlogy(1, x)``, which calls glibc's ``log``
+as ``math.log`` does.  The quantile twin follows the scalar search in
+int64 below 2^53 trials and sends larger counts to ``binom_ppf``.
 The estimator's mu1 and mu2 may be arrays on a leading axis ahead of the
 counts', one pair per entry, with taus and weights from one
 ``intensity_terms`` twin call.
@@ -350,38 +352,31 @@ def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
 
 def ec_leakage_array(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
     """``ec_leakage_core`` over broadcasting arrays ``n_x``, ``qber_x`` and
-    ``f_inv``; the other arguments are the scalar kernel's."""
-    n_x, q, f_inv = np.broadcast_arrays(n_x, qber_x, f_inv)
-    lam = np.zeros(n_x.shape)
-    live = ~(n_x <= 0.0) if rate_factor else ~((n_x <= 0.0) | (q <= 0.0))
-    n, q, f_inv = n_x[live], q[live], f_inv[live]
-    if rate_factor:
-        lam[live] = f_ec * n * _binary_entropy(q)
-        return lam
-    lam[live] = _ARRAY["finite_leakage_core"](n, np.where(q > 0.5, 0.5, q), eps_c, f_inv)
-    return lam
+    ``f_inv``, on every lane; the other arguments are the scalar kernel's."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if rate_factor:
+            return np.where(n_x <= 0.0, 0.0, f_ec * n_x * _binary_entropy(qber_x))
+        lam = _ARRAY["finite_leakage_core"](n_x, np.minimum(qber_x, 0.5), eps_c, f_inv)
+    return np.where((n_x <= 0.0) | (qber_x <= 0.0), 0.0, lam)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` over an array."""
-    out = np.zeros(x.shape)
-    inside = ~((x <= 0.0) | (x >= 1.0))
-    xs = x[inside]
-    out[inside] = -(xs * _libm_log(xs) + (1.0 - xs) * _libm_log(1.0 - xs)) / LN2
-    return out
+    """``binary_entropy`` over an array, evaluated on every lane."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(x * _libm_log(x) + (1.0 - x) * _libm_log(1.0 - x)) / LN2
+    return np.where((x <= 0.0) | (x >= 1.0), 0.0, h)
 
 
 def _fluct_gamma(a: float, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``fluct_gamma`` over 1-d arrays ``b``, ``c`` and ``d``."""
-    out = np.zeros(b.shape)
-    valid = np.flatnonzero(~((b <= 0.0) | (b >= 1.0) | (c <= 0.0) | (d <= 0.0)))
-    b, c, d = b[valid], c[valid], d[valid]
-    t1 = (c + d) * (1.0 - b) * b / (c * d * LN2)
-    arg = ((c + d) / (c * d * (1.0 - b) * b)) * (21.0 / a) ** 2
-    above = ~(arg <= 1.0)
-    v = t1[above] * _libm_log(arg[above]) / LN2
-    out[valid[above]] = np.where(v <= 0.0, 0.0, np.sqrt(v))
-    return out
+    """``fluct_gamma`` over broadcasting arrays ``b``, ``c`` and ``d``, on every lane."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total, product = c + d, c * d
+        t1 = total * (1.0 - b) * b / (product * LN2)
+        arg = (total / (product * (1.0 - b) * b)) * (21.0 / a) ** 2
+        v = t1 * _libm_log(arg) / LN2
+        gamma = np.sqrt(v)
+    return np.where((b <= 0.0) | (b >= 1.0) | (c <= 0.0) | (d <= 0.0) | (arg <= 1.0)
+                    | (v <= 0.0), 0.0, gamma)
 
 
 def _clamp_array(x, top):
@@ -409,39 +404,44 @@ def _basis_bounds(c, total, mu, scales, beta, tau0, tau1):
     return _ARRAY["basis_bounds_core"](*c, total, *mu, *scales, beta, tau0, tau1)
 
 
-def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
-    """``bounds_ell_array`` up to ``ell``: ``(ell, raw, parts)``; the grid needs no more."""
+def _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta):
+    """The bounds stage of ``bounds_ell_core``: ``(s_x0, s_x1, s_z0, s_z1, v_z1,
+    v_z1 / s_z1)``, each at its basis' own shape times an estimator axis of ``mu``."""
     mu1, mu2, mu3 = mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_x_tot = n_x[0] + n_x[1] + n_x[2]
-        n_z_tot = n_z[0] + n_z[1] + n_z[2]
-
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau0, tau1, *scales = _ARRAY["intensity_terms"](mu1, mu2, mu3, *p_mu)
-
-        s_x0, s_x1 = _basis_bounds(n_x, n_x_tot, mu, scales, beta, tau0, tau1)
-        s_z0, s_z1 = _basis_bounds(n_z, n_z_tot, mu, scales, beta, tau0, tau1)
-
-        upper, lower = _ARRAY["count_upper_core"], _ARRAY["count_lower_core"]
-        v_z1 = tau1 * (upper(m_z[1], scales[1], beta)
-                       - lower(m_z[2], scales[2], beta)) / (mu2 - mu3)
+        s_x0, s_x1 = _basis_bounds(n_x, n_x[0] + n_x[1] + n_x[2], mu, scales, beta, tau0, tau1)
+        s_z0, s_z1 = _basis_bounds(n_z, n_z[0] + n_z[1] + n_z[2], mu, scales, beta, tau0, tau1)
+        v_z1 = tau1 * (_ARRAY["count_upper_core"](m_z[1], scales[1], beta)
+                       - _ARRAY["count_lower_core"](m_z[2], scales[2], beta)) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
+        return s_x0, s_x1, s_z0, s_z1, v_z1, v_z1 / s_z1
 
-        ratio, s_z1_full, s_x1_full = np.broadcast_arrays(v_z1 / s_z1, s_z1, s_x1)
-        no_single_photon = (s_x1_full <= 0.0) | (s_z1_full <= 0.0)
-        # phi_x is capped at 0.5 off the live points
-        live = ~(no_single_photon | (ratio >= 0.5))
-        b = ratio[live]
-        phi_x = b + _fluct_gamma(eps, b, s_z1_full[live], s_x1_full[live])
-        phi_x = np.where(phi_x > 0.5, 0.5, phi_x)
-        h_phi = np.full(ratio.shape, binary_entropy(0.5))
-        h_phi[live] = _binary_entropy(phi_x)
 
-        raw = s_x0 + s_x1 * (1.0 - h_phi) - lam - pa_bits
+def _chain_key(n_x, n_z, bounds, eps, pa_bits, lam):
+    """The key stage of ``bounds_ell_core`` from the basis counts and the
+    ``_chain_bounds`` record: ``(ell, raw, (phi_x, no_counts, dead, bounds))``,
+    ``dead`` where a basis has no counts or no single photons."""
+    s_x0, s_x1, _, s_z1, _, ratio = bounds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n_x_tot, n_z_tot = n_x[0] + n_x[1] + n_x[2], n_z[0] + n_z[1] + n_z[2]
+        x_dead = (n_x_tot <= 0.0) | (s_x1 <= 0.0)
+        z_dead = (n_z_tot <= 0.0) | (s_z1 <= 0.0)
+        phi_x = ratio + _fluct_gamma(eps, ratio, s_z1, s_x1)
+        phi_x = np.where(x_dead | (z_dead | (ratio >= 0.5)) | (phi_x > 0.5), 0.5, phi_x)
+        raw = s_x0 + s_x1 * (1.0 - _binary_entropy(phi_x)) - lam - pa_bits
         no_counts = (n_x_tot <= 0.0) | (n_z_tot <= 0.0)
         raw = np.where(no_counts, -pa_bits, raw)
-        ell = raw // 1.0
-        ell = np.where(no_counts | no_single_photon | (ell <= 0.0), 0.0, ell)
-    return ell, raw, (no_counts, no_single_photon, live, phi_x, (s_x0, s_x1, s_z0, s_z1, v_z1))
+        ell = np.where(np.isinf(raw), np.nan, np.floor(raw))  # as raw // 1.0
+        dead = x_dead | z_dead
+        ell = np.where(dead | (ell <= 0.0), 0.0, ell)
+    return ell, raw, (phi_x, no_counts, dead, bounds)
+
+
+def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
+    """``bounds_ell_array`` up to ``ell``: ``(ell, raw, parts)``, both stages."""
+    bounds = _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta)
+    return _chain_key(n_x, n_z, bounds, eps, pa_bits, lam)
 
 
 def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
@@ -456,13 +456,12 @@ def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
     counts from ``finitekey._leakage``.  A basis' values keep its shape
     until the two meet in the phase-error term.
     """
-    ell, raw, (no_counts, no_single_photon, live, phi_live, bounds) = _ell_chain(
+    ell, raw, (phi_x, no_counts, dead, bounds) = _ell_chain(
         n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam)
-    phi_x = np.full(ell.shape, 0.5)
-    phi_x[live] = phi_live
-    qber_x = (m_x[0] + m_x[1] + m_x[2]) / np.where(no_counts, 1.0, n_x[0] + n_x[1] + n_x[2])
-    reason = np.select([no_counts, no_single_photon, ell <= 0.0], [
+    with np.errstate(over="ignore", invalid="ignore"):
+        qber_x = (m_x[0] + m_x[1] + m_x[2]) / np.where(no_counts, 1.0, n_x[0] + n_x[1] + n_x[2])
+    reason = np.select([no_counts, dead, ell <= 0.0], [
         REASON_ZERO_COUNTS, REASON_NO_SINGLE_PHOTON, REASON_NEGATIVE_KEY], REASON_OK)
-    s_x0, s_x1, s_z0, s_z1, v_z1, lam, qber_x = (
-        np.where(np.broadcast_to(no_counts, ell.shape), 0.0, v) for v in (*bounds, lam, qber_x))
+    s_x0, s_x1, s_z0, s_z1, v_z1, lam, qber_x = (np.where(
+        np.broadcast_to(no_counts, ell.shape), 0.0, v) for v in (*bounds[:5], lam, qber_x))
     return ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason

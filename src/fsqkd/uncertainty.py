@@ -24,10 +24,11 @@ against g^4 = 81.  The distinct points are evaluated in this order:
 2. the reconciliation leakage, with its inverse-binomial quantile, from
    ``finitekey._count_leakage`` once per X-basis combination, since it
    depends on the X-basis totals alone;
-3. the estimation chain, ``_kernels._ell_chain`` (the array twin of
-   ``bounds_ell_core`` up to ``ell``), over the outer product of both
-   bases' combinations, once per block of distinct estimator pairs; this
-   pair has no symmetry.  A pair outside the decoy domain of
+3. the estimation chain, the array twin of ``bounds_ell_core`` up to
+   ``ell``: its decoy bounds (``_kernels._chain_bounds``) once, over every
+   distinct estimator pair, then its key (``_kernels._chain_key``) over the
+   outer product of both bases' combinations per block of those pairs;
+   this pair has no symmetry.  A pair outside the decoy domain of
    ``channel.check_intensities`` is not evaluated: it counts as zero key.
 
 A distinct point stands for the grid points that give its X-basis row,
@@ -35,8 +36,8 @@ Z-basis row and estimator pair, a product set, so its least grid index is
 ``(first_x * g^4 + first_z) * g^2 + first_est`` from the first index of
 each; the least key length at the least such index is that of all g^10
 points.  With rows count combinations the table holds g^2 rows^2 entries
-at most (11,664 at g = 3) and a chain call, over a block of g^8 // rows^2
-pairs or one, at most g^8; no g^8 array is kept.
+at most (11,664 at g = 3) and a key-stage call, over a block of
+g^8 // rows^2 pairs or one, at most g^8; no g^8 array is kept.
 
 The vacuum intensity is not varied: fluctuations of an (ideally) empty
 pulse are already covered by the extraneous-count probability.
@@ -166,15 +167,15 @@ def _distinct_grid(model: IntensityUncertaintyModel,
     # X-basis rows down, Z-basis rows across
     cols = np.array(rows).T
     n_x, n_z, m_z = cols[0:3, :, None], cols[3:6, None, :], cols[9:12, None, :]
-    # blocks of the pairs in the decoy domain, at most g^8 points each
+    # the bounds of the pairs in the decoy domain at once, the key in blocks of g^8 points
     inside = [j for j, pair in enumerate(est) if _decoy_domain(*pair, mu3)]
     est_mu1, est_mu2 = np.reshape(list(est), (-1, 2))[inside].T[..., None, None]
+    bounds = k._chain_bounds(n_x, n_z, m_z, (est_mu1, est_mu2, mu3), params.p_mu, sec.beta)
     ell = np.zeros((len(est), len(row), len(row)))
     step = max(1, g ** 8 // len(row) ** 2)
     for i in range(0, len(inside), step):
-        ell[inside[i:i + step]] = k._ell_chain(
-            n_x, n_z, m_z, (est_mu1[i:i + step], est_mu2[i:i + step], mu3), params.p_mu,
-            sec.beta, sec.eps, sec.pa_bits, lam)[0]
+        ell[inside[i:i + step]] = k._chain_key(n_x, n_z, [b[i:i + step] for b in bounds],
+                                               sec.eps, sec.pa_bits, lam)[0]
     first_row = np.array(list(row.values())) * g * g
     first = np.add.outer(list(est.values()), np.add.outer(first_row * g ** 4, first_row))
     return ell, first

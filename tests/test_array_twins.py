@@ -82,7 +82,7 @@ FOLDED = ("detection_error_prob", "pair_statistics", "counts_core", "chernoff_de
 # the array glue: the array operations, and the masks of the steps with control flow
 GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_basis_counts",
         "ec_leakage_array", "_binary_entropy", "_fluct_gamma", "binary_entropy",
-        "_basis_bounds", "_ell_chain", "bounds_ell_array"}
+        "_basis_bounds", "_chain_bounds", "_chain_key", "_ell_chain", "bounds_ell_array"}
 
 
 def test_array_steps_run_the_scalar_steps_code():

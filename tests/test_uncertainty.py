@@ -1,6 +1,7 @@
 """Worst-case key length under bounded intensity uncertainty."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    key_length_for_channel, key_length_for_intensities,
                    worst_case_key_length)
 from fsqkd import _kernels as k
+from fsqkd import cli
 from fsqkd._quantile import binom_ppf
 from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
 from fsqkd._kernels import (_basis_bounds, _binary_entropy, _ell_chain, _fluct_gamma,
                             _libm_log, bounds_ell_array)
+from fsqkd.scenarios import SweepSpec, sweep
 from fsqkd.uncertainty import GRID_DIMS, _distinct_grid
 
 # fixed-hardware point with a comfortable key margin
@@ -352,6 +355,76 @@ def test_array_logarithmic_terms_match_scalar_kernels():
                           [k.fluct_gamma(a, *t) for t in zip(b, c, d)])
 
 
+def test_array_terms_match_scalar_kernels_on_every_branch():
+    """The array entropy and fluctuation terms evaluate every lane and pick
+    each scalar branch by a mask: every branch, and NaN and inf inputs,
+    give the scalar kernel's value."""
+    inf, nan = math.inf, math.nan
+    x = np.array([-inf, -0.1, 0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.5,
+                  inf, nan])
+    assert [repr(v) for v in _binary_entropy(x).tolist()] == [
+        repr(k.binary_entropy(v)) for v in x.tolist()]
+    a = SEC.eps_s + SEC.eps_c
+    cases = {  # (b, c, d) reaching each return of fluct_gamma
+        "b <= 0": [(0.0, 1e4, 1e5), (-0.1, 1e4, 1e5)],
+        "b >= 1": [(1.0, 1e4, 1e5), (2.0, 1e4, 1e5)],
+        "c, d <= 0": [(0.1, 0.0, 1e5), (0.1, 1e4, 0.0), (0.1, -1.0, 1e5)],
+        "arg <= 1": [(0.4, 1e25, 1e25), (0.1, 1e200, 1e200)],  # c * d overflows to inf
+        "v <= 0": [(1e-300, 1e100, 1e100)],  # t1 underflows to 0
+        "NaN arg": [(0.1, 1e308, 1e308), (0.1, inf, 1e5)],  # c + d and c * d are inf
+        "NaN b": [(nan, 1e4, 1e5)],
+        "positive": [(0.01, 1e4, 1e5), (0.49, 3.0, 7.0), (1e-300, 1e10, 1e10)],
+    }
+    got = {}
+    for branch, rows in cases.items():
+        b, c, d = np.array(rows).T
+        got[branch] = _fluct_gamma(a, b, c, d).tolist()
+        assert list(map(repr, got[branch])) == [repr(k.fluct_gamma(a, *t)) for t in rows]
+    assert not any(v for branch in ("b <= 0", "b >= 1", "c, d <= 0", "arg <= 1", "v <= 0")
+                   for v in got[branch])
+    assert all(math.isnan(v) for v in got["NaN arg"] + got["NaN b"])
+    assert all(v > 0.0 for v in got["positive"])
+    # each basis' values at its own shape, broadcast against the other's
+    b, c = np.array([[0.0], [0.02], [0.6]]), np.array([[0.0], [1e4], [1e30]])
+    d = np.array([[0.0, 1e3, 1e5, inf]])
+    want = [[k.fluct_gamma(a, bi, ci, di) for di in d[0].tolist()]
+            for bi, ci in zip(b[:, 0].tolist(), c[:, 0].tolist())]
+    assert np.array_equal(_fluct_gamma(a, b, c, d), want, equal_nan=True)
+
+
+def test_bounds_ell_array_matches_scalar_kernel_on_every_lane():
+    """Counts up to the largest doubles, zero counts and infinite or NaN
+    leakage reach every lane the key stage masks; each field of every
+    element equals ``bounds_ell_core``'s."""
+    rng = np.random.default_rng(25)
+    mu, p_mu = (0.6, 0.15, 1e-9), (0.7, 0.2, 0.1)
+    counts = 10.0 ** rng.uniform(-2, 308, (4000, 12))
+    counts[rng.random(counts.shape) < 0.1] = 0.0
+    counts[::50, 0:3] = [1e308, 1e308, 1.0]  # the X-basis total overflows
+    rate_factor = SecurityParams(ec_method="rate-factor")
+    lam = np.array([_count_leakage(c, rate_factor)[0] for c in counts.tolist()])
+    lam[1::50], lam[2::50] = math.inf, math.nan
+    want = [k.bounds_ell_core(*c, *mu, *p_mu, SEC.beta, SEC.eps, SEC.pa_bits, l)
+            for c, l in zip(counts.tolist(), lam.tolist())]
+    cols = counts.T
+    got = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], mu, p_mu,
+                           SEC.beta, SEC.eps, SEC.pa_bits, lam)
+    assert [repr(v) for v in zip(*(f.tolist() for f in got))] == list(map(repr, want))
+    ell, raw, _, s_x1, _, s_z1, v_z1, phi_x, _, _, reason = np.array(want).T
+    alive = (reason == k.REASON_OK) | (reason == k.REASON_NEGATIVE_KEY)
+    single = reason == k.REASON_NO_SINGLE_PHOTON
+    assert set(reason) == {k.REASON_OK, k.REASON_ZERO_COUNTS, k.REASON_NO_SINGLE_PHOTON,
+                           k.REASON_NEGATIVE_KEY}
+    assert np.any(single & (s_x1 == 0.0) & (s_z1 > 0.0))
+    assert np.any(single & (s_z1 == 0.0) & (s_x1 > 0.0))
+    assert np.any(alive & (phi_x == 0.5))  # v_z1 / s_z1 >= 0.5, or phi_x capped
+    assert np.any(alive & (v_z1 == 0.0))  # b = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = v_z1 / s_z1
+    assert np.any(alive & (ratio > 0.0) & (phi_x == ratio))  # gamma = 0 past b = 0
+    assert np.any(np.isnan(raw)) and np.any(np.isnan(ell))
+
+
 def test_array_log_is_libm_log():
     """The array log equals ``math.log`` element for element: subnormals up
     to the largest doubles, the neighbourhood of 1, and (0, 1)."""
@@ -391,6 +464,34 @@ def test_batched_estimators_match_one_call_each(consistent):
         one = bounds_ell_array(n_x, n_z, m_x, m_z, (a, b, mu3), *args)
         assert all(np.array_equal(f[e], g) for f, g in zip(record, one))
     assert np.any(ell > 0.0) or not consistent
+
+
+def test_domain_top_pulse_count_raises_no_warning(tmp_path, capsys):
+    """At f_s = 1e8 and a 1e292 s window, 1e300 pulses, ``c * d`` of the
+    fluctuation term overflows to inf; ``sweep()``, the ``sweep`` command
+    and the worst-case grid stay silent, as ``key_length_for_channel``
+    does, and agree with it.  Rate-factor mode keeps the slow binomial
+    quantile at 1e300 trials (ROADMAP item 4) out of the test."""
+    sec = SecurityParams(ec_method="rate-factor")
+    channel = ChannelConditions(eta_loss_db=0.0, p_ec=1e-6, qber_i=0.01,
+                                integration_time_s=1e292)
+    path = tmp_path / "top.cfg"
+    path.write_text("channel.eta_loss_db = 0\nchannel.p_ec = 1e-6\nchannel.qber_i = 0.01\n"
+                    "channel.integration_time_s = 1e292\nec.method = rate-factor\n"
+                    "protocol.pax = 0.7\nprotocol.pbx = 0.5\nprotocol.mu1 = 0.5\n"
+                    "protocol.mu2 = 0.1\nprotocol.mu3 = 0.0\nprotocol.p_mu1 = 0.8\n"
+                    "protocol.p_mu2 = 0.13\nsweep.eta_loss_db = 0\nsweep.log10_pec = -6\n"
+                    "sweep.qber_i = 0.01\nsweep.tau_s = 1e292\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = key_length_for_channel(PARAMS, channel, sec).ell
+        rows = sweep(SweepSpec((0.0,), (-6.0,), (0.01,), (1e292,), params=PARAMS), channel, sec)
+        code = cli.main(["sweep", "--config", str(path), "--format", "json"])
+        worst = worst_case_key_length(IntensityUncertaintyModel(f=0.1, nominal=PARAMS),
+                                      channel, sec)
+    assert code == 0 and str(want) in capsys.readouterr().out
+    assert rows[0].result.ell == want == worst.nominal_ell
+    assert 0 < worst.min_ell < want
 
 
 # nominal point whose estimator pairs can leave the decoy domain under uncertainty
@@ -441,18 +542,24 @@ class TestEstimatorOutsideDecoyDomain:
     (PARAMS, 3, 0.05, 2, 9), (PARAMS, 3, 0.0, 1, 1), (PARAMS, 2, 0.05, 2, 4),
     (PARAMS, 4, 0.05, 3, 16), (NEAR, 3, 0.3, 2, 8)], ids=["3", "f0-3", "2", "4", "near-0.3"])
 def test_chain_runs_over_blocks_of_estimator_pairs(monkeypatch, params, g, f, calls, pairs):
-    """The grid runs the chain over blocks of estimator pairs, each call
-    covering at most g^8 points, and each distinct pair in the decoy domain
-    once; a pair outside it never reaches the chain."""
+    """The grid runs the decoy bounds once, over each distinct pair in the
+    decoy domain, and the key stage over blocks of those pairs, each call
+    covering at most g^8 points; a pair outside the domain never reaches
+    the chain."""
     sizes, seen = [], []
+    chain_bounds, chain_key = k._chain_bounds, k._chain_key
 
-    def counting(n_x, n_z, m_z, mu, *args):
+    def bounds(n_x, n_z, m_z, mu, *args):
         seen.extend(zip(np.ravel(mu[0]).tolist(), np.ravel(mu[1]).tolist()))
-        out = _ell_chain(n_x, n_z, m_z, mu, *args)
+        return chain_bounds(n_x, n_z, m_z, mu, *args)
+
+    def key(*args):
+        out = chain_key(*args)
         sizes.append(out[0].size)
         return out
 
-    monkeypatch.setattr(k, "_ell_chain", counting)
+    monkeypatch.setattr(k, "_chain_bounds", bounds)
+    monkeypatch.setattr(k, "_chain_key", key)
     model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
     _distinct_grid(model, CHANNEL, SEC)
     assert len(sizes) == calls
