@@ -29,22 +29,23 @@ step asks if they are one object; equal values in two objects are both
 evaluated and averaged, which gives the same float, as 0.5 * (d + d) == d.
 An ``if`` cannot branch per element, so the steps with control flow keep
 array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
-return, ``ec_leakage_array`` that of ``ec_leakage_core``, and
-``bounds_ell_core``'s twin runs in two stages, the decoy bounds
-(``_chain_bounds``) at each basis' own shape and the key (``_chain_key``,
-with ``_binary_entropy`` and ``_fluct_gamma``) where the bases meet.  These
-evaluate every lane, with no gather or scatter: each branch is a mask, the
-scalar ``if`` itself (so NaN lanes follow the scalar), built at the small
-shapes and combined once.  A fixed-parameter sweep runs ``counts_array``,
-``ec_leakage_array`` (its quantile from ``_quantile.binom_ppf_array``) and
-``bounds_ell_array`` over its whole grid, each axis on a dimension of its
-own; the worst-case grid runs the bounds once per query and the key per
-block of at most g^8 points.  Every element is bit-identical to the
-scalar chain: NumPy's ``exp`` and ``log`` differ from libm's in the last
-bit on some inputs, so ``_libm_exp`` calls ``math.exp`` once per element
-and ``_libm_log`` is scipy's ``xlogy(1, x)``, which calls glibc's ``log``
-as ``math.log`` does.  The quantile twin follows the scalar search in
-int64 below 2^53 trials and sends larger counts to ``binom_ppf``.
+return, ``finitekey._leakage_array`` the leakage's around the
+``finite_leakage_core`` twin, and ``bounds_ell_core``'s twin runs in two
+stages, the decoy bounds (``_chain_bounds``) at each basis' own shape and
+the key (``_chain_key``, with ``_binary_entropy`` and ``_fluct_gamma``)
+where the bases meet.  These evaluate every lane, with no gather or
+scatter: each branch is a mask, the scalar ``if`` itself (so NaN lanes
+follow the scalar), built at the small shapes and combined once.  A
+fixed-parameter sweep runs ``counts_array``, ``_leakage_array`` (its
+quantile from ``_quantile.binom_ppf_array``) and ``bounds_ell_array``
+over its whole grid, each axis on a dimension of its own; the worst-case
+grid runs the bounds once per query and the key per block of at most g^8
+points.  Every element is bit-identical to the scalar chain: NumPy's
+``exp`` and ``log`` differ from libm's in the last bit on some inputs, so
+``_libm_exp`` is scipy's ``inv_boxcox(x, 0)`` and ``_libm_log`` its
+``xlogy(1, x)``, ufuncs that tests pin to ``math.exp`` and ``math.log``.
+The quantile twin follows the scalar search in int64 below 2^53 trials
+and sends larger counts to ``binom_ppf``.
 The estimator's mu1 and mu2 may be arrays on a leading axis ahead of the
 counts', one pair per entry, with taus and weights from one
 ``intensity_terms`` twin call.
@@ -57,12 +58,11 @@ Reason codes returned by ``bounds_ell_core``:
 """
 from __future__ import annotations
 
-import math
 import types
 from math import exp, log, sqrt
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import inv_boxcox, xlogy
 
 LN2 = 0.6931471805599453
 
@@ -229,25 +229,10 @@ def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, s1, s2, s3, beta, tau0, 
         count_upper_core(c1, s1, beta), s0, tau0, tau1, mu1, mu2, mu3, total)
 
 
-def ec_leakage_core(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
-    """Reconciliation leakage in bits.
-
-    With ``rate_factor``: f_ec * n_X * h(Q).  Otherwise the finite-size
-    estimate around the inverse binomial CDF value ``f_inv`` (precomputed
-    by the caller).
-    """
-    if n_x <= 0.0:
-        return 0.0
-    if rate_factor:
-        return f_ec * n_x * binary_entropy(qber_x)
-    if qber_x <= 0.0:
-        return 0.0
-    return finite_leakage_core(n_x, 0.5 if qber_x > 0.5 else qber_x, eps_c, f_inv)
-
-
 def finite_leakage_core(n_x, q, eps_c, f_inv):
-    """``ec_leakage_core``'s finite-size estimate at n_x > 0 and 0 < q <= 0.5,
-    floored at zero and capped at ``n_x``."""
+    """Finite-size reconciliation leakage in bits at n_x > 0 and 0 < q <= 0.5,
+    around the inverse binomial CDF value ``f_inv``, floored at zero and
+    capped at ``n_x``; ``finitekey._leakage`` picks it or the rate-factor form."""
     lr = log((1.0 - q) / q) / LN2
     return clamp(n_x * binary_entropy(q) + n_x * (1.0 - q) * lr - (f_inv - 1.0) * lr
                  - 0.5 * (log(n_x) / LN2) - (log(1.0 / eps_c) / LN2), n_x)
@@ -267,7 +252,7 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
 
     ``eps`` is eps_s + eps_c, ``pa_bits`` their ``privacy_amplification_bits``
     and ``lam`` the reconciliation leakage of the same X-basis counts, as
-    ``ec_leakage_core`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
+    ``finitekey._leakage`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
     s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
     are no counts.  ``raw`` is the unfloored key expression (the
     optimization surrogate); ``ell`` is max(0, floor(raw)) or 0 on any
@@ -329,11 +314,9 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 
 
 def _libm_exp(x) -> np.ndarray | float:
-    """Elementwise ``math.exp`` of an array; a float's is ``math.exp`` itself."""
-    if isinstance(x, float):
-        return math.exp(x)
-    x = np.asarray(x, dtype=float)
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    """Elementwise ``math.exp`` of an array, as scipy's ``inv_boxcox(x, 0)``;
+    a float's is ``math.exp`` itself, which keeps scalar arithmetic on floats."""
+    return exp(x) if isinstance(x, float) else inv_boxcox(x, 0.0)
 
 
 def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
@@ -348,16 +331,6 @@ def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
         m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
         return (n1, n2, n3, *(np.where(none, 0.0, m_tot * p * d / sum_pd)
                               for p, d in ((p1, d1), (p2, d2), (p3, d3))))
-
-
-def ec_leakage_array(n_x, qber_x, eps_c, rate_factor, f_ec, f_inv):
-    """``ec_leakage_core`` over broadcasting arrays ``n_x``, ``qber_x`` and
-    ``f_inv``, on every lane; the other arguments are the scalar kernel's."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if rate_factor:
-            return np.where(n_x <= 0.0, 0.0, f_ec * n_x * _binary_entropy(qber_x))
-        lam = _ARRAY["finite_leakage_core"](n_x, np.minimum(qber_x, 0.5), eps_c, f_inv)
-    return np.where((n_x <= 0.0) | (qber_x <= 0.0), 0.0, lam)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -399,19 +372,16 @@ _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__n
 counts_array = _ARRAY["counts_core"]
 
 
-def _basis_bounds(c, total, mu, scales, beta, tau0, tau1):
-    """``basis_bounds_core`` over arrays, from per-intensity triples: (s0, s1)."""
-    return _ARRAY["basis_bounds_core"](*c, total, *mu, *scales, beta, tau0, tau1)
-
-
 def _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta):
     """The bounds stage of ``bounds_ell_core``: ``(s_x0, s_x1, s_z0, s_z1, v_z1,
     v_z1 / s_z1)``, each at its basis' own shape times an estimator axis of ``mu``."""
     mu1, mu2, mu3 = mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau0, tau1, *scales = _ARRAY["intensity_terms"](mu1, mu2, mu3, *p_mu)
-        s_x0, s_x1 = _basis_bounds(n_x, n_x[0] + n_x[1] + n_x[2], mu, scales, beta, tau0, tau1)
-        s_z0, s_z1 = _basis_bounds(n_z, n_z[0] + n_z[1] + n_z[2], mu, scales, beta, tau0, tau1)
+        s_x0, s_x1 = _ARRAY["basis_bounds_core"](*n_x, n_x[0] + n_x[1] + n_x[2], *mu, *scales,
+                                                 beta, tau0, tau1)
+        s_z0, s_z1 = _ARRAY["basis_bounds_core"](*n_z, n_z[0] + n_z[1] + n_z[2], *mu, *scales,
+                                                 beta, tau0, tau1)
         v_z1 = tau1 * (_ARRAY["count_upper_core"](m_z[1], scales[1], beta)
                        - _ARRAY["count_lower_core"](m_z[2], scales[2], beta)) / (mu2 - mu3)
         v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
@@ -420,7 +390,7 @@ def _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta):
 
 def _chain_key(n_x, n_z, bounds, eps, pa_bits, lam):
     """The key stage of ``bounds_ell_core`` from the basis counts and the
-    ``_chain_bounds`` record: ``(ell, raw, (phi_x, no_counts, dead, bounds))``,
+    ``_chain_bounds`` record: ``(ell, raw, (phi_x, no_counts, dead))``,
     ``dead`` where a basis has no counts or no single photons."""
     s_x0, s_x1, _, s_z1, _, ratio = bounds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -435,13 +405,7 @@ def _chain_key(n_x, n_z, bounds, eps, pa_bits, lam):
         ell = np.where(np.isinf(raw), np.nan, np.floor(raw))  # as raw // 1.0
         dead = x_dead | z_dead
         ell = np.where(dead | (ell <= 0.0), 0.0, ell)
-    return ell, raw, (phi_x, no_counts, dead, bounds)
-
-
-def _ell_chain(n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam):
-    """``bounds_ell_array`` up to ``ell``: ``(ell, raw, parts)``, both stages."""
-    bounds = _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta)
-    return _chain_key(n_x, n_z, bounds, eps, pa_bits, lam)
+    return ell, raw, (phi_x, no_counts, dead)
 
 
 def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
@@ -456,8 +420,8 @@ def bounds_ell_array(n_x, n_z, m_x, m_z, mu, p_mu, beta, eps, pa_bits, lam):
     counts from ``finitekey._leakage``.  A basis' values keep its shape
     until the two meet in the phase-error term.
     """
-    ell, raw, (phi_x, no_counts, dead, bounds) = _ell_chain(
-        n_x, n_z, m_z, mu, p_mu, beta, eps, pa_bits, lam)
+    bounds = _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta)
+    ell, raw, (phi_x, no_counts, dead) = _chain_key(n_x, n_z, bounds, eps, pa_bits, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         qber_x = (m_x[0] + m_x[1] + m_x[2]) / np.where(no_counts, 1.0, n_x[0] + n_x[1] + n_x[2])
     reason = np.select([no_counts, dead, ell <= 0.0], [

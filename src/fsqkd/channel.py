@@ -35,7 +35,9 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "intensity": ("[", 0.0, 10.0, "]"),  # mean photon numbers; exp(mu) overflows past ~709
     "intensity probability": ("(", 0.0, 1.0, ")"),
     "eps": ("(", 0.0, 1.0, ")"),
-    "beta": ("[", 0.0, math.inf, ")"),
+    # a count stays below 4e300 (see "pulse count"), so 2 beta c + beta^2 of the
+    # Chernoff terms is finite below ~2.2e7; beta = ln(21 / eps_s) is below ~710
+    "beta": ("[", 0.0, 2e7, "]"),
     "f_ec": ("[", 1.0, math.inf, ")"),
     "qber": ("[", 0.0, 0.5, "]"),
     "entropy argument": ("[", 0.0, 1.0, "]"),

@@ -61,6 +61,12 @@ class SecurityParams:
     def __post_init__(self) -> None:
         check_range("eps_s", self.eps_s, "eps")
         check_range("eps_c", self.eps_c, "eps")
+        try:  # pa_bits, and fluct_gamma's (21 / eps) ** 2, as the kernels compute them
+            if not math.isfinite(self.pa_bits + (21.0 / self.eps) ** 2):
+                raise OverflowError
+        except OverflowError:
+            raise ParameterError(f"eps_s = {self.eps_s!r} and eps_c = {self.eps_c!r} are too "
+                                 "small: 21/eps_s, 2/eps_c or (21/eps)**2 overflows") from None
         if self.ec_method not in ("binomial", "rate-factor"):
             raise ParameterError(f"unknown EC leakage method {self.ec_method!r}")
         check_range("f_ec", self.f_ec)
@@ -140,14 +146,17 @@ def _leakage(n_x: float, qber_x: float, sec: SecurityParams) -> tuple[float, flo
     """Leakage of X-basis counts, and the inverse-binomial quantile it used.
 
     The quantile is 0 in rate-factor mode and where there is nothing to
-    reconcile (no counts or no errors).
+    reconcile: it is taken only where n_x > 0 and qber_x > 0, not on NaN.
     """
-    f_inv = 0.0
-    binomial = sec.ec_method == "binomial"
-    if binomial and n_x > 0.0 and qber_x > 0.0:
-        f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(qber_x, 0.5))
-    lam = k.ec_leakage_core(n_x, qber_x, sec.eps_c, not binomial, sec.f_ec, f_inv)
-    return lam, f_inv
+    if n_x <= 0.0:
+        return 0.0, 0.0
+    if sec.ec_method == "rate-factor":
+        return sec.f_ec * n_x * k.binary_entropy(qber_x), 0.0
+    if qber_x <= 0.0:
+        return 0.0, 0.0
+    q = 0.5 if qber_x > 0.5 else qber_x
+    f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - q) if n_x > 0.0 and qber_x > 0.0 else 0.0
+    return k.finite_leakage_core(n_x, q, sec.eps_c, f_inv), f_inv
 
 
 def _count_leakage(c: tuple, sec: SecurityParams) -> tuple[float, float]:
@@ -165,12 +174,16 @@ def _leakage_array(n_x, qber_x, sec: SecurityParams) -> tuple[np.ndarray, np.nda
     at every point, each equal to the scalar function's."""
     n_x, qber_x = np.broadcast_arrays(n_x, qber_x)
     f_inv = np.zeros(n_x.shape)
-    binomial = sec.ec_method == "binomial"
-    if binomial:
-        live = (n_x > 0.0) & (qber_x > 0.0)
-        f_inv[live] = binom_ppf_array(sec.eps_c, n_x[live], 1.0 - np.minimum(qber_x[live], 0.5))
-    lam = k.ec_leakage_array(n_x, qber_x, sec.eps_c, not binomial, sec.f_ec, f_inv)
-    return lam, f_inv
+    if sec.ec_method == "rate-factor":
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = sec.f_ec * n_x * k._binary_entropy(qber_x)
+        return np.where(n_x <= 0.0, 0.0, lam), f_inv
+    q = np.minimum(qber_x, 0.5)
+    live = (n_x > 0.0) & (qber_x > 0.0)
+    f_inv[live] = binom_ppf_array(sec.eps_c, n_x[live], 1.0 - q[live])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = k._ARRAY["finite_leakage_core"](n_x, q, sec.eps_c, f_inv)
+    return np.where((n_x <= 0.0) | (qber_x <= 0.0), 0.0, lam), f_inv
 
 
 def _count_leakage_array(c: tuple, sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:

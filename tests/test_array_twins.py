@@ -81,8 +81,8 @@ FOLDED = ("detection_error_prob", "pair_statistics", "counts_core", "chernoff_de
           "finite_leakage_core")
 # the array glue: the array operations, and the masks of the steps with control flow
 GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_basis_counts",
-        "ec_leakage_array", "_binary_entropy", "_fluct_gamma", "binary_entropy",
-        "_basis_bounds", "_chain_bounds", "_chain_key", "_ell_chain", "bounds_ell_array"}
+        "_binary_entropy", "_fluct_gamma", "binary_entropy", "_chain_bounds", "_chain_key",
+        "bounds_ell_array"}
 
 
 def test_array_steps_run_the_scalar_steps_code():
@@ -92,11 +92,13 @@ def test_array_steps_run_the_scalar_steps_code():
         assert twin is not getattr(k, name)
         assert twin.__code__ is getattr(k, name).__code__ and twin.__globals__ is k._ARRAY
     # a fixed sweep's whole array chain runs no step body of its own
+    # up to 1e20 pulses, as the leakage takes its quantile: near 1e300 trials
+    # one scalar quantile can take seconds
     rng = random.Random("one body per step")
-    points = [_point(rng) for _ in range(50)]
+    points = [_point(rng)[:-1] + [10.0 ** rng.uniform(0.0, 20.0)] for _ in range(50)]
     points[0][-1] = 0.0  # no counts
     cols = [np.array(col) for col in zip(*points)]
-    run = set()
+    sec, run = SecurityParams(), set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == k.__file__:
@@ -107,7 +109,7 @@ def test_array_steps_run_the_scalar_steps_code():
         c = k.counts_array(*cols)
         n_x = c[0] + c[1] + c[2]
         qber_x = (c[6] + c[7] + c[8]) / np.where(n_x > 0.0, n_x, 1.0)
-        lam = k.ec_leakage_array(n_x, qber_x, 1e-10, False, 1.0, 0.5 * n_x)
+        lam, _ = _leakage_array(n_x, qber_x, sec)
         k.bounds_ell_array(c[0:3], c[3:6], c[6:9], c[9:12], (0.6, 0.15, 1e-9),
                            (0.7, 0.2, 0.1), 40.0, 1e-9, 100.0, lam)
     finally:
@@ -150,10 +152,14 @@ def test_leakage_array_equals_scalar_leakage(ec_method):
                        10.0 ** rng.uniform(13.0, 18.0)]) for _ in range(3000)]
     qber_x = [rng.choice([0.0, 0.5, 10.0 ** -rng.uniform(0.0, 8.0), rng.uniform(0.0, 0.5),
                           rng.uniform(0.5, 1.0)]) for _ in n_x]
+    # NaN lanes beside a live value: no quantile is taken, as the scalar ``if`` takes none
+    n_x[:40] = [math.nan, 1e6] * 20
+    qber_x[:40] = [0.1, math.nan] * 20
     lam, f_inv = _leakage_array(np.array(n_x), np.array(qber_x), sec)
     want = [_leakage(a, b, sec) for a, b in zip(n_x, qber_x)]
     assert [repr(v) for v in zip(lam.tolist(), f_inv.tolist())] == list(map(repr, want))
     assert any(w[0] == 0.0 for w in want) and any(w[0] > 0.0 for w in want)
+    assert [repr(w) for w in want[:40]] == [repr((math.nan, 0.0))] * 40
 
 
 @pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])

@@ -186,11 +186,14 @@ class TestConfigErrors:
          "f_s * integration_time_s must be in [0, 1e+300], got 1.7000000000000001e+308\n"),
         ("worstcase", ["worstcase.f = 0.05", "worstcase.grid_points = 7"],
          "fsqkd: configuration error: grid_points_per_dim must be in [1, 6], got 7\n"),
+        ("keylength", ["security.eps_s = 1e-160", "security.eps_c = 1e-160"], None),
+        ("keylength", ["security.beta = 1e160"], None),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
             "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
             "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
             "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow",
-            "finite-pulse-count-overflowing-counts", "worstcase-grid-points"])
+            "finite-pulse-count-overflowing-counts", "worstcase-grid-points",
+            "eps-power-overflow", "beta-chernoff-overflow"])
     def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")

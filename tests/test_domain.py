@@ -154,6 +154,34 @@ def test_pulse_count_upper_end_is_accepted():
     assert math.isfinite(res.raw) and res.ell > 0
 
 
+@pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+def test_beta_upper_end_is_accepted(ec_method):
+    # at the largest pulse count and mu3 = 0 the top beta keeps the Chernoff
+    # term 2 beta c + beta^2 finite; past it, mu3 * inf gave a NaN key
+    top = DOMAIN["beta"][2]
+    channel = ChannelConditions(**{**CHANNEL_KW, "integration_time_s": 1e292})
+    res = key_length_for_channel(PARAMS, channel, SecurityParams(beta=top, ec_method=ec_method))
+    assert channel.n_pulses == 1e300 and PARAMS.mu[2] == 0.0
+    assert math.isfinite(res.raw) and res.ell > 0
+    with pytest.raises(ParameterError,
+                       match=r"^beta must be in \[0, 2e\+07\], got 20000000\.000000004$"):
+        SecurityParams(beta=math.nextafter(top, math.inf), ec_method=ec_method)
+
+
+def test_eps_lower_end_is_where_the_key_terms_overflow():
+    # fluct_gamma's (21 / (eps_s + eps_c)) ** 2 raised OverflowError below
+    # this sum, and 21 / eps_s or 2 / eps_c of pa_bits gave a NaN key
+    low = 1.5662515535520437e-153
+    for eps_s, eps_c in [(low, 1e-300), (1e-100, 1e-100)]:
+        res = key_length_for_channel(PARAMS, CHANNEL, SecurityParams(eps_s=eps_s, eps_c=eps_c))
+        assert math.isfinite(res.raw)
+    assert key_length_for_channel(PARAMS, CHANNEL, SecurityParams(1e-100, 1e-100)).ell > 0
+    for eps_s, eps_c in [(math.nextafter(low, 0.0), 1e-300), (1e-155, 1e-155),
+                         (1e-320, 1e-320), (1e-320, 0.1), (0.1, 1e-320)]:
+        with pytest.raises(ParameterError, match="too small"):
+            SecurityParams(eps_s=eps_s, eps_c=eps_c)
+
+
 def test_grid_points_have_an_upper_end(monkeypatch):
     # the grid has g^10 points: g = 1000 looped over 10^12 state
     # combinations before anything failed

@@ -15,8 +15,8 @@ from fsqkd import cli
 from fsqkd._quantile import binom_ppf
 from fsqkd.finitekey import _count_leakage
 from fsqkd.channel import check_intensities
-from fsqkd._kernels import (_basis_bounds, _binary_entropy, _ell_chain, _fluct_gamma,
-                            _libm_log, bounds_ell_array)
+from fsqkd._kernels import (_binary_entropy, _fluct_gamma, _libm_exp, _libm_log,
+                            bounds_ell_array)
 from fsqkd.scenarios import SweepSpec, sweep
 from fsqkd.uncertainty import GRID_DIMS, _distinct_grid
 
@@ -180,12 +180,17 @@ def scalar_grid(model, channel, sec):
                           cand1[d1], cand2[d2], cand1[a1], cand2[a2],
                           mu3, p1, p2, p3, channel.transmittance, channel.p_ec,
                           channel.qber_i, channel.p_ap, channel.n_pulses)
-        f_inv = 0.0
         n_x = c[0] + c[1] + c[2]
         q = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
-        if not rate_factor and q > 0.0:
+        if n_x <= 0.0:
+            lam = 0.0
+        elif rate_factor:
+            lam = sec.f_ec * n_x * k.binary_entropy(q)
+        elif q <= 0.0:
+            lam = 0.0
+        else:
             f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
-        lam = k.ec_leakage_core(n_x, q, sec.eps_c, rate_factor, sec.f_ec, f_inv)
+            lam = k.finite_leakage_core(n_x, min(q, 0.5), sec.eps_c, f_inv)
         for e1, e2 in itertools.product(range(g), repeat=2):
             out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
                                     sec.beta, sec.eps, sec.pa_bits, lam)
@@ -333,7 +338,8 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
         tau0, tau1, *weights = k.intensity_terms(*est, p1, p2, p3)
         for basis in (cols[0:3], cols[3:6]):
             total = basis[0] + basis[1] + basis[2]
-            got = _basis_bounds(basis, total, est, weights, SEC.beta, tau0, tau1)
+            got = k._ARRAY["basis_bounds_core"](*basis, total, *est, *weights, SEC.beta,
+                                                tau0, tau1)
             scalar = [k.basis_bounds_core(*c, t, *est, *weights, SEC.beta, tau0, tau1)
                       for c, t in zip(basis.T, total)]
             assert np.array_equal(np.array(got), np.array(scalar).T)
@@ -436,11 +442,24 @@ def test_array_log_is_libm_log():
     assert np.array_equal(_libm_log(x), [math.log(v) for v in x.tolist()])
 
 
+def test_array_exp_is_libm_exp():
+    """The array exp equals ``math.exp`` element for element over the inputs
+    whose exp is finite: subnormal and zero results, +-0 and the top end;
+    a float's exp is a float."""
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-745.2, 709.7, 600_000), rng.uniform(-745.2, -708.0, 300_000),
+                        rng.uniform(-1e-3, 1e-3, 300_000), [-745.2, -745.1, 0.0, -0.0, 709.7]])
+    want = [math.exp(v) for v in x.tolist()]
+    assert min(want) == 0.0 and 0.0 < min(w for w in want if w > 0.0) < 2.2250738585072014e-308
+    assert np.array_equal(_libm_exp(x), want)
+    assert type(_libm_exp(0.3)) is float and _libm_exp(0.3) == math.exp(0.3)
+
+
 @pytest.mark.parametrize("consistent", [True, False])
 def test_batched_estimators_match_one_call_each(consistent):
-    """``_ell_chain`` over an (E, 1, 1) estimator axis equals E calls with a
-    scalar estimator each, bit for bit, and so does every field of
-    ``bounds_ell_array``'s record, each with the estimator axis."""
+    """``_chain_bounds`` then ``_chain_key`` over an (E, 1, 1) estimator axis
+    equals E calls with a scalar estimator each, bit for bit, and so does
+    every field of ``bounds_ell_array``'s record, each with the estimator axis."""
     rng = np.random.default_rng(31)
     mu1, mu2, mu3 = 0.6, 0.15, 1e-9
     p_mu = (0.7, 0.2, 0.1)
@@ -454,12 +473,17 @@ def test_batched_estimators_match_one_call_each(consistent):
     est = [(mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1)) for _ in range(7)]
     args = (p_mu, SEC.beta, SEC.eps, SEC.pa_bits, lam)
     est_mu1, est_mu2 = np.array(est).T[..., None, None]
-    ell, raw, _ = _ell_chain(n_x, n_z, m_z, (est_mu1, est_mu2, mu3), *args)
+
+    def chain(mu):
+        bounds = k._chain_bounds(n_x, n_z, m_z, mu, p_mu, SEC.beta)
+        return k._chain_key(n_x, n_z, bounds, SEC.eps, SEC.pa_bits, lam)
+
+    ell, raw, _ = chain((est_mu1, est_mu2, mu3))
     record = bounds_ell_array(n_x, n_z, m_x, m_z, (est_mu1, est_mu2, mu3), *args)
     assert ell.shape == raw.shape == (7, 40, 40)
     assert all(field.shape == (7, 40, 40) for field in record)
     for e, (a, b) in enumerate(est):
-        one_ell, one_raw, _ = _ell_chain(n_x, n_z, m_z, (a, b, mu3), *args)
+        one_ell, one_raw, _ = chain((a, b, mu3))
         assert np.array_equal(ell[e], one_ell) and np.array_equal(raw[e], one_raw)
         one = bounds_ell_array(n_x, n_z, m_x, m_z, (a, b, mu3), *args)
         assert all(np.array_equal(f[e], g) for f, g in zip(record, one))
