@@ -39,8 +39,8 @@ follow the scalar), built at the small shapes and combined once.  A
 fixed-parameter sweep runs ``counts_array``, ``_leakage_array`` (its
 quantile from ``_quantile.binom_ppf_array``) and ``bounds_ell_array``
 over its whole grid, each axis on a dimension of its own; the worst-case
-grid runs the bounds once per query and the key per block of at most g^8
-points.  Every element is bit-identical to the scalar chain: NumPy's
+grid runs the bounds once per query, then the key on few of its points.
+Every element is bit-identical to the scalar chain: NumPy's
 ``exp`` and ``log`` differ from libm's in the last bit on some inputs, so
 ``_libm_exp`` is scipy's ``inv_boxcox(x, 0)`` and ``_libm_log`` its
 ``xlogy(1, x)``, ufuncs that tests pin to ``math.exp`` and ``math.log``.

@@ -50,8 +50,8 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "integer": ("(", -math.inf, math.inf, ")"),
     "non-negative integer": ("[", 0, math.inf, ")"),
     "positive integer": ("[", 1, math.inf, ")"),
-    # worst-case grid points per dimension: g^10 points, and g = 6 already
-    # takes about 1.6 s and 200 MB
+    # worst-case grid points per dimension: g^10 points; a g = 6 query takes
+    # about 0.06 s, with a tracemalloc peak of about 22 MB
     "grid points": ("[", 1, 6, "]"),
 }
 

@@ -4,43 +4,48 @@ Each of the four signal states (H, V, D, A) may emit its two non-vacuum
 intensities anywhere inside ``[mu_j (1 - f), mu_j (1 + f)]``, independently
 per state, and the receiver-side estimation chain likewise only knows its
 own candidate pair from the same intervals.  With the default three grid
-points per dimension the search evaluates the key length on all 3^10
-combinations of interval endpoints and midpoints and reports the minimum,
-which is the length that privacy amplification must assume.
+points per dimension the search covers all 3^10 combinations of interval
+endpoints and midpoints and reports the least key length, the length
+that privacy amplification must assume; at f = 0 that is the nominal one.
 
-Only the grid's distinct points are evaluated, each keyed by value, so
-at f = 0 the whole grid is one point, the nominal one.  A basis' two
-states enter its counts only through the mean of their statistics,
-``0.5 * (a + b)`` per intensity, which is the same float in either order,
-so a basis' counts depend only on its states' ``(min, max)`` mu1 pair and
-``(min, max)`` mu2 pair: (g (g + 1) / 2)^2 = 36 combinations at g = 3,
-against g^4 = 81.  The distinct points are evaluated in this order:
+A basis' counts depend on its two states only through the mean of their
+statistics, so only on their ``(min, max)`` mu1 and mu2 pairs: R =
+(g (g + 1) / 2)^2 rows, 36 at g = 3, each with one ``_kernels.counts_core``
+call for both bases and one ``finitekey._count_leakage`` call.  The decoy
+bounds (``_kernels._chain_bounds``) run once over every distinct
+estimator pair in the decoy domain of ``channel.check_intensities``; a
+pair outside it gives zero key.  A point (X row, Z row, pair) stands for
+a product set of grid points, so its first grid index is
+``(first_x * g^4 + first_z) * g^2 + first_est``.
 
-1. expected counts, from ``_kernels.counts_core`` on Python floats, one
-   call per pair combination.  The X-basis counts depend only on the H
-   and V intensities and the Z-basis counts only on the D and A ones, so
-   one call gives both bases' counts at that combination, and the
-   distinct true-intensity points are the outer product of the two;
-2. the reconciliation leakage, with its inverse-binomial quantile, from
-   ``finitekey._count_leakage`` once per X-basis combination, since it
-   depends on the X-basis totals alone;
-3. the estimation chain, the array twin of ``bounds_ell_core`` up to
-   ``ell``: its decoy bounds (``_kernels._chain_bounds``) once, over every
-   distinct estimator pair, then its key (``_kernels._chain_key``) over the
-   outer product of both bases' combinations per block of those pairs;
-   this pair has no symmetry.  A pair outside the decoy domain of
-   ``channel.check_intensities`` is not evaluated: it counts as zero key.
+The key stage (``_kernels._chain_key``) runs on few of the g^2 R^2
+points (11,664 at g = 3).  For one pair and X row, ``raw`` falls as the
+phase error phi = ratio + gamma, ``ratio = v_z1 / s_z1``, grows to 0.5:
 
-A distinct point stands for the grid points that give its X-basis row,
-Z-basis row and estimator pair, a product set, so its least grid index is
-``(first_x * g^4 + first_z) * g^2 + first_est`` from the first index of
-each; the least key length at the least such index is that of all g^10
-points.  With rows count combinations the table holds g^2 rows^2 entries
-at most (11,664 at g = 3) and a key-stage call, over a block of
-g^8 // rows^2 pairs or one, at most g^8; no g^8 array is kept.
+1. ``raw`` does not decrease as ``s_z1`` grows, as gamma falls.
+2. It does not increase as the ratio grows where gamma's log argument is
+   above e: gamma^2 is ``t x log(a / x)`` in ``x = ratio (1 - ratio)``,
+   which grows with x where ``a / x > e``, and x grows with the ratio
+   below 0.5.  As ``x < 1/4`` and ``a > (21 / eps)^2 / s_z1``, that holds
+   for every ``s_z1 <= 4 (21 / eps)^2 / e``, about 6.5e20 at the default eps.
+3. So Z row a is no better than row b if ``s_z1[a] <= s_z1[b]``,
+   ``ratio[a] >= ratio[b]`` and ``s_z1[a]`` is at most that threshold; a
+   row with ``s_z1 = 0`` gives 0 key.  Row a rules b out if it is also
+   strictly worse in one value, or equal in both with a lower first index.
+   A pair's Z front, the rows nothing rules out, holds a row no better
+   than each row it drops, so the grid minimum M is that of one call over
+   every X row against each pair's front.  Above the threshold a row rules
+   nothing out; many kept rows split the call into calls of at most g^8.
+4. As ``first_z < g^4`` and ``first_est < g^2``, the first index orders
+   points as (first_x, first_z, first_est) does, and the X rows are in
+   first-index order.  So the argmin lies on x*, the first X row whose
+   values reach M, and a second call, x* against every Z row and pair,
+   gives it as the least first index with ``ell == M``, M = 0 included:
+   a pair outside the domain gives 0 on every X row.
 
-The vacuum intensity is not varied: fluctuations of an (ideally) empty
-pulse are already covered by the extraneous-count probability.
+Steps 1 to 3 hold for the exact expressions; the tests check the rounded
+ones against the full grid.  The vacuum intensity is not varied: its
+fluctuations are covered by the extraneous-count probability.
 """
 from __future__ import annotations
 
@@ -134,74 +139,69 @@ def _decoy_domain(mu1: float, mu2: float, mu3: float) -> bool:
     return True
 
 
-def _distinct_grid(model: IntensityUncertaintyModel,
-                   channel: ChannelConditions,
-                   sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
-    """Key lengths at the grid's distinct points, and each point's first grid index.
-
-    Both arrays are indexed (estimator pair, X-basis row, Z-basis row), each
-    distinct value in order of first appearance.  A pair outside the decoy
-    domain gets zeros without evaluating the chain.
-    """
-    params = model.nominal
-    g = model.grid_points_per_dim
+def _grid_minimum(model: IntensityUncertaintyModel, channel: ChannelConditions,
+                  sec: SecurityParams) -> tuple[float, int]:
+    """The grid's least key length and its first grid index, by steps 1 to 4."""
+    params, g = model.nominal, model.grid_points_per_dim
     mu3 = params.mu[2]
-    cand1 = model.candidates(params.mu[0]).tolist()
-    cand2 = model.candidates(params.mu[1]).tolist()
-    # one count row per distinct (min, max) mu1 and mu2 pair of a basis' two
-    # states s and t, and one estimator pair per distinct value, each keyed to
-    # its first index row-major over (s_mu1, s_mu2, t_mu1, t_mu2) or GRID_DIMS[8:]
+    cand1, cand2 = (model.candidates(mu).tolist() for mu in params.mu[:2])
+    # count rows and estimator pairs, each keyed to its first index row-major
+    # over a basis' (s_mu1, s_mu2, t_mu1, t_mu2) or over GRID_DIMS[8:]
     row, est = {}, {}
     for i, (s1, s2, t1, t2) in enumerate(itertools.product(cand1, cand2, cand1, cand2)):
         row.setdefault((min(s1, t1), max(s1, t1), min(s2, t2), max(s2, t2)), i)
     for i, pair in enumerate(itertools.product(cand1, cand2)):
         est.setdefault(pair, i)
-    # each row holds the X-basis counts of its (H, V) and the Z-basis counts
-    # of its (D, A)
     rows = [k.counts_core(params.pax, params.pbx, lo1, lo2, hi1, hi2, lo1, lo2, hi1, hi2,
                           mu3, *params.p_mu, channel.transmittance, channel.p_ec,
                           channel.qber_i, channel.p_ap, channel.n_pulses)
             for lo1, hi1, lo2, hi2 in row]
     lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
 
-    # X-basis rows down, Z-basis rows across
+    # X-basis rows down, Z-basis rows across, the pairs in the decoy domain ahead
     cols = np.array(rows).T
     n_x, n_z, m_z = cols[0:3, :, None], cols[3:6, None, :], cols[9:12, None, :]
-    # the bounds of the pairs in the decoy domain at once, the key in blocks of g^8 points
     inside = [j for j, pair in enumerate(est) if _decoy_domain(*pair, mu3)]
     est_mu1, est_mu2 = np.reshape(list(est), (-1, 2))[inside].T[..., None, None]
-    bounds = k._chain_bounds(n_x, n_z, m_z, (est_mu1, est_mu2, mu3), params.p_mu, sec.beta)
-    ell = np.zeros((len(est), len(row), len(row)))
-    step = max(1, g ** 8 // len(row) ** 2)
-    for i in range(0, len(inside), step):
-        ell[inside[i:i + step]] = k._chain_key(n_x, n_z, [b[i:i + step] for b in bounds],
-                                               sec.eps, sec.pa_bits, lam)[0]
+    s_x0, s_x1, _, s_z1, _, ratio = k._chain_bounds(n_x, n_z, m_z, (est_mu1, est_mu2, mu3),
+                                                    params.p_mu, sec.beta)
+
+    def key(x, p, z):
+        """``ell`` at the X rows ``x`` (down) against the points (pair ``p``, Z row ``z``)."""
+        bounds = (s_x0[p, x, 0].T, s_x1[p, x, 0].T, None, s_z1[p, 0, z], None, ratio[p, 0, z])
+        return k._chain_key(n_x[:, x], n_z[:, 0, z], bounds, sec.eps, sec.pa_bits, lam[x])[0]
+
+    # Z row a (down) against row b (across), per pair
+    a_s, a_r, index = s_z1[:, 0, :, None], ratio[:, 0, :, None], np.arange(len(row))
+    no_better = (a_s <= s_z1) & (a_r >= ratio) & (a_s <= 4.0 * (21.0 / sec.eps) ** 2 / np.e)
+    rules_out = no_better & ((a_s < s_z1) | (a_r > ratio) | (index[:, None] < index))
+    p, z = np.nonzero(~rules_out.any(axis=1))
+    step = g ** 8 // len(row)
+    ell = np.concatenate([np.zeros((len(row), len(est) - len(inside)))] + [
+        key(slice(None), p[i:i + step], z[i:i + step]) for i in range(0, p.size, step)], axis=1)
+    min_ell = ell.min()
+    x = np.nonzero(ell == min_ell)[0][0]
+    at_x = np.zeros((len(est), len(row)))
+    p, z = np.indices((len(inside), len(row))).reshape(2, -1)
+    at_x[inside] = key(slice(x, x + 1), p, z).reshape(-1, len(row))
     first_row = np.array(list(row.values())) * g * g
-    first = np.add.outer(list(est.values()), np.add.outer(first_row * g ** 4, first_row))
-    return ell, first
+    first = np.add.outer(list(est.values()), first_row[x] * g ** 4 + first_row)
+    return min_ell, int(first[at_x == min_ell].min())
 
 
 def worst_case_key_length(model: IntensityUncertaintyModel,
                           channel: ChannelConditions,
                           sec: SecurityParams) -> WorstCaseResult:
-    """Minimum key length over the full intensity-uncertainty grid.
-
-    The grid is ordered row-major over ``GRID_DIMS``; ties in the minimum
-    keep the first point in that order.  Each distinct point is evaluated
-    once and its key length stands for every grid point equal to it, so
-    the minimum and its first index are those of all g^10 points;
-    ``evaluations`` counts the grid points covered, g^10.
-    """
-    g = model.grid_points_per_dim
-    ell, first = _distinct_grid(model, channel, sec)
-    min_ell = ell.min()
-    argmin_idx = int(first[ell == min_ell].min())
-
-    params = model.nominal
+    """Minimum key length over the full intensity-uncertainty grid, ordered
+    row-major over ``GRID_DIMS``; ties keep the first point in that order.
+    ``evaluations`` counts the g^10 grid points."""
+    params, g = model.nominal, model.grid_points_per_dim
+    nominal_ell = key_length_for_intensities({}, params, channel, sec)
+    min_ell, argmin_idx = ((nominal_ell, 0) if model.f == 0.0
+                           else _grid_minimum(model, channel, sec))
     cands = (model.candidates(params.mu[0]), model.candidates(params.mu[1])) * 5
     digits = np.unravel_index(argmin_idx, (g,) * len(GRID_DIMS))
     argmin = {name: float(c[d]) for name, c, d in zip(GRID_DIMS, cands, digits)}
-    nominal_ell = key_length_for_intensities({}, params, channel, sec)
     return WorstCaseResult(min_ell=int(min_ell), nominal_ell=nominal_ell,
                            argmin=argmin, argmin_index=argmin_idx,
                            evaluations=g ** len(GRID_DIMS))

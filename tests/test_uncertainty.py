@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel,
                    ParameterError, ProtocolParams, SecurityParams,
@@ -18,7 +20,7 @@ from fsqkd.channel import check_intensities
 from fsqkd._kernels import (_binary_entropy, _fluct_gamma, _libm_exp, _libm_log,
                             bounds_ell_array)
 from fsqkd.scenarios import SweepSpec, sweep
-from fsqkd.uncertainty import GRID_DIMS, _distinct_grid
+from fsqkd.uncertainty import GRID_DIMS, _decoy_domain, _grid_minimum
 
 # fixed-hardware point with a comfortable key margin
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
@@ -199,6 +201,48 @@ def scalar_grid(model, channel, sec):
     return ell, reason
 
 
+def full_grid(model, channel, sec):
+    """Reference: the key length at every distinct point of the grid, by the
+    full outer product of both bases' count rows through ``_chain_key``,
+    and each point's first grid index, both indexed (estimator pair, X-basis
+    row, Z-basis row).  A pair outside the decoy domain gets zeros."""
+    params = model.nominal
+    g = model.grid_points_per_dim
+    mu3 = params.mu[2]
+    cand1 = model.candidates(params.mu[0]).tolist()
+    cand2 = model.candidates(params.mu[1]).tolist()
+    row, est = {}, {}
+    for i, (s1, s2, t1, t2) in enumerate(itertools.product(cand1, cand2, cand1, cand2)):
+        row.setdefault((min(s1, t1), max(s1, t1), min(s2, t2), max(s2, t2)), i)
+    for i, pair in enumerate(itertools.product(cand1, cand2)):
+        est.setdefault(pair, i)
+    rows = [k.counts_core(params.pax, params.pbx, lo1, lo2, hi1, hi2, lo1, lo2, hi1, hi2,
+                          mu3, *params.p_mu, channel.transmittance, channel.p_ec,
+                          channel.qber_i, channel.p_ap, channel.n_pulses)
+            for lo1, hi1, lo2, hi2 in row]
+    lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
+    cols = np.array(rows).T
+    n_x, n_z, m_z = cols[0:3, :, None], cols[3:6, None, :], cols[9:12, None, :]
+    inside = [j for j, pair in enumerate(est) if _decoy_domain(*pair, mu3)]
+    est_mu1, est_mu2 = np.reshape(list(est), (-1, 2))[inside].T[..., None, None]
+    bounds = k._chain_bounds(n_x, n_z, m_z, (est_mu1, est_mu2, mu3), params.p_mu, sec.beta)
+    ell = np.zeros((len(est), len(row), len(row)))
+    step = max(1, g ** 8 // len(row) ** 2)
+    for i in range(0, len(inside), step):
+        ell[inside[i:i + step]] = k._chain_key(n_x, n_z, [b[i:i + step] for b in bounds],
+                                               sec.eps, sec.pa_bits, lam)[0]
+    first_row = np.array(list(row.values())) * g * g
+    first = np.add.outer(list(est.values()), np.add.outer(first_row * g ** 4, first_row))
+    return ell, first
+
+
+def full_grid_minimum(model, channel, sec):
+    """Reference ``(min_ell, argmin_index)``: the least key length of
+    ``full_grid`` and the least first index among the points that reach it."""
+    ell, first = full_grid(model, channel, sec)
+    return int(ell.min()), int(first[ell == ell.min()].min())
+
+
 def loss_channel(eta_loss_db, integration_time_s=60.0):
     return ChannelConditions(eta_loss_db=eta_loss_db, p_ec=1e-6, qber_i=0.01,
                              integration_time_s=integration_time_s)
@@ -211,7 +255,7 @@ class TestArrayGridExactness:
     @staticmethod
     def check(model, channel, ec_method):
         sec = SecurityParams(ec_method=ec_method)
-        ell, first = _distinct_grid(model, channel, sec)
+        ell, first = full_grid(model, channel, sec)
         ref, reason = scalar_grid(model, channel, sec)
         assert np.array_equal(ell, ref[first])
         assert np.array_equal(np.unique(ell), np.unique(ref))
@@ -285,7 +329,7 @@ def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g, f, expected):
 
     monkeypatch.setattr(k, "counts_core", counting)
     model = IntensityUncertaintyModel(f=f, nominal=PARAMS, grid_points_per_dim=g)
-    _distinct_grid(model, CHANNEL, SEC)
+    _grid_minimum(model, CHANNEL, SEC)
     assert len(calls) == expected
 
 
@@ -513,9 +557,13 @@ def test_domain_top_pulse_count_raises_no_warning(tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(path), "--format", "json"])
         worst = worst_case_key_length(IntensityUncertaintyModel(f=0.1, nominal=PARAMS),
                                       channel, sec)
+        ref = full_grid_minimum(IntensityUncertaintyModel(f=0.1, nominal=PARAMS), channel, sec)
     assert code == 0 and str(want) in capsys.readouterr().out
     assert rows[0].result.ell == want == worst.nominal_ell
     assert 0 < worst.min_ell < want
+    # the nominal s_z1 is one of the grid's, past the guard's threshold
+    assert rows[0].result.s_z1 > 4.0 * (21.0 / sec.eps) ** 2 / math.e
+    assert (worst.min_ell, worst.argmin_index) == ref
 
 
 # nominal point whose estimator pairs can leave the decoy domain under uncertainty
@@ -539,7 +587,7 @@ class TestEstimatorOutsideDecoyDomain:
     def test_grid_pairs_outside_domain_yield_zeros(self, f):
         model = IntensityUncertaintyModel(f=f, nominal=NEAR)
         cand1, cand2 = model.candidates(0.3), model.candidates(0.2)
-        ell, first = _distinct_grid(model, CHANNEL, SEC)
+        ell, first = full_grid(model, CHANNEL, SEC)
         # every candidate differs, so each of the g^2 pairs has its own slab,
         # whose first cell is at the lowest candidate of every true intensity
         assert len(ell) == 9
@@ -562,14 +610,27 @@ class TestEstimatorOutsideDecoyDomain:
         assert res.min_ell == 0 and res.nominal_ell == 192950
 
 
-@pytest.mark.parametrize("params,g,f,calls,pairs", [
-    (PARAMS, 3, 0.05, 2, 9), (PARAMS, 3, 0.0, 1, 1), (PARAMS, 2, 0.05, 2, 4),
-    (PARAMS, 4, 0.05, 3, 16), (NEAR, 3, 0.3, 2, 8)], ids=["3", "f0-3", "2", "4", "near-0.3"])
-def test_chain_runs_over_blocks_of_estimator_pairs(monkeypatch, params, g, f, calls, pairs):
-    """The grid runs the decoy bounds once, over each distinct pair in the
-    decoy domain, and the key stage over blocks of those pairs, each call
-    covering at most g^8 points; a pair outside the domain never reaches
-    the chain."""
+# at f_s = 1e8 and a 1e292 s window, every s_z1 of the grid lies above the
+# threshold of the key's monotonicity in v_z1 / s_z1, so every Z row is kept
+TOP_CHANNEL = ChannelConditions(eta_loss_db=0.0, p_ec=1e-6, qber_i=0.01,
+                                integration_time_s=1e292)
+RATE_FACTOR = SecurityParams(ec_method="rate-factor")
+
+
+@pytest.mark.parametrize("params,g,f,channel,sec,calls,pairs", [
+    (PARAMS, 3, 0.05, CHANNEL, SEC, 2, 9), (PARAMS, 3, 0.0, CHANNEL, SEC, 0, 0),
+    (PARAMS, 2, 0.05, CHANNEL, SEC, 2, 4), (PARAMS, 4, 0.05, CHANNEL, SEC, 2, 16),
+    (NEAR, 3, 0.3, CHANNEL, SEC, 2, 8), (PARAMS, 3, 0.1, TOP_CHANNEL, RATE_FACTOR, 3, 9)],
+    ids=["3", "f0-3", "2", "4", "near-0.3", "guard"])
+def test_key_stage_runs_on_the_front_then_on_one_row(monkeypatch, params, g, f, channel, sec,
+                                                      calls, pairs):
+    """For f > 0 the grid runs the decoy bounds once, over each distinct
+    pair in the decoy domain, then the key stage twice: over every X row
+    against each pair's Z front, then over one X row against every Z row
+    and pair in the domain.  No call holds more than g^8 elements: above
+    the guard threshold every Z row is kept and the first call is split
+    over pairs.  A pair outside the domain never reaches the chain, and
+    f = 0 runs neither stage."""
     sizes, seen = [], []
     chain_bounds, chain_key = k._chain_bounds, k._chain_key
 
@@ -585,16 +646,78 @@ def test_chain_runs_over_blocks_of_estimator_pairs(monkeypatch, params, g, f, ca
     monkeypatch.setattr(k, "_chain_bounds", bounds)
     monkeypatch.setattr(k, "_chain_key", key)
     model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
-    _distinct_grid(model, CHANNEL, SEC)
-    assert len(sizes) == calls
-    assert max(sizes) <= g ** 8
-    inside = set()
-    for est in itertools.product(model.candidates(params.mu[0]).tolist(),
-                                 model.candidates(params.mu[1]).tolist()):
-        try:
-            check_intensities((*est, params.mu[2]))
-        except ParameterError:
-            continue
-        inside.add(est)
-    assert sorted(seen) == sorted(inside)
-    assert len(inside) == pairs
+    res = worst_case_key_length(model, channel, sec)
+    monkeypatch.undo()
+    assert len(sizes) == calls and len(seen) == pairs
+    assert all(size <= g ** 8 for size in sizes)
+    if calls:
+        rows = (g * (g + 1) // 2) ** 2
+        assert sizes[-1] == rows * pairs
+        # the first call covers the fronts, every Z row only in the guard case
+        assert (sum(sizes[:-1]) == rows * rows * pairs) == (channel is TOP_CHANNEL)
+        inside = set()
+        for est in itertools.product(model.candidates(params.mu[0]).tolist(),
+                                     model.candidates(params.mu[1]).tolist()):
+            try:
+                check_intensities((*est, params.mu[2]))
+            except ParameterError:
+                continue
+            inside.add(est)
+        assert sorted(seen) == sorted(inside)
+    assert (res.min_ell, res.argmin_index) == full_grid_minimum(model, channel, sec)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_f_zero_answers_from_the_nominal_point(monkeypatch, g):
+    """At f = 0 every grid point is the nominal one: the answer is the
+    nominal key at index 0, from one scalar evaluation."""
+    calls = []
+    monkeypatch.setattr(k, "counts_core", lambda *a, f=k.counts_core: calls.append(a) or f(*a))
+    model = IntensityUncertaintyModel(f=0.0, nominal=PARAMS, grid_points_per_dim=g)
+    res = worst_case_key_length(model, CHANNEL, SEC)
+    assert len(calls) == 1
+    assert res.min_ell == res.nominal_ell == key_length_for_intensities({}, PARAMS, CHANNEL, SEC)
+    assert res.argmin_index == 0 and res.evaluations == g ** 10
+    assert res.argmin == dict(zip(GRID_DIMS, PARAMS.mu[:2] * 5))
+
+
+@st.composite
+def nominal_points(draw):
+    """A nominal point whose mu2 / mu1 reaches 0.95, so that uncertainty can
+    push estimator pairs out of the decoy domain."""
+    mu1 = draw(st.floats(0.1, 1.0))
+    mu2 = mu1 * draw(st.floats(0.05, 0.95))
+    p1 = draw(st.floats(0.2, 0.9))
+    p2 = (1.0 - p1) * draw(st.floats(0.1, 0.9))
+    try:
+        return ProtocolParams(pax=draw(st.floats(0.05, 0.95)), pbx=draw(st.floats(0.05, 0.95)),
+                              mu=(mu1, mu2, draw(st.sampled_from([0.0, 1e-9, 1e-3]))),
+                              p_mu=(p1, p2, 1.0 - p1 - p2))
+    except ParameterError:
+        assume(False)
+
+
+@st.composite
+def uncertain_channels(draw):
+    """Up to 50 dB of loss, where most points have no key."""
+    return ChannelConditions(eta_loss_db=draw(st.floats(0.0, 50.0)),
+                             p_ec=10.0 ** draw(st.floats(-8.0, -3.0)),
+                             qber_i=draw(st.floats(0.0, 0.05)),
+                             integration_time_s=10.0 ** draw(st.floats(0.0, 3.6)))
+
+
+@pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+@settings(max_examples=100, deadline=None)
+@given(params=nominal_points(), channel=uncertain_channels(), f=st.floats(0.0, 0.45),
+       g=st.sampled_from([2, 3, 4]))
+@example(params=NEAR, channel=CHANNEL, f=0.2, g=3)
+@example(params=NEAR, channel=CHANNEL, f=0.3, g=3)
+@example(params=PARAMS, channel=loss_channel(44.0), f=0.1, g=2)
+@example(params=PARAMS, channel=loss_channel(35.5), f=0.1, g=2)
+def test_pruned_grid_equals_full_grid(ec_method, params, channel, f, g):
+    """The worst case from each pair's Z front and one X row has the full
+    grid's minimum and first argmin, at zero key too."""
+    sec = SecurityParams(ec_method=ec_method)
+    model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
+    res = worst_case_key_length(model, channel, sec)
+    assert (res.min_ell, res.argmin_index) == full_grid_minimum(model, channel, sec)
