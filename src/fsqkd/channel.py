@@ -33,7 +33,11 @@ DOMAIN: dict[str, tuple[str, float, float, str]] = {
     "transmittance": ("(", 0.0, 1.0, "]"),
     "basis probability": ("(", 0.0, 1.0, ")"),
     "intensity": ("[", 0.0, 10.0, "]"),  # mean photon numbers; exp(mu) overflows past ~709
-    "intensity probability": ("(", 0.0, 1.0, ")"),
+    # a count bound is exp(mu) / p times c + beta + sqrt(2 beta c + beta^2), at
+    # least 2 beta / p times exp(mu); at intensity 10 and beta 2e7 that is
+    # 8.8e11 / p, and mu3 * hi2 of the vacuum bound (mu3 < 10) stays finite
+    # only below ~1.8e307, so p must exceed ~5e-296 (c / p < 2e300 adds < 4.4e304)
+    "intensity probability": ("[", 1e-290, 1.0, ")"),
     "eps": ("(", 0.0, 1.0, ")"),
     # a count stays below 4e300 (see "pulse count"), so 2 beta c + beta^2 of the
     # Chernoff terms is finite below ~2.2e7; beta = ln(21 / eps_s) is below ~710

@@ -11,13 +11,18 @@ JSON files hold the same keys as nested objects, one level per dot.
 Environment variables prefixed ``FSQKD_`` override file values, e.g.
 ``FSQKD_CHANNEL_P_EC=1e-5`` sets ``channel.p_ec``.  Unknown keys are
 rejected by name.
+
+``SCHEMA`` is the one table of keys: each key's type and the dataclass
+field it fills (``None`` where a builder assembles a tuple: the
+``protocol.*`` keys and ``optimize.mu1``/``mu2``).  A key is required
+exactly where its field has no default.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -34,46 +39,52 @@ FLOAT, INT, STR, FLOATLIST = "float", "int", "str", "floatlist"
 # the most points a start:stop:step range may hold
 MAX_RANGE_POINTS = 1_000_000
 
-SCHEMA: dict[str, str] = {
-    "channel.eta_loss_db": FLOAT,
-    "channel.p_ec": FLOAT,
-    "channel.qber_i": FLOAT,
-    "channel.p_ap": FLOAT,
-    "channel.f_s": FLOAT,
-    "channel.integration_time_s": FLOAT,
-    "security.eps_s": FLOAT,
-    "security.eps_c": FLOAT,
-    "security.beta": FLOAT,
-    "protocol.pax": FLOAT,
-    "protocol.pbx": FLOAT,
-    "protocol.mu1": FLOAT,
-    "protocol.mu2": FLOAT,
-    "protocol.mu3": FLOAT,
-    "protocol.p_mu1": FLOAT,
-    "protocol.p_mu2": FLOAT,
-    "protocol.p_mu3": FLOAT,
-    "ec.method": STR,
-    "ec.f_ec": FLOAT,
-    "optimize.regime": STR,
-    "optimize.pbx": FLOAT,
-    "optimize.mu1": FLOAT,
-    "optimize.mu2": FLOAT,
-    "optimize.mu3": FLOAT,
-    "optimize.restarts": INT,
-    "optimize.seed": INT,
-    "optimize.tolerance": FLOAT,
-    "optimize.max_evals": INT,
-    "sweep.eta_loss_db": FLOATLIST,
-    "sweep.log10_pec": FLOATLIST,
-    "sweep.qber_i": FLOATLIST,
-    "sweep.tau_s": FLOATLIST,
-    "budget.target_bits": INT,
-    "budget.eta_min_db": FLOAT,
-    "budget.eta_max_db": FLOAT,
-    "budget.resolution_db": FLOAT,
-    "worstcase.f": FLOAT,
-    "worstcase.grid_points": INT,
+SCHEMA: dict[str, tuple[str, str | None]] = {
+    "channel.eta_loss_db": (FLOAT, "eta_loss_db"),
+    "channel.p_ec": (FLOAT, "p_ec"),
+    "channel.qber_i": (FLOAT, "qber_i"),
+    "channel.p_ap": (FLOAT, "p_ap"),
+    "channel.f_s": (FLOAT, "f_s"),
+    "channel.integration_time_s": (FLOAT, "integration_time_s"),
+    "security.eps_s": (FLOAT, "eps_s"),
+    "security.eps_c": (FLOAT, "eps_c"),
+    "security.beta": (FLOAT, "beta"),
+    "protocol.pax": (FLOAT, None),
+    "protocol.pbx": (FLOAT, None),
+    "protocol.mu1": (FLOAT, None),
+    "protocol.mu2": (FLOAT, None),
+    "protocol.mu3": (FLOAT, None),
+    "protocol.p_mu1": (FLOAT, None),
+    "protocol.p_mu2": (FLOAT, None),
+    "protocol.p_mu3": (FLOAT, None),
+    "ec.method": (STR, "ec_method"),
+    "ec.f_ec": (FLOAT, "f_ec"),
+    "optimize.regime": (STR, "regime"),
+    "optimize.pbx": (FLOAT, "pbx"),
+    "optimize.mu1": (FLOAT, None),
+    "optimize.mu2": (FLOAT, None),
+    "optimize.mu3": (FLOAT, "mu3"),
+    "optimize.restarts": (INT, "restarts"),
+    "optimize.seed": (INT, "seed"),
+    "optimize.tolerance": (FLOAT, "tolerance"),
+    "optimize.max_evals": (INT, "max_evals_per_restart"),
+    "sweep.eta_loss_db": (FLOATLIST, "eta_loss_db"),
+    "sweep.log10_pec": (FLOATLIST, "log10_pec"),
+    "sweep.qber_i": (FLOATLIST, "qber_i"),
+    "sweep.tau_s": (FLOATLIST, "tau_s"),
+    "budget.target_bits": (INT, "target_bits"),
+    "budget.eta_min_db": (FLOAT, "eta_min_db"),
+    "budget.eta_max_db": (FLOAT, "eta_max_db"),
+    "budget.resolution_db": (FLOAT, "resolution_db"),
+    "worstcase.f": (FLOAT, "f"),
+    "worstcase.grid_points": (INT, "grid_points_per_dim"),
 }
+
+# section -> field -> key, for every key that fills a field
+_FIELDS = {section: {field: key for key, (_, field) in SCHEMA.items()
+                     if field is not None and key.startswith(section + ".")}
+           for section in dict.fromkeys(key.split(".")[0] for key in SCHEMA)}
+
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
@@ -105,8 +116,15 @@ def _parse_floatlist(text: str) -> tuple[float, ...]:
 
 
 def _coerce(key: str, value: Any) -> Any:
-    kind = SCHEMA[key]
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    kind = SCHEMA[key][0]
     try:
+        if kind == STR:
+            return str(value).strip()
+        listed = kind == FLOATLIST and isinstance(value, (list, tuple))
+        if isinstance(value, bool) or listed and any(isinstance(v, bool) for v in value):
+            raise ValueError("a boolean is not a number")
         if kind == FLOAT:
             v = float(value)
             if not math.isfinite(v):
@@ -119,11 +137,7 @@ def _coerce(key: str, value: Any) -> Any:
             if iv != value:
                 raise ValueError("not an integer")
             return iv
-        if kind == FLOATLIST:
-            if isinstance(value, (list, tuple)):
-                return tuple(float(v) for v in value)
-            return _parse_floatlist(str(value))
-        return str(value).strip()
+        return tuple(map(float, value)) if listed else _parse_floatlist(str(value))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
@@ -149,8 +163,7 @@ class RunConfig:
         raw: dict[str, Any] = {}
         if path is not None:
             text = Path(path).read_text()
-            stripped = text.lstrip()
-            if stripped.startswith("{"):
+            if text.lstrip().startswith("{"):
                 try:
                     nested = json.loads(text)
                 except json.JSONDecodeError as exc:
@@ -174,15 +187,8 @@ class RunConfig:
             rest = name[len(ENV_PREFIX):].lower()
             if "_" not in rest:
                 raise ConfigError(f"malformed override variable {name!r}")
-            section, key = rest.split("_", 1)
-            raw[f"{section}.{key}"] = value
-
-        values = {}
-        for key, value in raw.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            values[key] = _coerce(key, value)
-        return cls(values=values)
+            raw[rest.replace("_", ".", 1)] = value
+        return cls(values={key: _coerce(key, value) for key, value in raw.items()})
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -196,60 +202,45 @@ class RunConfig:
         return self.values[key]
 
     # --- section builders -------------------------------------------------
-    # each builder passes only the keys this config sets, so every
-    # default is the one its dataclass states
-    def _given(self, fields: dict[str, str]) -> dict[str, Any]:
-        """Keyword arguments for the ``fields`` (name -> key) that are set."""
-        return {name: self.values[key] for name, key in fields.items()
-                if key in self.values}
+    def _given(self, cls: type, *sections: str, **defaults: Any) -> dict[str, Any]:
+        """Keyword arguments for ``cls`` from the keys of ``sections`` that
+        are set, over ``defaults``, so every other default is the one ``cls``
+        states.  A key is required exactly where its field has no default."""
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        for section in sections:
+            for name, key in _FIELDS[section].items():
+                if key in self.values or (name in required and name not in defaults):
+                    defaults[name] = self.require(key)
+        return defaults
 
     def channel(self, loss_optional: bool = False) -> ChannelConditions:
         """The channel section; with ``loss_optional`` (the loss is swept or
         searched) a missing ``channel.eta_loss_db`` reads as 0 dB."""
-        eta = (self.get("channel.eta_loss_db", 0.0) if loss_optional
-               else self.require("channel.eta_loss_db"))
-        return ChannelConditions(
-            eta_loss_db=eta,
-            p_ec=self.require("channel.p_ec"),
-            qber_i=self.require("channel.qber_i"),
-            integration_time_s=self.require("channel.integration_time_s"),
-            **self._given({"p_ap": "channel.p_ap", "f_s": "channel.f_s"}),
-        )
+        loss = {"eta_loss_db": 0.0} if loss_optional else {}
+        return ChannelConditions(**self._given(ChannelConditions, "channel", **loss))
 
     def security(self) -> SecurityParams:
         """The security analysis; keys left unset take its defaults."""
-        return SecurityParams(**self._given({
-            "eps_s": "security.eps_s", "eps_c": "security.eps_c",
-            "beta": "security.beta", "ec_method": "ec.method", "f_ec": "ec.f_ec"}))
+        return SecurityParams(**self._given(SecurityParams, "security", "ec"))
 
     def protocol(self) -> ProtocolParams:
         p1 = self.require("protocol.p_mu1")
         p2 = self.require("protocol.p_mu2")
-        p3 = self.get("protocol.p_mu3")
-        if p3 is None:
-            p3 = 1.0 - p1 - p2
         return ProtocolParams(
             pax=self.require("protocol.pax"),
             pbx=self.require("protocol.pbx"),
             mu=(self.require("protocol.mu1"), self.require("protocol.mu2"),
                 self.get("protocol.mu3", 0.0)),
-            p_mu=(p1, p2, p3),
+            p_mu=(p1, p2, self.get("protocol.p_mu3", 1.0 - p1 - p2)),
         )
 
     def opt_spec(self) -> OptimizationSpec:
-        regime_name = self.require("optimize.regime")
-        try:
-            regime = Regime(regime_name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown optimize.regime {regime_name!r}") from exc
-        mu = None
-        if regime is Regime.FIXED_PBX_AND_MU:
-            mu = (self.require("optimize.mu1"), self.require("optimize.mu2"),
-                  self.get("optimize.mu3", OptimizationSpec.mu3))
-        return OptimizationSpec(regime=regime, mu=mu, **self._given({
-            "pbx": "optimize.pbx", "mu3": "optimize.mu3", "restarts": "optimize.restarts",
-            "seed": "optimize.seed", "tolerance": "optimize.tolerance",
-            "max_evals_per_restart": "optimize.max_evals"}))
+        spec = self._given(OptimizationSpec, "optimize")
+        if spec.get("regime") == Regime.FIXED_PBX_AND_MU:
+            spec["mu"] = (self.require("optimize.mu1"), self.require("optimize.mu2"),
+                          self.get("optimize.mu3", OptimizationSpec.mu3))
+        return OptimizationSpec(**spec)
 
     def _fixed_or_optimize(self) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
         """The (params, opt_spec) policy of a sweep or budget.
@@ -269,28 +260,14 @@ class RunConfig:
 
     def sweep_spec(self) -> SweepSpec:
         params, opt_spec = self._fixed_or_optimize()
-        return SweepSpec(
-            eta_loss_db=self.require("sweep.eta_loss_db"),
-            log10_pec=self.require("sweep.log10_pec"),
-            qber_i=self.require("sweep.qber_i"),
-            tau_s=self.require("sweep.tau_s"),
-            params=params, opt_spec=opt_spec,
-        )
+        return SweepSpec(**self._given(SweepSpec, "sweep"), params=params, opt_spec=opt_spec)
 
     def budget_query(self) -> LossBudgetQuery:
         params, opt_spec = self._fixed_or_optimize()
-        return LossBudgetQuery(
-            conditions=self.channel(loss_optional=True),
-            params=params, opt_spec=opt_spec,
-            **self._given({"target_bits": "budget.target_bits",
-                           "eta_min_db": "budget.eta_min_db",
-                           "eta_max_db": "budget.eta_max_db",
-                           "resolution_db": "budget.resolution_db"}),
-        )
+        return LossBudgetQuery(conditions=self.channel(loss_optional=True), params=params,
+                               opt_spec=opt_spec, **self._given(LossBudgetQuery, "budget"))
 
     def uncertainty_model(self) -> IntensityUncertaintyModel:
-        return IntensityUncertaintyModel(
-            f=self.require("worstcase.f"),
-            nominal=self.protocol(),
-            **self._given({"grid_points_per_dim": "worstcase.grid_points"}),
-        )
+        # worstcase.f is required before the protocol section is read
+        return IntensityUncertaintyModel(**self._given(IntensityUncertaintyModel, "worstcase"),
+                                         nominal=self.protocol())

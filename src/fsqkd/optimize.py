@@ -62,7 +62,11 @@ class OptimizationSpec:
     intensity_bounds: tuple[float, float] = (1e-4, 1.0)
 
     def __post_init__(self) -> None:
-        regime = Regime(self.regime)
+        try:
+            regime = Regime(self.regime)
+        except ValueError:
+            raise ParameterError(f"regime must be one of {', '.join(Regime)}, "
+                                 f"got {self.regime!r}") from None
         object.__setattr__(self, "regime", regime)
         if self.pbx is not None:
             check_range("pbx", self.pbx, "basis probability")
@@ -79,14 +83,17 @@ class OptimizationSpec:
         check_range("tolerance", self.tolerance, "positive")
         plo, phi = self.prob_bounds
         mlo, mhi = self.intensity_bounds
+        # the decoder's p3 = 1 - p1 - p2 can fall a few float spacings of 1
+        # below plo, so plo stays above them and keeps every p in its domain
+        p_min = max(1e-15, DOMAIN["intensity probability"][1])
         try:
             # the stick-breaking transform needs plo < 1 - 2 plo
-            prob_ok = 0.0 < plo < phi < 1.0 and plo < 1.0 / 3.0
+            prob_ok = p_min <= plo < phi < 1.0 and plo < 1.0 / 3.0
         except TypeError:  # not numbers
             prob_ok = False
         if not prob_ok:
-            raise ParameterError(
-                f"prob_bounds must satisfy 0 < lo < hi < 1 and lo < 1/3, got {self.prob_bounds}")
+            raise ParameterError(f"prob_bounds must satisfy {p_min:g} <= lo < hi < 1 and "
+                                 f"lo < 1/3, got {self.prob_bounds}")
         try:
             mu_ok = 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
         except TypeError:

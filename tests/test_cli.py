@@ -188,12 +188,15 @@ class TestConfigErrors:
          "fsqkd: configuration error: grid_points_per_dim must be in [1, 6], got 7\n"),
         ("keylength", ["security.eps_s = 1e-160", "security.eps_c = 1e-160"], None),
         ("keylength", ["security.beta = 1e160"], None),
+        ("keylength", ["protocol.mu1 = 10", "protocol.mu2 = 5", "protocol.p_mu1 = 0.5",
+                       "protocol.p_mu2 = 1e-305"],
+         "fsqkd: configuration error: p_mu2 must be in [1e-290, 1), got 1e-305\n"),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
             "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
             "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
             "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow",
             "finite-pulse-count-overflowing-counts", "worstcase-grid-points",
-            "eps-power-overflow", "beta-chernoff-overflow"])
+            "eps-power-overflow", "beta-chernoff-overflow", "p_mu-below-floor"])
     def test_out_of_domain_exits_2(self, capsys, tmp_path, command, lines, stderr):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "\n".join(lines) + "\n")

@@ -1,12 +1,14 @@
 """Configuration loading: grammar, coercion, env overrides, builders."""
+import dataclasses
 import json
 import signal
+from pathlib import Path
 
 import pytest
 
 from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery,
-                   OptimizationSpec, ParameterError, Regime, SecurityParams)
-from fsqkd.config import MAX_RANGE_POINTS, ConfigError, RunConfig, _parse_floatlist
+                   OptimizationSpec, ParameterError, Regime, SecurityParams, SweepSpec)
+from fsqkd.config import MAX_RANGE_POINTS, SCHEMA, ConfigError, RunConfig, _parse_floatlist
 
 
 @pytest.fixture
@@ -200,3 +202,108 @@ class TestBuilders:
         cfg = RunConfig.load(path, env={})
         with pytest.raises(ConfigError):
             cfg.sweep_spec()
+
+
+class TestBooleans:
+    # JSON true and false are not numbers; they loaded as 1 and 0
+    @pytest.mark.parametrize("key, value", [("channel.eta_loss_db", True),
+                                            ("optimize.restarts", True),
+                                            ("sweep.tau_s", [60.0, False])])
+    def test_json_boolean_rejected(self, tmp_path, key, value):
+        section, name = key.split(".")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {name: value}}))
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'.*boolean"):
+            RunConfig.load(path, env={})
+
+
+# section -> (builder, the dataclass it returns)
+SECTIONS = {
+    "channel": ("channel", ChannelConditions),
+    "security": ("security", SecurityParams),
+    "ec": ("security", SecurityParams),
+    "optimize": ("opt_spec", OptimizationSpec),
+    "sweep": ("sweep_spec", SweepSpec),
+    "budget": ("budget_query", LossBudgetQuery),
+    "worstcase": ("uncertainty_model", IntensityUncertaintyModel),
+}
+
+# a config every builder accepts: each required key, a complete protocol
+# section (the sweep and budget policy, and the worst case's nominal
+# point), and the pbx that a non-full regime needs
+EVERY_BUILDER = {
+    "channel.eta_loss_db": 30.0, "channel.p_ec": 1e-6, "channel.qber_i": 0.01,
+    "channel.integration_time_s": 60.0,
+    "protocol.pax": 0.7, "protocol.pbx": 0.5, "protocol.mu1": 0.5, "protocol.mu2": 0.1,
+    "protocol.p_mu1": 0.8, "protocol.p_mu2": 0.13, "optimize.pbx": 0.5,
+    "sweep.eta_loss_db": [30.0], "sweep.log10_pec": [-6.0], "sweep.qber_i": [0.01],
+    "sweep.tau_s": [60.0], "worstcase.f": 0.05,
+}
+
+# a valid value other than its field's default, for every key that fills a field
+NON_DEFAULT = {
+    "channel.eta_loss_db": 31.5, "channel.p_ec": 2e-6, "channel.qber_i": 0.02,
+    "channel.p_ap": 2e-3, "channel.f_s": 2e8, "channel.integration_time_s": 90.0,
+    "security.eps_s": 1e-10, "security.eps_c": 1e-14, "security.beta": 25.0,
+    "ec.method": "rate-factor", "ec.f_ec": 1.2,
+    "optimize.regime": "fixed_pbx", "optimize.pbx": 0.6, "optimize.mu3": 1e-8,
+    "optimize.restarts": 3, "optimize.seed": 5, "optimize.tolerance": 1e-6,
+    "optimize.max_evals": 500,
+    "sweep.eta_loss_db": (10.0, 20.0), "sweep.log10_pec": (-7.0,), "sweep.qber_i": (0.02,),
+    "sweep.tau_s": (30.0,),
+    "budget.target_bits": 1000, "budget.eta_min_db": 5.0, "budget.eta_max_db": 50.0,
+    "budget.resolution_db": 0.5,
+    "worstcase.f": 0.1, "worstcase.grid_points": 2,
+}
+
+
+def _load(tmp_path, values: dict) -> RunConfig:
+    nested = {}
+    for key, value in values.items():
+        section, name = key.split(".")
+        nested.setdefault(section, {})[name] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(nested))
+    return RunConfig.load(path, env={})
+
+
+def _field(key: str) -> dataclasses.Field:
+    cls = SECTIONS[key.split(".")[0]][1]
+    return {f.name: f for f in dataclasses.fields(cls)}[SCHEMA[key][1]]
+
+
+class TestKeyTable:
+    def test_every_field_key_has_a_value(self):
+        assert set(NON_DEFAULT) == {key for key, (_, field) in SCHEMA.items() if field}
+
+    @pytest.mark.parametrize("key", list(NON_DEFAULT))
+    def test_key_lands_in_its_field(self, tmp_path, key):
+        value = NON_DEFAULT[key]
+        assert value != _field(key).default
+        builder, cls = SECTIONS[key.split(".")[0]]
+        built = getattr(_load(tmp_path, {**EVERY_BUILDER, key: value}), builder)()
+        assert isinstance(built, cls)
+        assert getattr(built, SCHEMA[key][1]) == value
+
+    def test_required_keys_are_the_fields_without_default(self):
+        required = {key for key in NON_DEFAULT if _field(key).default is dataclasses.MISSING}
+        assert required == {"channel.eta_loss_db", "channel.p_ec", "channel.qber_i",
+                            "channel.integration_time_s", "sweep.eta_loss_db",
+                            "sweep.log10_pec", "sweep.qber_i", "sweep.tau_s", "worstcase.f"}
+
+    @pytest.mark.parametrize("key", [key for key in NON_DEFAULT
+                                     if _field(key).default is dataclasses.MISSING])
+    def test_missing_required_key_named(self, tmp_path, key):
+        cfg = _load(tmp_path, {k: v for k, v in EVERY_BUILDER.items() if k != key})
+        with pytest.raises(ConfigError, match=f"^missing required configuration key '{key}'$"):
+            getattr(cfg, SECTIONS[key.split(".")[0]][0])()
+
+    def test_unknown_regime_is_a_parameter_error(self, tmp_path):
+        cfg = _load(tmp_path, {"optimize.regime": "x"})
+        with pytest.raises(ParameterError, match=r"^regime must be one of full, fixed_pbx, "
+                                                 r"fixed_pbx_and_mu, got 'x'$"):
+            cfg.opt_spec()
+
+    def test_every_key_is_in_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [key for key in SCHEMA if f"`{key}`" not in readme] == []

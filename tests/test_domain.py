@@ -3,9 +3,11 @@
 Out-of-range input raises ``ParameterError`` when the object is built or
 the public entry is called, never inside a kernel.
 """
+import itertools
 import math
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
+from fsqkd.optimize import _decoder
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
                   integration_time_s=60.0, p_ap=1e-3, f_s=1e8)
@@ -180,6 +183,49 @@ def test_eps_lower_end_is_where_the_key_terms_overflow():
                          (1e-320, 1e-320), (1e-320, 0.1), (0.1, 1e-320)]:
         with pytest.raises(ParameterError, match="too small"):
             SecurityParams(eps_s=eps_s, eps_c=eps_c)
+
+
+def test_tiny_intensity_probability_rejected():
+    # exp(mu2) / p2 = 1.5e307 overflowed the count bound of n_x2, and
+    # mu3 * inf in the vacuum bound gave a NaN key
+    with pytest.raises(ParameterError, match=r"^p_mu2 must be in \[1e-290, 1\), got 1e-305$"):
+        ProtocolParams(pax=0.7, pbx=0.5, mu=(10.0, 5.0, 0.0), p_mu=(0.5, 1e-305, 0.5 - 1e-305))
+
+
+@pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+@pytest.mark.parametrize("mu", [(10.0, 5.0, 0.0), (10.0, 5.0, 4.9)])
+@pytest.mark.parametrize("index", range(3))
+def test_intensity_probability_floor_at_the_domain_tops(ec_method, mu, index):
+    # at the top intensity, pulse count and beta, a probability at the floor
+    # keeps every count bound and the key record finite
+    low = DOMAIN["intensity probability"][1]
+    p_mu = [0.5, 0.5, 0.5]
+    p_mu[index], p_mu[(index + 1) % 3] = low, 0.5 - low
+    params = ProtocolParams(pax=0.7, pbx=0.5, mu=mu, p_mu=tuple(p_mu))
+    channel = ChannelConditions(**{**CHANNEL_KW, "integration_time_s": 1e292})
+    sec = SecurityParams(beta=DOMAIN["beta"][2], ec_method=ec_method)
+    assert max(mu) == DOMAIN["intensity"][2] and channel.n_pulses == DOMAIN["pulse count"][2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = key_length_for_channel(params, channel, sec)
+    assert all(map(math.isfinite, (res.raw, res.s_x0, res.s_x1, res.phi_x, res.lambda_ec)))
+    p_mu[index] = math.nextafter(low, 0.0)
+    with pytest.raises(ParameterError, match=f"^p_mu{index + 1} must be in"):
+        ProtocolParams(pax=0.7, pbx=0.5, mu=mu, p_mu=tuple(p_mu))
+
+
+def test_prob_bounds_keep_every_decoded_probability_in_its_domain():
+    # the decoder's p3 = 1 - p1 - p2 rounded to 0 at lo = 1e-290, and p2 to
+    # -1e-290; from lo = 1e-15 on, each corner of the search decodes to a
+    # probability vector in the domain
+    spec = OptimizationSpec(prob_bounds=(1e-15, 0.999))
+    decode = _decoder(spec)
+    for t1, t2 in itertools.product((-800.0, 0.0, 800.0), repeat=2):
+        pax, pbx, mu1, mu2, mu3, *p_mu = decode([0.0, t1, t2, 0.0, 0.0])
+        ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3), p_mu=tuple(p_mu))
+    for lo in (1e-16, DOMAIN["intensity probability"][1]):
+        with pytest.raises(ParameterError, match=r"^prob_bounds must satisfy 1e-15 <= lo"):
+            OptimizationSpec(prob_bounds=(lo, 0.999))
 
 
 def test_grid_points_have_an_upper_end(monkeypatch):
