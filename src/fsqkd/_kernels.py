@@ -1,8 +1,8 @@
 """Numeric kernels for the decoy-state finite-key chain.
 
 The scalar steps are straight-line float64 math on Python floats.  Both
-bases run the same decoy analysis, so ``counts_core`` and
-``bounds_ell_core`` call ``basis_counts_core`` and ``basis_bounds_core``
+bases run the same decoy analysis, so ``counts_core`` calls
+``basis_counts_core`` and ``chain_bounds_core`` calls ``basis_bounds_core``
 once per basis.  Each basis uses the mean of its two signal states'
 detection/error statistics, while the decoy estimation step uses the
 (possibly different) intensity pair assumed by the receiver.  With all
@@ -30,25 +30,25 @@ evaluated and averaged, which gives the same float, as 0.5 * (d + d) == d.
 An ``if`` cannot branch per element, so the steps with control flow keep
 array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
 return, ``finitekey._leakage_array`` the leakage's around the
-``finite_leakage_core`` twin, and ``bounds_ell_core``'s twin runs in two
-stages, the decoy bounds (``_chain_bounds``) at each basis' own shape and
-the key (``_chain_key``, with ``_binary_entropy`` and ``_fluct_gamma``)
-where the bases meet.  These evaluate every lane, with no gather or
-scatter: each branch is a mask, the scalar ``if`` itself (so NaN lanes
-follow the scalar), built at the small shapes and combined once.  A
-fixed-parameter sweep runs ``counts_array``, ``_leakage_array`` (its
-quantile from ``_quantile.binom_ppf_array``) and ``bounds_ell_array``
-over its whole grid, each axis on a dimension of its own; the worst-case
-grid runs the bounds once per query, then the key on few of its points.
-Every element is bit-identical to the scalar chain: NumPy's
-``exp`` and ``log`` differ from libm's in the last bit on some inputs, so
-``_libm_exp`` is scipy's ``inv_boxcox(x, 0)`` and ``_libm_log`` its
-``xlogy(1, x)``, ufuncs that tests pin to ``math.exp`` and ``math.log``.
-The quantile twin follows the scalar search in int64 below 2^53 trials
-and sends larger counts to ``binom_ppf``.
-The estimator's mu1 and mu2 may be arrays on a leading axis ahead of the
-counts', one pair per entry, with taus and weights from one
-``intensity_terms`` twin call.
+``finite_leakage_core`` twin, and ``_chain_key`` (with ``_binary_entropy``
+and ``_fluct_gamma``) the key stage that ``bounds_ell_core`` runs after
+its ``chain_bounds_core`` call.  ``_chain_bounds`` runs that step's twin
+at each basis' own shape, ``_chain_key`` where the bases meet.  These
+evaluate every lane, with no gather or scatter: each branch is a mask,
+the scalar ``if`` itself (so NaN lanes follow the scalar), built at the
+small shapes and combined once.  A fixed-parameter sweep runs
+``counts_array``, ``_leakage_array`` (its quantile from
+``_quantile.binom_ppf_array``) and ``bounds_ell_array`` over its whole
+grid, each axis on a dimension of its own; the worst-case grid runs the
+bounds once per query, then the key on few of its points.  Every element
+is bit-identical to the scalar chain: NumPy's ``exp`` and ``log`` differ
+from libm's in the last bit on some inputs, so ``_libm_exp`` is scipy's
+``inv_boxcox(x, 0)`` and ``_libm_log`` its ``xlogy(1, x)``, ufuncs that
+tests pin to ``math.exp`` and ``math.log``.  The quantile twin follows
+the scalar search in int64 below 2^53 trials and sends larger counts to
+``binom_ppf``.
+The estimator's intensities and their probabilities may be arrays on a
+leading axis ahead of the counts', one estimator per entry.
 
 Reason codes returned by ``bounds_ell_core``:
     0  positive key
@@ -229,6 +229,20 @@ def basis_bounds_core(c1, c2, c3, total, mu1, mu2, mu3, s1, s2, s3, beta, tau0, 
         count_upper_core(c1, s1, beta), s0, tau0, tau1, mu1, mu2, mu3, total)
 
 
+def chain_bounds_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3,
+                      mu1, mu2, mu3, p1, p2, p3, beta):
+    """The decoy bounds of both bases, (s_x0, s_x1, s_z0, s_z1, v_z1), from
+    their counts; ``v_z1``, the Z basis' single-photon errors, floored at zero."""
+    tau0, tau1, s1, s2, s3 = intensity_terms(mu1, mu2, mu3, p1, p2, p3)
+    s_x0, s_x1 = basis_bounds_core(n_x1, n_x2, n_x3, n_x1 + n_x2 + n_x3, mu1, mu2, mu3,
+                                   s1, s2, s3, beta, tau0, tau1)
+    s_z0, s_z1 = basis_bounds_core(n_z1, n_z2, n_z3, n_z1 + n_z2 + n_z3, mu1, mu2, mu3,
+                                   s1, s2, s3, beta, tau0, tau1)
+    v_z1 = tau1 * (count_upper_core(m_z2, s2, beta)
+                   - count_lower_core(m_z3, s3, beta)) / (mu2 - mu3)
+    return s_x0, s_x1, s_z0, s_z1, floor0(v_z1)
+
+
 def finite_leakage_core(n_x, q, eps_c, f_inv):
     """Finite-size reconciliation leakage in bits at n_x > 0 and 0 < q <= 0.5,
     around the inverse binomial CDF value ``f_inv``, floored at zero and
@@ -260,25 +274,14 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
     """
     n_x = n_x1 + n_x2 + n_x3
     n_z = n_z1 + n_z2 + n_z3
-    m_x = m_x1 + m_x2 + m_x3
 
     if n_x <= 0.0 or n_z <= 0.0:
         return (0.0, -pa_bits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
                 REASON_ZERO_COUNTS)
 
-    tau0, tau1, s1, s2, s3 = intensity_terms(mu1, mu2, mu3, p1, p2, p3)
-
-    s_x0, s_x1 = basis_bounds_core(n_x1, n_x2, n_x3, n_x, mu1, mu2, mu3,
-                                   s1, s2, s3, beta, tau0, tau1)
-    s_z0, s_z1 = basis_bounds_core(n_z1, n_z2, n_z3, n_z, mu1, mu2, mu3,
-                                   s1, s2, s3, beta, tau0, tau1)
-
-    v_z1 = tau1 * (count_upper_core(m_z2, s2, beta)
-                   - count_lower_core(m_z3, s3, beta)) / (mu2 - mu3)
-    if v_z1 < 0.0:
-        v_z1 = 0.0
-
-    qber_x = m_x / n_x
+    s_x0, s_x1, s_z0, s_z1, v_z1 = chain_bounds_core(
+        n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
+    qber_x = (m_x1 + m_x2 + m_x3) / n_x
 
     reason = REASON_OK
     if s_x1 <= 0.0 or s_z1 <= 0.0:
@@ -368,24 +371,17 @@ _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__n
                for step in (detection_error_prob, pair_statistics, counts_core,
                             chernoff_delta_plus, chernoff_delta_minus, count_lower_core,
                             count_upper_core, vacuum_bound_core, single_photon_bound_core,
-                            basis_bounds_core, intensity_terms, finite_leakage_core)})
+                            basis_bounds_core, intensity_terms, chain_bounds_core,
+                            finite_leakage_core)})
 counts_array = _ARRAY["counts_core"]
 
 
 def _chain_bounds(n_x, n_z, m_z, mu, p_mu, beta):
-    """The bounds stage of ``bounds_ell_core``: ``(s_x0, s_x1, s_z0, s_z1, v_z1,
-    v_z1 / s_z1)``, each at its basis' own shape times an estimator axis of ``mu``."""
-    mu1, mu2, mu3 = mu
+    """The ``chain_bounds_core`` twin's record and ``v_z1 / s_z1``, each at its
+    basis' own shape times an estimator axis of ``mu`` and ``p_mu``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau0, tau1, *scales = _ARRAY["intensity_terms"](mu1, mu2, mu3, *p_mu)
-        s_x0, s_x1 = _ARRAY["basis_bounds_core"](*n_x, n_x[0] + n_x[1] + n_x[2], *mu, *scales,
-                                                 beta, tau0, tau1)
-        s_z0, s_z1 = _ARRAY["basis_bounds_core"](*n_z, n_z[0] + n_z[1] + n_z[2], *mu, *scales,
-                                                 beta, tau0, tau1)
-        v_z1 = tau1 * (_ARRAY["count_upper_core"](m_z[1], scales[1], beta)
-                       - _ARRAY["count_lower_core"](m_z[2], scales[2], beta)) / (mu2 - mu3)
-        v_z1 = np.where(v_z1 < 0.0, 0.0, v_z1)
-        return s_x0, s_x1, s_z0, s_z1, v_z1, v_z1 / s_z1
+        bounds = _ARRAY["chain_bounds_core"](*n_x, *n_z, *m_z[1:], *mu, *p_mu, beta)
+        return (*bounds, bounds[4] / bounds[3])
 
 
 def _chain_key(n_x, n_z, bounds, eps, pa_bits, lam):

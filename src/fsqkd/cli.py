@@ -77,10 +77,13 @@ def _table_text(fmt: str, axes, params, columns: dict[str, list]) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
+    if not out_path:
         sys.stdout.write(text + "\n")
+        return
+    try:
+        Path(out_path).write_text(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
 def _dump_json(obj) -> str:
@@ -188,14 +191,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"--seed seeds the optimizer, which {args.command} does not run here; "
                     "use it with optimize, or with sweep or budget and an optimize.regime")
             cfg.values["optimize.seed"] = args.seed
-        text = _SUBCOMMANDS[args.command][0](cfg, args)
-    except (ConfigError, ParameterError, FileNotFoundError) as exc:
+        _emit(_SUBCOMMANDS[args.command][0](cfg, args), args.out)
+    except (ConfigError, ParameterError) as exc:
         print(f"fsqkd: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # numeric or internal failure; no partial output
         print(f"fsqkd: internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -162,7 +162,10 @@ class RunConfig:
         """Read a config file (text or JSON by content), apply env overrides."""
         raw: dict[str, Any] = {}
         if path is not None:
-            text = Path(path).read_text()
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
             if text.lstrip().startswith("{"):
                 try:
                     nested = json.loads(text)

@@ -67,14 +67,6 @@ class SweepSpec:
             for v in axis:
                 check_range(name, v, domain)
 
-    @property
-    def grid(self) -> list[tuple[float, float, float, float]]:
-        return [(eta, lp, q, tau)
-                for eta in self.eta_loss_db
-                for lp in self.log10_pec
-                for q in self.qber_i
-                for tau in self.tau_s]
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -189,8 +181,9 @@ def sweep(spec: SweepSpec, base: ChannelConditions, sec: SecurityParams) -> list
     params, columns = _sweep_table(spec, base, sec)
     if isinstance(params, ProtocolParams):
         params = itertools.repeat(params)
+    points = itertools.product(spec.eta_loss_db, spec.log10_pec, spec.qber_i, spec.tau_s)
     return [SweepRow(*point, p, r) for point, p, r in
-            zip(spec.grid, params, map(KeyLengthResult, *columns.values()))]
+            zip(points, params, map(KeyLengthResult, *columns.values()))]
 
 
 def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:

@@ -83,8 +83,8 @@ class IntensityUncertaintyModel:
         For an odd point count the exact nominal value sits in the middle.
         """
         g = self.grid_points_per_dim
-        if g == 1 or self.f == 0.0:
-            return np.full(max(g, 1), mu, dtype=float)
+        if self.f == 0.0:
+            return np.full(g, mu, dtype=float)
         fracs = 2.0 * np.arange(g) / (g - 1) - 1.0
         return mu * (1.0 + self.f * fracs)
 

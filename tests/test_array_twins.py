@@ -78,7 +78,7 @@ def test_counts_array_broadcasts_each_input_on_its_own_axis():
 FOLDED = ("detection_error_prob", "pair_statistics", "counts_core", "chernoff_delta_plus",
           "chernoff_delta_minus", "count_lower_core", "count_upper_core", "vacuum_bound_core",
           "single_photon_bound_core", "basis_bounds_core", "intensity_terms",
-          "finite_leakage_core")
+          "chain_bounds_core", "finite_leakage_core")
 # the array glue: the array operations, and the masks of the steps with control flow
 GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_basis_counts",
         "_binary_entropy", "_fluct_gamma", "binary_entropy", "_chain_bounds", "_chain_key",

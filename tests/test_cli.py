@@ -143,6 +143,27 @@ class TestConfigErrors:
         code, _, _ = run_cli(capsys, ["keylength", "--config", "/nonexistent.cfg"])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "bad.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(BASE_CONFIG.encode() + b"# \xff\xfe\n")
+        code, out, err = run_cli(capsys, ["keylength", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fsqkd: configuration error:")
+
+    @pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, config_file, tmp_path, kind):
+        out_path = tmp_path / "no-such-dir" / "x.json" if kind == "missing-parent" else tmp_path
+        code, out, err = run_cli(capsys, ["keylength", "--config", config_file,
+                                          "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fsqkd: configuration error:")
+
     def test_bad_value_type(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG.replace("1e-6", "not-a-number"))

@@ -499,11 +499,15 @@ def test_array_exp_is_libm_exp():
     assert type(_libm_exp(0.3)) is float and _libm_exp(0.3) == math.exp(0.3)
 
 
-@pytest.mark.parametrize("consistent", [True, False])
-def test_batched_estimators_match_one_call_each(consistent):
-    """``_chain_bounds`` then ``_chain_key`` over an (E, 1, 1) estimator axis
-    equals E calls with a scalar estimator each, bit for bit, and so does
-    every field of ``bounds_ell_array``'s record, each with the estimator axis."""
+@pytest.mark.parametrize("consistent, axis", [(True, "mu"), (False, "mu"),
+                                               (True, "p_mu"), (False, "p_mu")],
+                         ids=["True", "False", "p_mu-True", "p_mu-False"])
+def test_batched_estimators_match_one_call_each(consistent, axis):
+    """``_chain_bounds`` then ``_chain_key`` over an (E, 1, 1) estimator axis,
+    of mu1 and mu2 or of the three p_mu, equals E calls with a scalar
+    estimator each, bit for bit, and so does every field of
+    ``bounds_ell_array``'s record, each with the estimator axis.  Each
+    entry's ell, raw and bounds are ``bounds_ell_core``'s."""
     rng = np.random.default_rng(31)
     mu1, mu2, mu3 = 0.6, 0.15, 1e-9
     p_mu = (0.7, 0.2, 0.1)
@@ -514,23 +518,37 @@ def test_batched_estimators_match_one_call_each(consistent):
     m_x = tuple(counts[:, j, None] for j in range(6, 9))
     m_z = tuple(counts[None, :, j] for j in range(9, 12))
     lam = np.array([_count_leakage(c, SEC)[0] for c in counts.tolist()])[:, None]
-    est = [(mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1)) for _ in range(7)]
-    args = (p_mu, SEC.beta, SEC.eps, SEC.pa_bits, lam)
-    est_mu1, est_mu2 = np.array(est).T[..., None, None]
+    if axis == "mu":
+        est = [((mu1 * rng.uniform(0.9, 1.1), mu2 * rng.uniform(0.9, 1.1), mu3), p_mu)
+               for _ in range(7)]
+    else:
+        est = [((mu1, mu2, mu3), (p1, p2, 1.0 - p1 - p2)) for p1, p2 in
+               ((np.array(p_mu[:2]) * rng.uniform(0.9, 1.1, 2)).tolist() for _ in range(7))]
+    # the varied values on the leading axis, ahead of X rows down and Z rows across
+    mus, ps = ([np.array(col)[:, None, None] for col in zip(*side)] for side in zip(*est))
+    batched = ((*mus[:2], mu3), p_mu) if axis == "mu" else ((mu1, mu2, mu3), ps)
+    args = (SEC.beta, SEC.eps, SEC.pa_bits, lam)
 
-    def chain(mu):
-        bounds = k._chain_bounds(n_x, n_z, m_z, mu, p_mu, SEC.beta)
-        return k._chain_key(n_x, n_z, bounds, SEC.eps, SEC.pa_bits, lam)
+    def chain(mu, p):
+        bounds = k._chain_bounds(n_x, n_z, m_z, mu, p, SEC.beta)
+        return (*k._chain_key(n_x, n_z, bounds, SEC.eps, SEC.pa_bits, lam)[:2], *bounds[:5])
 
-    ell, raw, _ = chain((est_mu1, est_mu2, mu3))
-    record = bounds_ell_array(n_x, n_z, m_x, m_z, (est_mu1, est_mu2, mu3), *args)
+    ell, raw, *bounds = chain(*batched)
+    record = bounds_ell_array(n_x, n_z, m_x, m_z, *batched, *args)
     assert ell.shape == raw.shape == (7, 40, 40)
     assert all(field.shape == (7, 40, 40) for field in record)
-    for e, (a, b) in enumerate(est):
-        one_ell, one_raw, _ = chain((a, b, mu3))
+    rows = counts.tolist()
+    for e, (mu, p) in enumerate(est):
+        one_ell, one_raw, *_ = chain(mu, p)
         assert np.array_equal(ell[e], one_ell) and np.array_equal(raw[e], one_raw)
-        one = bounds_ell_array(n_x, n_z, m_x, m_z, (a, b, mu3), *args)
+        one = bounds_ell_array(n_x, n_z, m_x, m_z, mu, p, *args)
         assert all(np.array_equal(f[e], g) for f, g in zip(record, one))
+        got = zip(*(np.broadcast_to(f[e], (40, 40)).ravel().tolist()
+                    for f in (ell, raw, *bounds)))
+        want = (k.bounds_ell_core(*x[0:3], *z[3:6], *x[6:9], *z[9:12], *mu, *p,
+                                  SEC.beta, SEC.eps, SEC.pa_bits, lam_x)[:7]
+                for x, lam_x in zip(rows, lam[:, 0].tolist()) for z in rows)
+        assert list(map(repr, got)) == list(map(repr, want))
     assert np.any(ell > 0.0) or not consistent
 
 
