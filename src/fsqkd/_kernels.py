@@ -44,9 +44,9 @@ bounds once per query, then the key on few of its points.  Every element
 is bit-identical to the scalar chain: NumPy's ``exp`` and ``log`` differ
 from libm's in the last bit on some inputs, so ``_libm_exp`` is scipy's
 ``inv_boxcox(x, 0)`` and ``_libm_log`` its ``xlogy(1, x)``, ufuncs that
-tests pin to ``math.exp`` and ``math.log``.  The quantile twin follows
-the scalar search in int64 below 2^53 trials and sends larger counts to
-``binom_ppf``.
+tests pin to ``math.exp`` and ``math.log``.  The quantile twin takes the
+scalar search's first two probes at once and sends every element they do
+not settle to ``binom_ppf``.
 The estimator's intensities and their probabilities may be arrays on a
 leading axis ahead of the counts', one estimator per entry.
 

@@ -15,12 +15,13 @@ Cornish-Fisher skew term, a bracket grown by doubling steps, then
 bisection down to two adjacent integers.
 
 ``binom_ppf_array`` is its twin over arrays, for fixed-parameter sweeps.
-It runs that search for every element in lockstep, with k in int64 and
-the ``scipy.special.betainc`` ufunc, which gives the same floats as the
-scalar ``cython_special`` call, so every element equals ``binom_ppf``'s,
-above 1e11 trials too, where the result depends on the search's path.
-An element with 2^53 trials or more goes to ``binom_ppf``: there a float
-k cannot hold every integer the scalar search's Python ints reach.
+Each element below 2^53 trials takes the scalar start and first two
+probes at once: k, then k - 1 if k meets the predicate, or k + 1 if not.
+Where they bracket the crossing, the scalar search ends on that bracket
+too and returns its upper end, capped at n: the ``betainc`` ufunc gives
+the scalar ``cython_special`` call's floats, and a float k is exact
+there.  Every other element runs ``binom_ppf``, so each one equals the
+scalar result, above 1e11 trials too, where it depends on the path.
 
 Precision: the predicate is evaluated in double precision.  Up to about
 1e11 trials it is monotone in k and the result is the exact quantile.
@@ -91,8 +92,7 @@ def binom_ppf(q: float, n: float, p: float) -> float:
 
 
 def _meets_array(q: float, n: np.ndarray, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``_meets`` over arrays, with int64 ``k``; ``betainc`` is nan or 1
-    where ``k >= n`` and the predicate holds regardless."""
+    """``_meets`` over arrays; where ``k >= n`` it holds, and ``betainc`` is nan or 1."""
     return (k >= n) | (betainc(n - k, k + 1.0, x) >= q)
 
 
@@ -100,45 +100,28 @@ def binom_ppf_array(q: float, n, p) -> np.ndarray:
     """``binom_ppf`` over broadcasting arrays ``n`` and ``p``, every element
     equal to the scalar function's.
 
-    Below 2^53 trials the elements run the scalar search in lockstep, the
-    same start, doubling bracket and bisection, with k in int64, where it
-    is exact; larger trial counts go to ``binom_ppf`` one by one.
+    Below 2^53 trials each element takes the scalar search's first two
+    probes; an element they do not bracket, or with 2^53 trials or more,
+    goes to ``binom_ppf``.
     """
     q = float(q)
     n, p = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(p, dtype=float))
-    out = np.zeros(n.shape)
-    for i in np.flatnonzero((n >= EXACT_TRIALS) & (n < math.inf)):
-        out.flat[i] = binom_ppf(q, n.flat[i], p.flat[i])
-    idx = np.flatnonzero((n > 0.0) & (n < EXACT_TRIALS))
-    n, p = n.ravel()[idx], p.ravel()[idx]
-    x = 1.0 - p
-    z = _normal_quantile(q)
-    start = n * p + np.sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
-    k = np.minimum(np.maximum(np.ceil(start - 0.5), 0.0), np.ceil(n)).astype(np.int64)
-    # grow each bracket lo < hi by doubling steps: from (k - 1, k) down
-    # while lo >= 0 meets the predicate, or from (k, k + 1) up while hi
-    # fails it; every bracket still growing has taken as many steps
-    down = _meets_array(q, n, x, k)
-    lo = k - down
-    hi = lo + 1
-    step = 1
-    live = np.flatnonzero(lo >= 0)
-    while live.size:
-        d = down[live]
-        probe = np.where(d, lo[live], hi[live])
-        grow = _meets_array(q, n[live], x[live], probe) == d
-        live, d, probe = live[grow], d[grow], probe[grow]
-        step *= 2
-        lo[live] = np.where(d, probe - step, probe)
-        hi[live] = lo[live] + step
-        live = live[~d | (lo[live] >= 0)]
-    lo = np.maximum(lo, -1)
-    live = np.flatnonzero(hi - lo > 1)
-    while live.size:
-        mid = (lo[live] + hi[live]) // 2
-        meets = _meets_array(q, n[live], x[live], mid)
-        hi[live] = np.where(meets, mid, hi[live])
-        lo[live] = np.where(meets, lo[live], mid)
-        live = live[hi[live] - lo[live] > 1]
-    out.flat[idx] = np.minimum(hi.astype(float), n)
-    return out
+    shape, n, p = n.shape, n.ravel(), p.ravel()
+    out = np.zeros(n.size)
+    rest = (n > 0.0) & (n < math.inf)
+    idx = np.flatnonzero(rest & (n < EXACT_TRIALS))
+    m, pm = n[idx], p[idx]
+    x, z = 1.0 - pm, _normal_quantile(q)
+    start = m * pm + np.sqrt(m * pm * x) * z + (1.0 - 2.0 * pm) * (z * z - 1.0) / 6.0
+    k = np.minimum(np.maximum(np.ceil(start - 0.5), 0.0), np.ceil(m))
+    # k meets the predicate and k - 1 fails it (-1 is below the support),
+    # or k fails it and k + 1 meets it: the scalar search returns hi there
+    down = _meets_array(q, m, x, k)
+    hi = np.where(down, k, k + 1.0)
+    probe = np.where(down, k - 1.0, hi)
+    done = ((probe >= 0.0) & _meets_array(q, m, x, probe)) != down
+    out[idx[done]] = np.minimum(hi[done], m[done])
+    rest[idx[done]] = False
+    for i in np.flatnonzero(rest):
+        out[i] = binom_ppf(q, n[i], p[i])
+    return out.reshape(shape)

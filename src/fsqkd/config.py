@@ -167,12 +167,10 @@ class RunConfig:
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
             if text.lstrip().startswith("{"):
-                try:
+                try:  # text that opens with "{" parses to an object or fails
                     nested = json.loads(text)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"invalid JSON config: {exc}") from exc
-                if not isinstance(nested, dict):
-                    raise ConfigError("JSON config must be an object")
                 _flatten("", nested, raw)
             else:
                 for lineno, line in enumerate(text.splitlines(), start=1):

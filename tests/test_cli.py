@@ -115,6 +115,19 @@ class TestKeylength:
         assert isinstance(obj["ell"], int)
         assert json.loads(json.dumps(obj))["ell"] == obj["ell"]
 
+    def test_internal_error_exits_3(self, capsys, config_file, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(cli, "key_length_for_channel", broken)
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["keylength", "--config", config_file,
+                                          "--out", str(out_path)])
+        assert code == 3
+        assert err.startswith("fsqkd: internal error: kernel failed")
+        assert out == ""
+        assert not out_path.exists()
+
 
 class TestConfigErrors:
     def test_unknown_key_named(self, capsys, tmp_path):

@@ -125,6 +125,13 @@ class TestLoad:
         with pytest.raises(ConfigError):
             RunConfig.load(path, env={})
 
+    def test_json_int_rejects_fractions(self, tmp_path):
+        # a JSON number arrives as a float, not as text
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"optimize": {"restarts": 2.5}}))
+        with pytest.raises(ConfigError, match=r"'optimize\.restarts': 2\.5 \(not an integer\)"):
+            RunConfig.load(path, env={})
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("channel.p_ec = nan\n")

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import binom
 
+from fsqkd import ChannelConditions, ProtocolParams, SecurityParams, SweepSpec, _quantile, sweep
 from fsqkd._quantile import EXACT_TRIALS, binom_ppf, binom_ppf_array
 
 EPS_C = 1e-15
@@ -220,8 +221,9 @@ def array_sample(rng: random.Random, size: int) -> tuple[np.ndarray, np.ndarray]
 
 @pytest.mark.parametrize("q", [EPS_C, 1e-10, 1e-3])
 def test_array_twin_equals_scalar(q):
-    """binom_ppf_array runs the scalar search in lockstep: each of 35,000
-    elements per q equals binom_ppf's, 1e300 and 2^53 +- 2 included."""
+    """binom_ppf_array takes the scalar search's first two probes and runs
+    binom_ppf for the rest: each of 35,000 elements per q equals binom_ppf's,
+    1e300 and 2^53 +- 2 included."""
     n, p = array_sample(random.Random(f"binom_ppf_array {q}"), 35_000)
     got = binom_ppf_array(q, n, p)
     want = [binom_ppf(q, a, b) for a, b in zip(n.tolist(), p.tolist())]
@@ -236,3 +238,38 @@ def test_array_twin_broadcasts_and_keeps_shape():
     assert got.shape == (4, 2)
     assert got.tolist() == [[binom_ppf(EPS_C, a, b) for b in p.tolist()] for a in n.ravel().tolist()]
     assert binom_ppf_array(EPS_C, np.array([]), 0.9).shape == (0,)
+
+
+def test_array_twin_runs_the_scalar_search_only_where_two_probes_miss(monkeypatch):
+    """binom_ppf_array answers from the scalar search's start and its first
+    two probes where they bracket the crossing, and calls binom_ppf for
+    every other element and for every element of 2^53 trials or more."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return binom_ppf(*args)
+
+    monkeypatch.setattr(_quantile, "binom_ppf", counted)
+    # a fixed-parameter sweep of 8 x 4 x 4 x 4 points, the shape of the
+    # CLI's key-length surfaces: every start is within a step of its answer
+    rng = random.Random("surface")
+    axes = (sorted(rng.uniform(10.0, 40.0) for _ in range(8)),
+            sorted(rng.uniform(-7.0, -4.0) for _ in range(4)),
+            sorted(rng.uniform(0.005, 0.02) for _ in range(4)),
+            sorted(10.0 ** rng.uniform(1.0, 3.6) for _ in range(4)))
+    params = ProtocolParams(pax=0.7, pbx=0.7, mu=(0.55, 0.17, 1e-9), p_mu=(0.7, 0.2, 0.1))
+    base = ChannelConditions(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
+                             integration_time_s=60.0, p_ap=1e-3, f_s=1e8)
+    rows = sweep(SweepSpec(*axes, params=params), base, SecurityParams())
+    assert len(rows) == 512 and sum(row.result.ec_quantile > 0.0 for row in rows) > 400
+    assert calls == []
+    # at n = 50, p = 0.97 the start is 29, three steps below the answer
+    assert binom_ppf_array(EPS_C, np.array([50.0]), 0.97).tolist() == [32.0]
+    assert binom_ppf(EPS_C, 50.0, 0.97) == 32.0 and len(calls) >= 1
+    calls.clear()
+    n = np.array([EXACT_TRIALS, EXACT_TRIALS + 2.0, 1e300, 1e6])
+    p = np.array([0.98, 0.5 + 1e-3, 1.0 - 1e-6, 0.98])
+    got = binom_ppf_array(EPS_C, n, p)
+    assert got.tolist() == [binom_ppf(EPS_C, a, b) for a, b in zip(n.tolist(), p.tolist())]
+    assert [args[1] for args in calls] == n[:3].tolist()

@@ -74,6 +74,8 @@ class TestSweep:
         ("eta_loss_db", (-1.0, 30.0), r"eta_loss_db must be in \[0, inf\), got -1\.0"),
         ("qber_i", (0.01, 0.7), r"qber_i must be in \[0, 0\.5\), got 0\.7"),
         ("tau_s", (-5.0,), r"integration_time_s must be in \[0, inf\), got -5\.0"),
+        ("qber_i", (0.01, math.nan), r"^sweep axis qber_i has non-finite entries$"),
+        ("eta_loss_db", (30.0, 20.0), r"^sweep axis eta_loss_db must be non-decreasing$"),
     ])
     def test_axis_outside_channel_domain_rejected_at_construction(self, axis, values, message):
         axes = dict(eta_loss_db=(30.0,), log10_pec=(-6.0,), qber_i=(0.01,), tau_s=(60.0,))
@@ -173,6 +175,12 @@ class TestMaxLoss:
                                 eta_max_db=5.0, params=PARAMS)
         res = max_loss(query, SEC)
         assert res.max_eta_db == 5.0
+
+    @pytest.mark.parametrize("eta_max_db", [5.0, 4.0])
+    def test_bracket_without_width_rejected(self, eta_max_db):
+        with pytest.raises(ParameterError, match="^eta_max_db must exceed eta_min_db$"):
+            LossBudgetQuery(conditions=BASE, eta_min_db=5.0, eta_max_db=eta_max_db,
+                            params=PARAMS)
 
     @pytest.mark.parametrize("resolution", [1e-300, 0.6 * math.ulp(55.0)])
     def test_resolution_below_float_spacing_rejected(self, resolution):
