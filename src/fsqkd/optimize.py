@@ -17,7 +17,8 @@ deterministic Halton sequence.  The objective is the unfloored key
 expression.  Where the key expression is negative
 (``negative-key-expression``) it keeps the slope towards positive key;
 where a single-photon bound clamps to 0 (``no-single-photon-bound``) the
-single-photon terms drop out and the search can stall on a flat plateau.
+single-photon terms drop out and the search can stall on a flat plateau:
+the value stop ends a restart there early, but does not help it off.
 Reported key lengths are the floored values.
 """
 from __future__ import annotations
@@ -191,23 +192,31 @@ def _decoder(spec: OptimizationSpec):
     return decode
 
 
+# ``optimize``'s value stop: a restart ends once its vertex values agree to
+# within this many bits of the key expression
+_FATOL_BITS = 0.01
+
+
 class _CallLimit(Exception):
     """``maxfev`` calls made: the step in progress stops where it is."""
 
 
-def minimize(fun, x0: Sequence[float], xatol: float,
-             maxfev: int) -> tuple[list[float], float, int]:
+def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
+             fatol: float = -math.inf) -> tuple[list[float], float, int]:
     """Nelder-Mead minimum of ``fun`` from ``x0``: (best vertex, its value, calls).
 
     The method of Nelder & Mead, Comput. J. 7, 308 (1965), with the
     arithmetic and control flow of scipy's ``_minimize_neldermead``
     (coefficients 1, 2, 1/2, 1/2; a 5% initial step, 0.00025 on a zero
-    coordinate; the centroid summed vertex by vertex).  It stops when every
-    vertex is within ``xatol`` of the best in every coordinate, or after
-    ``maxfev`` calls of ``fun``, where the step in progress stops at the
-    call it could not make.  Equal values keep vertex order (a stable sort),
-    so the path depends on the arithmetic alone.  ``fun`` must not modify
-    the list it is given.
+    coordinate; the centroid summed vertex by vertex).  It stops when either
+    spread is small: every vertex within ``xatol`` of the best in every
+    coordinate (the vertex stop), or every value within ``fatol`` of the
+    least (the value stop, off by default).  scipy stops only when both are,
+    so this is scipy's path at ``fatol = inf``, or at ``xatol = inf`` when
+    ``xatol < 0``.  It also stops after ``maxfev`` calls of ``fun``, where
+    the step in progress stops at the call it could not make.  Equal values
+    keep vertex order (a stable sort), so the path depends on the arithmetic
+    alone.  ``fun`` must not modify the list it is given.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -235,7 +244,8 @@ def minimize(fun, x0: Sequence[float], xatol: float,
         sim = [sim[i] for i in order]
         fsim = [fsim[i] for i in order]
         best, worst = sim[0], sim[-1]
-        if nfev >= maxfev or all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)):
+        if (nfev >= maxfev or fsim[-1] - fsim[0] <= fatol
+                or all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
             return best, fsim[0], nfev
         xbar = best
         for v in sim[1:-1]:
@@ -299,7 +309,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     best_t = None
     for r, t0 in enumerate(_start_points(spec)):
         cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
-                                          spec.max_evals_per_restart)
+                                          spec.max_evals_per_restart, _FATOL_BITS)
         trace.append({"restart": r, "start": tuple(t0), "raw": -cand_fun, "nfev": nfev})
         better = cand_fun < best_fun
         if not better and cand_fun == best_fun and best_t is not None:

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsqkd import (ChannelConditions, OptimizationSpec, ParameterError,
-                   ProtocolParams, Regime, SecurityParams,
-                   key_length_for_channel, optimize)
+from fsqkd import (ChannelConditions, LossBudgetQuery, OptimizationSpec,
+                   ParameterError, ProtocolParams, Regime, SecurityParams,
+                   key_length_for_channel, max_loss, optimize, skr_vs_time)
+from fsqkd import scenarios
 
 fsqkd_optimize = sys.modules["fsqkd.optimize"]  # the package attribute is the function
 
@@ -163,10 +164,10 @@ def wavy(x):
     return sum(v * v + 0.5 * math.sin(7.0 * v + i) for i, v in enumerate(x))
 
 
-def scipy_nelder_mead(fun, x0, xatol, maxfev):
+def scipy_nelder_mead(fun, x0, xatol, maxfev, fatol=math.inf):
     from scipy.optimize import minimize as scipy_minimize
     res = scipy_minimize(fun, np.array(x0, dtype=float), method="Nelder-Mead",
-                         options={"xatol": xatol, "fatol": math.inf, "maxfev": maxfev})
+                         options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev})
     return [float(v) for v in res.x], float(res.fun), int(res.nfev)
 
 
@@ -218,4 +219,92 @@ class TestNelderMead:
             first = fsqkd_optimize.minimize(fun, x0, 1e-5, maxfev)
             assert first == scipy_nelder_mead(fun, x0, 1e-5, maxfev)
             assert fsqkd_optimize.minimize(fun, x0, 1e-5, maxfev) == first
+
+    @pytest.mark.parametrize("fun, x0, maxfevs", [
+        (rosenbrock, [-1.2, 1.0, 0.5], [*range(1, 60), 300, 2000]),
+        (shifted_quadratic, [0.0, 1.0, -2.0, 0.7], [*range(1, 30), 2000]),
+        (wavy, [1.0, -0.5, 2.0, 0.3, 0.0], [*range(70, 80), 2000]),  # cut inside the shrink
+    ], ids=["rosenbrock-3d", "shifted-quadratic-4d", "wavy-5d"])
+    @pytest.mark.parametrize("fatol", [1e-6, 1e-3])
+    def test_value_stop_is_scipys_fatol(self, fun, x0, maxfevs, fatol):
+        # with the vertex test made impossible, the value stop alone is
+        # scipy's with xatol = inf: after the sort, scipy's
+        # max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]
+        for maxfev in maxfevs:
+            x, f, nfev = fsqkd_optimize.minimize(fun, x0, -1.0, maxfev, fatol)
+            assert (x, f, nfev) == scipy_nelder_mead(fun, x0, math.inf, maxfev, fatol), maxfev
+        assert nfev < maxfevs[-1]  # the value stop ended the last run
+
+    @pytest.mark.parametrize("fatol", [0.0, 1e-2])
+    def test_value_stop_ends_a_constant_objective_at_once(self, fatol):
+        # the start simplex's values already agree: n + 1 calls
+        x0 = [0.4, -1.0, 2.0]
+        assert fsqkd_optimize.minimize(lambda x: -3.0, x0, 1e-6, 10**6, fatol) == (x0, -3.0, 4)
+
+
+@pytest.fixture
+def scenario_evaluations(monkeypatch):
+    """The ``evaluations`` of each ``optimize`` that ``fsqkd.scenarios`` calls."""
+    evaluations = []
+
+    def counted(*args):
+        res = optimize(*args)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(scenarios, "optimize", counted)
+    return evaluations
+
+
+def _with_and_without_value_stop(monkeypatch, run):
+    """``run()`` with ``optimize``'s value stop, then with it off."""
+    on = run()
+    with monkeypatch.context() as m:
+        m.setattr(fsqkd_optimize, "_FATOL_BITS", -math.inf)
+        off = run()
+    return on, off
+
+
+class TestValueStop:
+    # the stop ends a restart early on the same path, so it can report less
+    # key but never more, and never spends more evaluations
+    @pytest.mark.parametrize("spec, eta_loss_db", [
+        (OptimizationSpec(), 25.0),
+        (OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.6), 25.0),
+        (OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.6, mu=(0.5, 0.15, 1e-9)), 25.0),
+        (OptimizationSpec(), 29.0),  # within 1.5 dB of the key cliff, at 30.0-30.5 dB
+        (OptimizationSpec(), 34.0),  # zero key: every restart ends on the plateau
+    ], ids=["full", "fixed-pbx", "fixed-pbx-and-mu", "full-near-cliff", "full-plateau"])
+    def test_keeps_the_answer(self, spec, eta_loss_db, monkeypatch):
+        channel = replace(CHANNEL, eta_loss_db=eta_loss_db)
+        on, off = _with_and_without_value_stop(monkeypatch,
+                                               lambda: optimize(spec, channel, SEC))
+        assert on.best_ell == off.best_ell
+        assert on.best_raw <= off.best_raw
+        assert on.evaluations <= off.evaluations
+        if eta_loss_db == 34.0:
+            assert on.best_ell == 0 and on.evaluations < off.evaluations / 2
+
+    def test_keeps_an_optimized_skr_vs_time(self, monkeypatch, scenario_evaluations):
+        spec = OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.6)
+        on, off = _with_and_without_value_stop(
+            monkeypatch, lambda: skr_vs_time((30.0, 300.0, 1800.0), CHANNEL, SEC, opt_spec=spec))
+        assert on == off
+        on_evals, off_evals = scenario_evaluations[:3], scenario_evaluations[3:]
+        assert all(e_on <= e_off for e_on, e_off in zip(on_evals, off_evals))
+
+    def test_evaluations_of_one_optimize(self):
+        res = optimize(OptimizationSpec(), CHANNEL, SEC)
+        # 2,319 evaluations with the value stop off, for the same key
+        assert (res.best_ell, res.evaluations) == (1_793_705, 1209)
+
+    def test_evaluations_of_one_optimized_budget(self, scenario_evaluations):
+        # the budget query of qkdbench's seed-0 design_opt round, whose answer
+        # qkdbench/answers.json pins; 15,996 evaluations with the value stop off
+        channel = ChannelConditions(eta_loss_db=0.0, p_ec=1.5788401242847264e-06,
+                                    qber_i=0.01820242914753634, integration_time_s=60.0)
+        query = LossBudgetQuery(conditions=channel, eta_min_db=10.0, eta_max_db=50.0,
+                                resolution_db=0.5, opt_spec=OptimizationSpec())
+        assert max_loss(query, SEC).max_eta_db == 30.3125
+        assert (len(scenario_evaluations), sum(scenario_evaluations)) == (9, 7708)
 
