@@ -279,21 +279,40 @@ def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
             pass
 
 
+class _Met(Exception):
+    """An evaluation met ``optimize``'s ``stop_at``: (its point, its key expression)."""
+
+
 def optimize(spec: OptimizationSpec, channel: ChannelConditions,
-             sec: SecurityParams) -> OptimizationResult:
+             sec: SecurityParams, *, stop_at: int | None = None) -> OptimizationResult:
     """Maximize the secure key length over the regime's free parameters.
 
     Deterministic for a fixed ``spec.seed``.  If every evaluated point
     yields zero key, the result carries ``best_ell = 0`` at the least
     infeasible point found (largest key expression).
+
+    With ``stop_at``, the search ends at the first evaluated point whose
+    floored key is at least ``stop_at`` and returns that point, not the
+    optimum.  ``evaluations`` then counts the evaluations up to it, and
+    ``restart_trace`` ends with the restart it interrupted, whose ``nfev``
+    counts that restart's calls up to it.  The restarts are independent
+    and a restart returns no worse than any point it evaluated, so the
+    stopped search meets ``stop_at`` whenever the full one does.  It can
+    also meet it where the full one does not, at a real point of that key:
+    when the full search's best key expression comes with a reason other
+    than ``ok`` and no key, or when a restart's call limit cut a step just
+    after an improving call.  A ``stop_at`` that no evaluated point
+    reaches changes nothing.
     """
     p_d = channel.transmittance
     n_pulses = channel.n_pulses
-    n_evals = 0
+    n_evals = n_calls = 0
+    stop = math.inf if stop_at is None else stop_at
     decode = _decoder(spec)
 
     def neg_raw(t: list[float]) -> float:
-        nonlocal n_evals
+        nonlocal n_evals, n_calls
+        n_calls += 1
         dec = decode(t)
         if dec is None:
             return 1e30
@@ -302,15 +321,24 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         out = _evaluate_flat(pax, pbx, mu1, mu2, mu3, p1, p2, p3,
                              p_d, channel.p_ec, channel.qber_i, channel.p_ap,
                              n_pulses, sec)
+        if out[0] >= stop:
+            raise _Met(t, -out[1])
         return -out[1]
 
     trace = []
     best_fun = math.inf
     best_t = None
     for r, t0 in enumerate(_start_points(spec)):
-        cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
-                                          spec.max_evals_per_restart, _FATOL_BITS)
+        calls_before, met = n_calls, False
+        try:
+            cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
+                                              spec.max_evals_per_restart, _FATOL_BITS)
+        except _Met as witness:
+            (cand_t, cand_fun), nfev, met = witness.args, n_calls - calls_before, True
         trace.append({"restart": r, "start": tuple(t0), "raw": -cand_fun, "nfev": nfev})
+        if met:
+            best_t = cand_t
+            break
         better = cand_fun < best_fun
         if not better and cand_fun == best_fun and best_t is not None:
             better = cand_t < best_t  # deterministic tie-break

@@ -112,6 +112,14 @@ class LossBudgetQuery:
 
 @dataclass(frozen=True)
 class LossBudgetResult:
+    """The budget and every probe, as (loss in dB, key length) in probe order.
+
+    With fixed parameters a probe's key length is the key at that loss.
+    In an optimized budget, a probe that meets the target records the
+    first key of at least the target that its search finds, not the
+    optimum there; a probe that misses records the optimum found.
+    """
+
     max_eta_db: float | None
     target_bits: int
     probes: tuple[tuple[float, int], ...]
@@ -191,14 +199,19 @@ def max_loss(query: LossBudgetQuery, sec: SecurityParams) -> LossBudgetResult:
 
     The achieved-key predicate is checked at both bracket ends first.  The
     answer is the largest probed loss that met the target; no loss is
-    probed twice.
+    probed twice.  With an ``opt_spec`` each probe runs ``optimize`` with
+    ``stop_at`` set to the target, which ends the search at the first point
+    that meets it.  A probe then meets the target whenever the full search
+    would, and also in the two cases ``optimize`` names, where the point it
+    stops at has that key.
     """
     target = max(query.target_bits, 1)
     probes: list[tuple[float, int]] = []
 
     def ell_at(eta: float) -> int:
         cond = replace(query.conditions, eta_loss_db=eta)
-        ell = (optimize(query.opt_spec, cond, sec).best_ell if query.params is None
+        ell = (optimize(query.opt_spec, cond, sec, stop_at=target).best_ell
+               if query.params is None
                else key_length_for_channel(query.params, cond, sec).ell)
         probes.append((eta, ell))
         return ell

@@ -143,11 +143,18 @@ class TestOptimize:
         replace(res.best_params)  # re-runs ProtocolParams validation
 
     def test_trace_and_evaluations_recorded(self):
+        # nfev counts every call; evaluations leaves out the calls at
+        # infeasible intensity pairs
         spec = OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5,
                                 mu=(0.5, 0.1, 0.0), restarts=3, seed=5)
         res = optimize(spec, CHANNEL, SEC)
         assert len(res.restart_trace) == 3
-        assert res.evaluations >= sum(t["nfev"] for t in res.restart_trace)
+        assert res.evaluations <= sum(t["nfev"] for t in res.restart_trace)
+
+    def test_evaluations_leave_out_infeasible_pairs(self):
+        res = optimize(OptimizationSpec(), CHANNEL, SEC)
+        assert len(res.restart_trace) == 8
+        assert (res.evaluations, sum(t["nfev"] for t in res.restart_trace)) == (1209, 1245)
 
 
 def rosenbrock(x):
@@ -247,8 +254,8 @@ def scenario_evaluations(monkeypatch):
     """The ``evaluations`` of each ``optimize`` that ``fsqkd.scenarios`` calls."""
     evaluations = []
 
-    def counted(*args):
-        res = optimize(*args)
+    def counted(*args, **kwargs):
+        res = optimize(*args, **kwargs)
         evaluations.append(res.evaluations)
         return res
 
@@ -300,11 +307,68 @@ class TestValueStop:
 
     def test_evaluations_of_one_optimized_budget(self, scenario_evaluations):
         # the budget query of qkdbench's seed-0 design_opt round, whose answer
-        # qkdbench/answers.json pins; 15,996 evaluations with the value stop off
+        # qkdbench/answers.json pins; 15,996 evaluations with the value stop
+        # off, and 7,708 with it on when each probe ran the full search
         channel = ChannelConditions(eta_loss_db=0.0, p_ec=1.5788401242847264e-06,
                                     qber_i=0.01820242914753634, integration_time_s=60.0)
         query = LossBudgetQuery(conditions=channel, eta_min_db=10.0, eta_max_db=50.0,
                                 resolution_db=0.5, opt_spec=OptimizationSpec())
         assert max_loss(query, SEC).max_eta_db == 30.3125
-        assert (len(scenario_evaluations), sum(scenario_evaluations)) == (9, 7708)
+        assert (len(scenario_evaluations), sum(scenario_evaluations)) == (9, 2979)
 
+
+STOP_SPECS = [
+    OptimizationSpec(),
+    OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.6),
+    OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.6, mu=(0.5, 0.15, 1e-9)),
+]
+STOP_IDS = ["full", "fixed-pbx", "fixed-pbx-and-mu"]
+
+
+class TestStopAt:
+    @pytest.mark.parametrize("spec", STOP_SPECS, ids=STOP_IDS)
+    def test_unreachable_target_changes_nothing(self, spec):
+        assert optimize(spec, CHANNEL, SEC, stop_at=10**15) == optimize(spec, CHANNEL, SEC)
+
+    @pytest.mark.parametrize("spec", STOP_SPECS, ids=STOP_IDS)
+    @pytest.mark.parametrize("share", [1e-6, 0.5, 0.99])
+    def test_reachable_target_stops_at_a_point_that_meets_it(self, spec, share):
+        full = optimize(spec, CHANNEL, SEC)
+        stop_at = max(1, int(share * full.best_ell))
+        res = optimize(spec, CHANNEL, SEC, stop_at=stop_at)
+        assert res.best_ell >= stop_at
+        assert res.result == key_length_for_channel(res.best_params, CHANNEL, SEC)
+        assert res.evaluations < full.evaluations
+        assert len(res.restart_trace) <= len(full.restart_trace)
+        # the restarts before the interrupted one ran as in the full search
+        assert res.restart_trace[:-1] == full.restart_trace[:len(res.restart_trace) - 1]
+        assert res.restart_trace[-1]["raw"] == res.best_raw
+
+    def test_counts_stop_at_the_witness(self, monkeypatch):
+        # evaluations counts the objective's evaluations up to the witness, and
+        # the interrupted restart's nfev its calls (infeasible ones too) up to it
+        evaluated, calls = [], []
+        evaluate, minimize = fsqkd_optimize._evaluate_flat, fsqkd_optimize.minimize
+
+        def counted_evaluate(*args):
+            evaluated.append(1)
+            return evaluate(*args)
+
+        def counted_minimize(fun, *args):
+            calls.append(0)
+
+            def counted_fun(x):
+                calls[-1] += 1
+                return fun(x)
+            return minimize(counted_fun, *args)
+
+        monkeypatch.setattr(fsqkd_optimize, "_evaluate_flat", counted_evaluate)
+        monkeypatch.setattr(fsqkd_optimize, "minimize", counted_minimize)
+        channel = replace(CHANNEL, eta_loss_db=29.0)
+        res = optimize(OptimizationSpec(), channel, SEC, stop_at=10**5)
+        assert len(res.restart_trace) > 1
+        assert res.evaluations == len(evaluated)
+        assert [t["nfev"] for t in res.restart_trace] == calls
+        full = optimize(OptimizationSpec(), channel, SEC)
+        last = len(res.restart_trace) - 1
+        assert res.restart_trace[last]["nfev"] < full.restart_trace[last]["nfev"]

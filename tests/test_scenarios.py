@@ -12,6 +12,7 @@ from fsqkd import (ChannelConditions, LossBudgetQuery, OptimizationSpec,
                    ParameterError, ProtocolParams, Regime, SecurityParams,
                    key_length_for_channel, max_loss, sifting_equivalence,
                    skr_vs_time, sweep)
+from fsqkd import scenarios
 from fsqkd.scenarios import SweepSpec
 
 PARAMS = ProtocolParams(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0),
@@ -229,6 +230,42 @@ class TestOptimizedBudgetUnderReports:
         query = LossBudgetQuery(conditions=self.CONDITIONS, eta_min_db=10.0, eta_max_db=50.0,
                                 resolution_db=0.5, opt_spec=OptimizationSpec())
         assert max_loss(query, SEC).max_eta_db >= 44.0625
+
+
+class TestOptimizedBudgetStopsAtTheTarget:
+    """Each probe of an optimized budget stops its search at the first point
+    that meets the target; it must meet the target exactly when the full
+    search does, so the budget is the one the full searches give (the
+    pinned budgets are those of full searches at every probe)."""
+
+    @pytest.mark.parametrize("opt_spec, target_bits, eta_min_db, tau_s, expected", [
+        (OptimizationSpec(), 0, 10.0, 60.0, 30.0),
+        (OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.6), 1, 10.0, 1800.0, 42.5),
+        (OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.6, mu=(0.5, 0.15, 1e-9)),
+         38_400, 10.0, 60.0, 35.0),
+        (OptimizationSpec(seed=3), 38_400, 10.0, 1800.0, 42.5),
+        (OptimizationSpec(regime=Regime.FIXED_PBX, pbx=0.8, seed=5), 1, 10.0, 60.0, 37.5),
+        (OptimizationSpec(), 1, 36.0, 60.0, None),  # no key at the lower bracket end
+    ], ids=["full-0", "fixed-pbx-1", "fixed-pbx-and-mu-38400", "full-38400",
+            "fixed-pbx-seed-5", "no-key-at-lower-end"])
+    def test_every_probe_meets_the_target_as_the_full_search_does(
+            self, monkeypatch, opt_spec, target_bits, eta_min_db, tau_s, expected):
+        outcomes = []
+        optimize = scenarios.optimize
+
+        def both(spec, cond, sec, *, stop_at):
+            res = optimize(spec, cond, sec, stop_at=stop_at)
+            full = optimize(spec, cond, sec)
+            outcomes.append((res.best_ell >= stop_at, full.best_ell >= stop_at))
+            return res
+
+        monkeypatch.setattr(scenarios, "optimize", both)
+        cond = replace(BASE, integration_time_s=tau_s)
+        query = LossBudgetQuery(conditions=cond, target_bits=target_bits, eta_min_db=eta_min_db,
+                                eta_max_db=50.0, resolution_db=2.0, opt_spec=opt_spec)
+        res = max_loss(query, SEC)
+        assert [stopped for stopped, _ in outcomes] == [full for _, full in outcomes]
+        assert res.max_eta_db == expected
 
 
 class TestSkrVsTime:
