@@ -80,6 +80,11 @@ SCHEMA: dict[str, tuple[str, str | None]] = {
     "worstcase.grid_points": (INT, "grid_points_per_dim"),
 }
 
+# the keys of a complete protocol section; protocol.mu3 and protocol.p_mu3
+# have defaults
+_PROTOCOL_KEYS = ("protocol.pax", "protocol.pbx", "protocol.mu1", "protocol.mu2",
+                  "protocol.p_mu1", "protocol.p_mu2")
+
 # section -> field -> key, for every key that fills a field
 _FIELDS = {section: {field: key for key, (_, field) in SCHEMA.items()
                      if field is not None and key.startswith(section + ".")}
@@ -226,21 +231,17 @@ class RunConfig:
         return SecurityParams(**self._given(SecurityParams, "security", "ec"))
 
     def protocol(self) -> ProtocolParams:
-        p1 = self.require("protocol.p_mu1")
-        p2 = self.require("protocol.p_mu2")
-        return ProtocolParams(
-            pax=self.require("protocol.pax"),
-            pbx=self.require("protocol.pbx"),
-            mu=(self.require("protocol.mu1"), self.require("protocol.mu2"),
-                self.get("protocol.mu3", 0.0)),
-            p_mu=(p1, p2, self.get("protocol.p_mu3", 1.0 - p1 - p2)),
-        )
+        pax, pbx, mu1, mu2, p1, p2 = map(self.require, _PROTOCOL_KEYS)
+        return ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, self.get("protocol.mu3", 0.0)),
+                              p_mu=(p1, p2, self.get("protocol.p_mu3", 1.0 - p1 - p2)))
 
     def opt_spec(self) -> OptimizationSpec:
         spec = self._given(OptimizationSpec, "optimize")
+        pair = ("optimize.mu1", "optimize.mu2")  # the fixed intensity triple's first two
         if spec.get("regime") == Regime.FIXED_PBX_AND_MU:
-            spec["mu"] = (self.require("optimize.mu1"), self.require("optimize.mu2"),
-                          self.get("optimize.mu3", OptimizationSpec.mu3))
+            spec["mu"] = (*map(self.require, pair), self.get("optimize.mu3", OptimizationSpec.mu3))
+        elif any(map(self.has, pair)):
+            raise ConfigError(f"{' and '.join(pair)} are read only by regime fixed_pbx_and_mu")
         return OptimizationSpec(**spec)
 
     def _fixed_or_optimize(self) -> tuple[ProtocolParams | None, OptimizationSpec | None]:
@@ -250,9 +251,7 @@ class RunConfig:
         ``optimize.regime`` re-optimizes at every point.  Giving both is an
         error; giving neither is left to the spec's own validation.
         """
-        fixed = all(self.has(k) for k in
-                    ("protocol.pax", "protocol.pbx", "protocol.mu1",
-                     "protocol.mu2", "protocol.p_mu1", "protocol.p_mu2"))
+        fixed = all(map(self.has, _PROTOCOL_KEYS))
         use_opt = self.has("optimize.regime")
         if use_opt and fixed:
             raise ConfigError("give either a protocol section or an optimize.regime, not both")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .channel import (DOMAIN, ChannelConditions, ParameterError, ProtocolParams,
-                      check_integer, check_intensities, check_range)
+from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
+                      check_intensities, check_range)
 from .finitekey import KeyLengthResult, SecurityParams, _evaluate_flat, key_length_for_channel
 
 
@@ -39,16 +39,24 @@ class Regime(str, Enum):
     FIXED_PBX_AND_MU = "fixed_pbx_and_mu"
 
 
+# the search box: each searched probability lies in PROB_BOUNDS and each
+# searched intensity in INTENSITY_BOUNDS, before the ordering constraints
+PROB_BOUNDS = (0.001, 0.999)
+INTENSITY_BOUNDS = (1e-4, 1.0)
+
+
 @dataclass(frozen=True)
 class OptimizationSpec:
     """Search configuration for one optimization run.
 
-    Bounds keep probabilities inside ``prob_bounds`` and searched
-    intensities inside ``intensity_bounds``; the intensity ordering
-    constraints are built into the coordinate transform.  ``mu3`` stays
-    fixed at its configured floor during the search, and must leave some
-    start point a feasible intensity pair.  A ``pbx`` or ``mu`` that is
-    given is checked in every regime.
+    The search keeps probabilities inside ``PROB_BOUNDS`` and searched
+    intensities inside ``INTENSITY_BOUNDS``; the intensity ordering
+    constraints are built into the coordinate transform.  ``pbx`` is given
+    exactly when the regime fixes it (``fixed_pbx`` and
+    ``fixed_pbx_and_mu``), and the intensity triple ``mu`` exactly when it
+    is ``fixed_pbx_and_mu``.  ``mu3`` stays fixed at its configured floor
+    during the search, and must leave some start point a feasible
+    intensity pair.
     """
 
     regime: Regime = Regime.FULL
@@ -59,8 +67,6 @@ class OptimizationSpec:
     seed: int = 0
     tolerance: float = 1e-5
     max_evals_per_restart: int = 2000
-    prob_bounds: tuple[float, float] = (0.001, 0.999)
-    intensity_bounds: tuple[float, float] = (1e-4, 1.0)
 
     def __post_init__(self) -> None:
         try:
@@ -69,47 +75,29 @@ class OptimizationSpec:
             raise ParameterError(f"regime must be one of {', '.join(Regime)}, "
                                  f"got {self.regime!r}") from None
         object.__setattr__(self, "regime", regime)
+        for value, reads, what in ((self.pbx, regime is not Regime.FULL, "pbx"),
+                                   (self.mu, regime is Regime.FIXED_PBX_AND_MU,
+                                    "a fixed intensity triple")):
+            if (value is None) == reads:
+                raise ParameterError(f"regime {regime.value} "
+                                     f"{'requires' if reads else 'does not read'} {what}")
         if self.pbx is not None:
             check_range("pbx", self.pbx, "basis probability")
-        elif regime is not Regime.FULL:
-            raise ParameterError(f"regime {regime.value} requires pbx")
         if self.mu is not None:
             check_intensities(self.mu)
-        elif regime is Regime.FIXED_PBX_AND_MU:
-            raise ParameterError("regime fixed_pbx_and_mu requires a fixed intensity triple")
         check_range("mu3", self.mu3, "intensity")
         check_integer("restarts", self.restarts, "positive integer")
         check_integer("seed", self.seed, "integer")
         check_integer("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
         check_range("tolerance", self.tolerance, "positive")
-        plo, phi = self.prob_bounds
-        mlo, mhi = self.intensity_bounds
-        # the decoder's p3 = 1 - p1 - p2 can fall a few float spacings of 1
-        # below plo, so plo stays above them and keeps every p in its domain
-        p_min = max(1e-15, DOMAIN["intensity probability"][1])
-        try:
-            # the stick-breaking transform needs plo < 1 - 2 plo
-            prob_ok = p_min <= plo < phi < 1.0 and plo < 1.0 / 3.0
-        except TypeError:  # not numbers
-            prob_ok = False
-        if not prob_ok:
-            raise ParameterError(f"prob_bounds must satisfy {p_min:g} <= lo < hi < 1 and "
-                                 f"lo < 1/3, got {self.prob_bounds}")
-        try:
-            mu_ok = 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
-        except TypeError:
-            mu_ok = False
-        if not mu_ok:
-            raise ParameterError(
-                f"intensity_bounds must satisfy 0 < lo < hi <= {DOMAIN['intensity'][2]:g}, "
-                f"got {self.intensity_bounds}")
         # mu1 must exceed mu3 + max(mu3, lo); a mu3 that leaves no such mu1
         # at any start point would leave the search nothing to decode
         if not any(map(_decoder(self), _start_points(self))):
+            lo, hi = INTENSITY_BOUNDS
             raise ParameterError(
                 f"mu3 = {self.mu3} leaves no feasible start point: mu1 must exceed "
-                f"mu3 + max(mu3, lo) = {self.mu3 + max(self.mu3, mlo):g} "
-                f"within intensity_bounds {self.intensity_bounds}")
+                f"mu3 + max(mu3, lo) = {self.mu3 + max(self.mu3, lo):g} "
+                f"within the searched intensities ({lo:g}, {hi:g})")
 
     @property
     def ndim(self) -> int:
@@ -166,8 +154,8 @@ def _start_points(spec: OptimizationSpec) -> Iterator[list[float]]:
 def _decoder(spec: OptimizationSpec):
     """Transformed coordinates -> (pax, pbx, mu1, mu2, mu3, p1, p2, p3), or
     None for an infeasible intensity pair; the regime is read once."""
-    plo, phi = spec.prob_bounds
-    mlo, mhi = spec.intensity_bounds
+    plo, phi = PROB_BOUNDS
+    mlo, mhi = INTENSITY_BOUNDS
     pbx_free = spec.regime is Regime.FULL
     mu_fixed = spec.regime is Regime.FIXED_PBX_AND_MU
 
@@ -326,8 +314,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         return -out[1]
 
     trace = []
-    best_fun = math.inf
-    best_t = None
+    best = (math.inf, [])
     for r, t0 in enumerate(_start_points(spec)):
         calls_before, met = n_calls, False
         try:
@@ -336,17 +323,13 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         except _Met as witness:
             (cand_t, cand_fun), nfev, met = witness.args, n_calls - calls_before, True
         trace.append({"restart": r, "start": tuple(t0), "raw": -cand_fun, "nfev": nfev})
+        # the least value wins, and the least point among equal values
+        if met or (cand_fun, cand_t) < best:
+            best = (cand_fun, cand_t)
         if met:
-            best_t = cand_t
             break
-        better = cand_fun < best_fun
-        if not better and cand_fun == best_fun and best_t is not None:
-            better = cand_t < best_t  # deterministic tie-break
-        if better:
-            best_fun = cand_fun
-            best_t = cand_t
 
-    pax, pbx, mu1, mu2, mu3, p1, p2, p3 = decode(best_t)
+    pax, pbx, mu1, mu2, mu3, p1, p2, p3 = decode(best[1])
     best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3),
                                  p_mu=(p1, p2, p3))
     # authoritative evaluation through the standard path

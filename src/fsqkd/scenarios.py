@@ -28,6 +28,25 @@ def _check_one_policy(params: ProtocolParams | None,
         raise ParameterError("exactly one of params / opt_spec must be set")
 
 
+def _check_axis(values: Sequence[float], field: str | None, domain: str | None = None,
+                sweep_axis: str | None = None) -> tuple[float, ...]:
+    """``values`` as floats, non-decreasing and each in the domain of the
+    channel field ``field`` (none for ``log10_pec``).  A sweep axis, named
+    by ``sweep_axis``, must also be non-empty and finite; ``skr_vs_time``'s
+    times may be empty, and their domain rejects a non-finite one."""
+    vals = tuple(float(v) for v in values)
+    label = "times" if sweep_axis is None else f"sweep axis {sweep_axis}"
+    if sweep_axis is not None and not vals:
+        raise ParameterError(f"{label} is empty")
+    if sweep_axis is not None and not all(map(math.isfinite, vals)):
+        raise ParameterError(f"{label} has non-finite entries")
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        raise ParameterError(f"{label} must be non-decreasing")
+    for v in vals if field else ():
+        check_range(field, v, domain)
+    return vals
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Axis grid plus the parameter policy for each grid point.
@@ -45,27 +64,17 @@ class SweepSpec:
     opt_spec: OptimizationSpec | None = None
 
     def __post_init__(self) -> None:
-        for name in ("eta_loss_db", "log10_pec", "qber_i", "tau_s"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) == 0:
-                raise ParameterError(f"sweep axis {name} is empty")
-            if any(not math.isfinite(v) for v in vals):
-                raise ParameterError(f"sweep axis {name} has non-finite entries")
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise ParameterError(f"sweep axis {name} must be non-decreasing")
-            object.__setattr__(self, name, vals)
+        # each point's channel values, under the names ChannelConditions uses
+        for name, field, domain in (("eta_loss_db", "eta_loss_db", None),
+                                    ("log10_pec", None, None), ("qber_i", "qber_i", None),
+                                    ("tau_s", "integration_time_s", "non-negative")):
+            object.__setattr__(self, name, _check_axis(getattr(self, name), field, domain, name))
         for lp in self.log10_pec:
             # p_ec is below 1: bound lp first, since 10**lp overflows above ~308
             if lp > 0.0:
                 raise ParameterError(f"sweep axis log10_pec gives p_ec = 10**{lp}, above 1")
             check_range("p_ec", 10.0 ** lp)
         _check_one_policy(self.params, self.opt_spec)
-        # each point's channel values, under the names ChannelConditions uses
-        for name, axis, domain in (("eta_loss_db", self.eta_loss_db, None),
-                                   ("qber_i", self.qber_i, None),
-                                   ("integration_time_s", self.tau_s, "non-negative")):
-            for v in axis:
-                check_range(name, v, domain)
 
 
 @dataclass(frozen=True)
@@ -243,12 +252,8 @@ def skr_vs_time(times_s: Sequence[float], base: ChannelConditions,
 
     Returns (tau_s, skr_bits_per_minute, ell) tuples in input order.
     """
-    times = [float(t) for t in times_s]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ParameterError("times must be sorted ascending")
+    times = _check_axis(times_s, "integration_time_s", "non-negative")
     _check_one_policy(params, opt_spec)
-    for tau in times:
-        check_range("integration_time_s", tau, "non-negative")
     axes = ((base.eta_loss_db,), (base.p_ec,), (base.qber_i,), times)
     ells = _grid_table(axes, base, sec, params, opt_spec)[1]["ell"]
     return [(tau, ell * 60.0 / tau if tau > 0.0 else 0.0, ell) for tau, ell in zip(times, ells)]

@@ -1,6 +1,7 @@
 """The public API: ``fsqkd.__all__`` is pinned, every name resolves, the
 README lists it, and the chain modules define no public callable outside
 it (the estimation chain's steps live in ``fsqkd._kernels``)."""
+import dataclasses
 import importlib
 import inspect
 import os
@@ -30,8 +31,17 @@ PUBLIC = [
 MODULE_ONLY = {"fsqkd.optimize": {"minimize"}}
 
 
+# the settings of a search; a new one is an edit here
+SPEC_FIELDS = ["regime", "pbx", "mu", "mu3", "restarts", "seed", "tolerance",
+               "max_evals_per_restart"]
+
+
 def test_all_is_pinned():
     assert fsqkd.__all__ == PUBLIC
+
+
+def test_optimization_spec_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(fsqkd.OptimizationSpec)] == SPEC_FIELDS
 
 
 @pytest.mark.parametrize("name", PUBLIC)

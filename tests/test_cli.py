@@ -529,6 +529,25 @@ class TestSiftEquivCommand:
 
 
 class TestOptimizeCommand:
+    @pytest.mark.parametrize("command, lines, message", [
+        ("optimize", ["optimize.pbx = 0.9"], "regime full does not read pbx"),
+        ("budget", ["optimize.regime = full", "optimize.pbx = 0.9"],
+         "regime full does not read pbx"),
+        ("optimize", ["optimize.regime = fixed_pbx", "optimize.pbx = 0.9", "optimize.mu1 = 0.5"],
+         "optimize.mu1 and optimize.mu2 are read only by regime fixed_pbx_and_mu"),
+        ("optimize", ["optimize.mu2 = 0.1"],
+         "optimize.mu1 and optimize.mu2 are read only by regime fixed_pbx_and_mu"),
+    ], ids=["pbx-default-regime", "pbx-full-budget", "mu1-fixed_pbx", "mu2-default-regime"])
+    def test_setting_the_regime_does_not_read_exits_2(self, capsys, tmp_path, command, lines,
+                                                      message):
+        # full ties pbx to pax, and only fixed_pbx_and_mu reads an intensity
+        # pair: such a setting was ignored, and the search ran without it
+        path = tmp_path / "opt.cfg"
+        path.write_text(BASE_CONFIG.split("protocol.pax")[0] + "\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"fsqkd: configuration error: {message}\n"
+
     def test_fixed_mu_regime(self, capsys, tmp_path):
         path = tmp_path / "opt.cfg"
         path.write_text(

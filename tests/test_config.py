@@ -235,17 +235,20 @@ SECTIONS = {
     "worstcase": ("uncertainty_model", IntensityUncertaintyModel),
 }
 
-# a config every builder accepts: each required key, a complete protocol
-# section (the sweep and budget policy, and the worst case's nominal
-# point), and the pbx that a non-full regime needs
+# a config every builder accepts: each required key, and a complete protocol
+# section (the sweep and budget policy, and the worst case's nominal point)
 EVERY_BUILDER = {
     "channel.eta_loss_db": 30.0, "channel.p_ec": 1e-6, "channel.qber_i": 0.01,
     "channel.integration_time_s": 60.0,
     "protocol.pax": 0.7, "protocol.pbx": 0.5, "protocol.mu1": 0.5, "protocol.mu2": 0.1,
-    "protocol.p_mu1": 0.8, "protocol.p_mu2": 0.13, "optimize.pbx": 0.5,
+    "protocol.p_mu1": 0.8, "protocol.p_mu2": 0.13,
     "sweep.eta_loss_db": [30.0], "sweep.log10_pec": [-6.0], "sweep.qber_i": [0.01],
     "sweep.tau_s": [60.0], "worstcase.f": 0.05,
 }
+
+# the optimize section is built under fixed_pbx, a regime that reads pbx; the
+# sweep and budget builders reject a regime next to a protocol section
+OPTIMIZE_BASE = {"optimize.regime": "fixed_pbx", "optimize.pbx": 0.5}
 
 # a valid value other than its field's default, for every key that fills a field
 NON_DEFAULT = {
@@ -287,8 +290,10 @@ class TestKeyTable:
     def test_key_lands_in_its_field(self, tmp_path, key):
         value = NON_DEFAULT[key]
         assert value != _field(key).default
-        builder, cls = SECTIONS[key.split(".")[0]]
-        built = getattr(_load(tmp_path, {**EVERY_BUILDER, key: value}), builder)()
+        section = key.split(".")[0]
+        builder, cls = SECTIONS[section]
+        base = {**EVERY_BUILDER, **(OPTIMIZE_BASE if section == "optimize" else {})}
+        built = getattr(_load(tmp_path, {**base, key: value}), builder)()
         assert isinstance(built, cls)
         assert getattr(built, SCHEMA[key][1]) == value
 

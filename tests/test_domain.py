@@ -20,13 +20,13 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
-from fsqkd.optimize import _decoder
+from fsqkd.optimize import PROB_BOUNDS, _decoder
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
                   integration_time_s=60.0, p_ap=1e-3, f_s=1e8)
 PROTOCOL_KW = dict(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0), p_mu=(0.8, 0.13, 0.07))
 SPEC_KW = dict(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=(0.5, 0.1, 0.0), mu3=1e-9,
-               tolerance=1e-5, prob_bounds=(0.001, 0.999), intensity_bounds=(1e-4, 1.0))
+               tolerance=1e-5)
 CHANNEL = ChannelConditions(**CHANNEL_KW)
 PARAMS = ProtocolParams(**PROTOCOL_KW)
 SEC = SecurityParams()
@@ -56,8 +56,7 @@ _FIELDS = [
                             f_ec=1.16), f, None)
       for f in ("eps_s", "eps_c", "beta", "f_ec")],
     *[(OptimizationSpec, SPEC_KW, f, None) for f in ("pbx", "mu3", "tolerance")],
-    *[(OptimizationSpec, SPEC_KW, f, i)
-      for f, n in (("mu", 3), ("prob_bounds", 2), ("intensity_bounds", 2)) for i in range(n)],
+    *[(OptimizationSpec, SPEC_KW, "mu", i) for i in range(3)],
     (IntensityUncertaintyModel, dict(f=0.1, nominal=PARAMS), "f", None),
     *[(LossBudgetQuery, dict(conditions=CHANNEL, params=PARAMS, eta_min_db=0.0,
                              eta_max_db=60.0, resolution_db=0.1), f, None)
@@ -92,12 +91,8 @@ def test_non_number_rejected(field, value):
     # value is shown as it is: '30', not 30
     with pytest.raises(ParameterError) as err:
         FLOAT_FIELDS[field](value)
-    # the bounds pairs are checked, and reported, as pairs, each under its
-    # own name; a None pbx is a missing one
-    if "bounds" in field:
-        pair = field.split(".")[1].split("[")[0]
-        assert str(err.value).startswith(f"{pair} must satisfy")
-    elif (field, value) != ("OptimizationSpec.pbx", None):
+    # a None pbx is a missing one
+    if (field, value) != ("OptimizationSpec.pbx", None):
         assert str(err.value).endswith(f"got {value!r}")
 
 
@@ -215,17 +210,14 @@ def test_intensity_probability_floor_at_the_domain_tops(ec_method, mu, index):
 
 
 def test_prob_bounds_keep_every_decoded_probability_in_its_domain():
-    # the decoder's p3 = 1 - p1 - p2 rounded to 0 at lo = 1e-290, and p2 to
-    # -1e-290; from lo = 1e-15 on, each corner of the search decodes to a
-    # probability vector in the domain
-    spec = OptimizationSpec(prob_bounds=(1e-15, 0.999))
-    decode = _decoder(spec)
-    for t1, t2 in itertools.product((-800.0, 0.0, 800.0), repeat=2):
-        pax, pbx, mu1, mu2, mu3, *p_mu = decode([0.0, t1, t2, 0.0, 0.0])
+    # each corner of the search box decodes to a probability vector in the
+    # domain, and every probability stays inside the box
+    lo, hi = PROB_BOUNDS
+    decode = _decoder(OptimizationSpec())
+    for t in itertools.product((-800.0, 0.0, 800.0), repeat=3):
+        pax, pbx, mu1, mu2, mu3, *p_mu = decode([*t, 0.0, 0.0])
         ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3), p_mu=tuple(p_mu))
-    for lo in (1e-16, DOMAIN["intensity probability"][1]):
-        with pytest.raises(ParameterError, match=r"^prob_bounds must satisfy 1e-15 <= lo"):
-            OptimizationSpec(prob_bounds=(lo, 0.999))
+        assert lo <= pax <= hi and all(lo * (1 - 1e-9) <= p <= hi for p in p_mu)
 
 
 def test_grid_points_have_an_upper_end(monkeypatch):
@@ -280,13 +272,6 @@ class TestIntensityDomain:
     dict(tolerance=-1.0),
     dict(tolerance=0.0),
     dict(mu3=-0.1),
-    dict(prob_bounds=(0.6, 0.4)),
-    dict(prob_bounds=(0.0, 0.9)),
-    dict(prob_bounds=(0.1, 1.0)),
-    dict(prob_bounds=(1 / 3, 0.9)),
-    dict(intensity_bounds=(0.0, 1.0)),
-    dict(intensity_bounds=(0.5, 0.5)),
-    dict(intensity_bounds=(1e-4, 10.5)),
     dict(mu3=0.49),
     dict(pbx=1.0),
     dict(mu=(0.4, 0.3, 0.15)),
@@ -298,9 +283,13 @@ class TestIntensityDomain:
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_optimization_spec_domain(kwargs):
     # values just inside each edge are accepted
-    OptimizationSpec(restarts=1, max_evals_per_restart=1, tolerance=1e-12, mu3=0.0,
-                     prob_bounds=(0.33, 0.34), intensity_bounds=(1e-9, 2.0))
-    with pytest.raises(ParameterError):
+    OptimizationSpec(restarts=1, max_evals_per_restart=1, tolerance=1e-12, mu3=0.0)
+    # a pbx or mu is checked under a regime that reads it
+    if "mu" in kwargs:
+        kwargs = dict(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, **kwargs)
+    elif "pbx" in kwargs:
+        kwargs = dict(regime=Regime.FIXED_PBX, **kwargs)
+    with pytest.raises(ParameterError, match="must|denominator"):
         OptimizationSpec(**kwargs)
 
 
@@ -320,9 +309,8 @@ def test_integer_settings_take_integers_only(build):
 
 def test_optimization_spec_needs_a_feasible_start():
     # mu1 must exceed mu3 + max(mu3, lo); from mu3 = 0.485 on, no start point
-    # of the default seed gets there under the default upper bound of 1
-    OptimizationSpec(mu3=0.48, intensity_bounds=(1e-4, 10.0))
-    OptimizationSpec(mu3=0.49, intensity_bounds=(1e-4, 2.0))
+    # of the default seed gets there under the box's upper intensity of 1
+    OptimizationSpec(mu3=0.48)
     with pytest.raises(ParameterError, match="no feasible start point"):
         OptimizationSpec(mu3=0.485)
     with pytest.raises(ParameterError, match="no feasible start point"):

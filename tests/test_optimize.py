@@ -50,6 +50,24 @@ class TestSpecValidation:
             OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5,
                              mu=(0.4, 0.3, 0.15))
 
+    @pytest.mark.parametrize("mu_given", [False, True], ids=["no-mu", "mu"])
+    @pytest.mark.parametrize("pbx_given", [False, True], ids=["no-pbx", "pbx"])
+    @pytest.mark.parametrize("regime", list(Regime), ids=[r.value for r in Regime])
+    def test_spec_takes_exactly_the_settings_its_regime_reads(self, regime, pbx_given,
+                                                              mu_given):
+        # full ties pbx to pax and searches the intensities; fixed_pbx reads
+        # pbx; fixed_pbx_and_mu reads pbx and the intensity triple
+        reads_pbx = regime is not Regime.FULL
+        reads_mu = regime is Regime.FIXED_PBX_AND_MU
+        kwargs = dict(regime=regime, pbx=0.6 if pbx_given else None,
+                      mu=(0.5, 0.1, 0.0) if mu_given else None)
+        if (pbx_given, mu_given) == (reads_pbx, reads_mu):
+            assert OptimizationSpec(**kwargs).regime is regime
+        else:
+            with pytest.raises(ParameterError, match=f"^regime {regime.value} "
+                                                     f"(requires|does not read) "):
+                OptimizationSpec(**kwargs)
+
     def test_regime_accepts_strings(self):
         spec = OptimizationSpec(regime="fixed_pbx", pbx=0.3)
         assert spec.regime is Regime.FIXED_PBX
@@ -131,9 +149,10 @@ class TestOptimize:
             res = optimize(spec, CHANNEL, SEC)
             replace(res.best_params)  # re-runs ProtocolParams validation
             mu1, mu2, mu3 = res.best_params.mu
-            lo, hi = spec.prob_bounds
+            lo, hi = fsqkd_optimize.PROB_BOUNDS
             assert lo <= res.best_params.pax <= hi
-            assert spec.intensity_bounds[0] <= mu2 < mu1 <= spec.intensity_bounds[1]
+            mu_lo, mu_hi = fsqkd_optimize.INTENSITY_BOUNDS
+            assert mu_lo <= mu2 < mu1 <= mu_hi
 
     def test_one_feasible_start_is_enough(self):
         # at mu3 = 0.48 one of the 8 default start points decodes
