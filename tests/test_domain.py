@@ -20,7 +20,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
-from fsqkd.optimize import PROB_BOUNDS, _decoder
+from fsqkd.optimize import INTENSITY_BOUNDS, PROB_BOUNDS, _decoder
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
                   integration_time_s=60.0, p_ap=1e-3, f_s=1e8)
@@ -73,20 +73,39 @@ _BASE_VALUES = {name: (base[field] if i is None else base[field][i])
                 for name, (_, base, field, i) in zip(FLOAT_FIELDS, _FIELDS)}
 _BASE_VALUES.update({"slot duration": 60.0})
 
+# the search box is the fixed PROB_BOUNDS and INTENSITY_BOUNDS, not a
+# setting: a spec refuses a box, whatever value one of its bounds takes
+BOX_FIELDS = {f"OptimizationSpec.{name}[{i}]": (name, i, box)
+              for name, box in (("prob_bounds", PROB_BOUNDS),
+                                ("intensity_bounds", INTENSITY_BOUNDS))
+              for i in range(2)}
+
+
+def _box_refused(field, value):
+    name, i, box = BOX_FIELDS[field]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        OptimizationSpec(**SPEC_KW, **{name: box[:i] + (value,) + box[i + 1:]})
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("field", sorted([*FLOAT_FIELDS, *BOX_FIELDS]))
 def test_non_finite_rejected(field, value):
+    if field in BOX_FIELDS:
+        _box_refused(field, value)
+        return
     FLOAT_FIELDS[field](_BASE_VALUES[field])  # the finite base value is accepted
     with pytest.raises(ParameterError):
         FLOAT_FIELDS[field](value)
 
 
 @pytest.mark.parametrize("field,value", [
-    (f, v) for f in sorted(FLOAT_FIELDS) for v in ("30", None)
+    (f, v) for f in sorted([*FLOAT_FIELDS, *BOX_FIELDS]) for v in ("30", None)
     if (f, v) != ("SecurityParams.beta", None)  # None is beta's default
 ])
 def test_non_number_rejected(field, value):
+    if field in BOX_FIELDS:
+        _box_refused(field, value)
+        return
     # a comparison that raises TypeError counts as out of range, and the
     # value is shown as it is: '30', not 30
     with pytest.raises(ParameterError) as err:
@@ -272,6 +291,13 @@ class TestIntensityDomain:
     dict(tolerance=-1.0),
     dict(tolerance=0.0),
     dict(mu3=-0.1),
+    dict(prob_bounds=(0.6, 0.4)),
+    dict(prob_bounds=(0.0, 0.9)),
+    dict(prob_bounds=(0.1, 1.0)),
+    dict(prob_bounds=(1 / 3, 0.9)),
+    dict(intensity_bounds=(0.0, 1.0)),
+    dict(intensity_bounds=(0.5, 0.5)),
+    dict(intensity_bounds=(1e-4, 10.5)),
     dict(mu3=0.49),
     dict(pbx=1.0),
     dict(mu=(0.4, 0.3, 0.15)),
@@ -284,6 +310,16 @@ class TestIntensityDomain:
 def test_optimization_spec_domain(kwargs):
     # values just inside each edge are accepted
     OptimizationSpec(restarts=1, max_evals_per_restart=1, tolerance=1e-12, mu3=0.0)
+    if "prob_bounds" in kwargs or "intensity_bounds" in kwargs:
+        # a box is refused; the fixed one keeps each edge these boxes break:
+        # the decoder's p3 = 1 - p1 - p2 stays a probability while plo < 1/3
+        plo, phi = PROB_BOUNDS
+        mlo, mhi = INTENSITY_BOUNDS
+        assert 1e-15 <= plo < phi < 1.0 and plo < 1.0 / 3.0
+        assert 0.0 < mlo < mhi <= DOMAIN["intensity"][2]
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            OptimizationSpec(**kwargs)
+        return
     # a pbx or mu is checked under a regime that reads it
     if "mu" in kwargs:
         kwargs = dict(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, **kwargs)
