@@ -1,10 +1,13 @@
-"""Bit-identity of the scalar chain and the worst-case grid, pinned by digests.
+"""Bit-identity of the scalar chain, the worst-case grid and the optimizer,
+pinned by digests.
 
 Each digest is the SHA-256 of the ``repr`` of every result of a seeded
 sample, one result per line, recorded at commit e7d2311 (the worst-case
-digest at 16c222c, the fixed-parameter sweep digest at 12cd620).  A change to the chain's arithmetic that moves any
-bit of any field fails here, so work may be reordered or shared only
-where it gives the same floats.  The
+digest at 16c222c, the fixed-parameter sweep digest at 12cd620, the
+optimizer digests at 4055a21).  A change to the chain's arithmetic that
+moves any bit of any field fails here, so work may be reordered or shared
+only where it gives the same floats; an optimizer digest also pins each
+search's path, through its evaluation count and restart trace.  The
 digests depend on the platform's libm and on scipy's ``betainc``; they
 were recorded on x86-64 Linux (glibc) with Python 3.11 and scipy 1.17.1.
 """
@@ -14,8 +17,9 @@ import random
 
 import pytest
 
-from fsqkd import (ChannelConditions, IntensityUncertaintyModel, ProtocolParams,
-                   SecurityParams, SweepSpec, skr_vs_time, sweep, worst_case_key_length)
+from fsqkd import (ChannelConditions, IntensityUncertaintyModel, OptimizationSpec,
+                   ProtocolParams, SecurityParams, SweepSpec, optimize, skr_vs_time, sweep,
+                   worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import ParameterError, check_intensities
 from fsqkd.finitekey import _evaluate_flat
@@ -213,3 +217,73 @@ def test_fixed_sweep_digest():
     assert any(1e11 < r.ec_quantile < 2.0 ** 53 for r in results)
     assert any(r.ec_quantile > 2.0 ** 53 for r in results)
     assert _digest(rows) == FIXED_SWEEP_DIGEST
+
+
+# each regime's specs at one mu3; the fixed intensities end in that mu3
+def _regime_spec(regime: str, mu3: float) -> OptimizationSpec:
+    if regime == "full":
+        return OptimizationSpec(mu3=mu3)
+    if regime == "fixed_pbx":
+        return OptimizationSpec(regime=regime, pbx=0.6, mu3=mu3)
+    return OptimizationSpec(regime=regime, pbx=0.6, mu=(0.5, 0.15, mu3), mu3=mu3)
+
+
+# losses (dB) of the three channels: key, about 1 dB short of the regime's
+# cliff (max_loss gives 30.0, 30.7 and 31.8-32.3 dB there), and the
+# zero-key plateau
+OPTIMIZE_LOSSES = {"full": (25.0, 29.0, 40.0), "fixed_pbx": (25.0, 29.75, 40.0),
+                   "fixed_pbx_and_mu": (25.0, 31.0, 40.0)}
+
+OPTIMIZE_DIGESTS = {
+    ("full", "binomial", 0.0):
+        "784d46f63ed19348616ee48e14d30c71d4dcdb167cd73fa4eb47a1224363e4fa",
+    ("full", "binomial", 1e-09):
+        "6d875485e3ed9013983c874a0bac450d950f3fe0c959cab89f221f3db0e4dbd4",
+    ("full", "rate-factor", 0.0):
+        "c245901ab5e390d483136b64ac8db1efedf67d07b3bc1d21270a59556ee04c0d",
+    ("full", "rate-factor", 1e-09):
+        "a9ffad55a256ccec3a8fa19ad06800a8f620c5bc558a942e23652c0033f30c17",
+    ("fixed_pbx", "binomial", 0.0):
+        "2b1f439d650adc8773d07cb72971d8f79e7e97846a24c3b6dd8e29cf5aa2ead3",
+    ("fixed_pbx", "binomial", 1e-09):
+        "7860254db932e8ba7a365c9e1b38f8c20861c572c59e43589932f243e99f6a2b",
+    ("fixed_pbx", "rate-factor", 0.0):
+        "91d7edcf0e90868a92bda3c6a49568b4deef909635086e1f5ed49a3ca567d3e2",
+    ("fixed_pbx", "rate-factor", 1e-09):
+        "93fb0ed6203e0fff72d8a2bfbcd69adaa941666c6490bba5e2a06be51e3c87fd",
+    ("fixed_pbx_and_mu", "binomial", 0.0):
+        "d25cc531b0be5985533b4a173b412bf1dd9d5c80f097119dbb7f9fc5f1a94e4a",
+    ("fixed_pbx_and_mu", "binomial", 1e-09):
+        "2b591f8d95d7330c9618da68a2ec2ba608d3c4c0cfa45c548d4d091e926b1af9",
+    ("fixed_pbx_and_mu", "rate-factor", 0.0):
+        "c998685fca2d9205265d80292642c4c390e7872d8bc991398eb7bc7c57b954d5",
+    ("fixed_pbx_and_mu", "rate-factor", 1e-09):
+        "1fcae9ac10a2e0785b028ec7ab8f797fbdd5ace2e74a358c30f15deace1f1b5a",
+}
+
+OPTIMIZE_EXTRAS_DIGEST = "8f4a3080438e61bf1bd0b72cc8b80f4b045a25a83cfc503ecf4e5f623eba3ec3"
+
+
+def optimize_rows(regime: str, ec_method: str, mu3: float) -> list:
+    """The whole ``OptimizationResult`` of each channel of ``OPTIMIZE_LOSSES``."""
+    sec = SecurityParams(ec_method=ec_method)
+    return [optimize(_regime_spec(regime, mu3),
+                     ChannelConditions(eta_db, 1e-5, 0.01, 60.0), sec)
+            for eta_db in OPTIMIZE_LOSSES[regime]]
+
+
+@pytest.mark.parametrize("regime, ec_method, mu3", list(OPTIMIZE_DIGESTS))
+def test_optimize_digest(regime, ec_method, mu3):
+    rows = optimize_rows(regime, ec_method, mu3)
+    assert [row.best_ell > 0 for row in rows] == [True, True, False]
+    assert _digest(rows) == OPTIMIZE_DIGESTS[regime, ec_method, mu3]
+
+
+def test_optimize_extras_digest():
+    """A search stopped at a target, and an optimized ``skr_vs_time``."""
+    channel = ChannelConditions(29.0, 1e-5, 0.01, 60.0)
+    stopped = optimize(OptimizationSpec(), channel, SecurityParams(), stop_at=10**5)
+    curve = skr_vs_time([0.0, 1.0, 60.0, 1800.0], channel, SecurityParams(),
+                        opt_spec=_regime_spec("fixed_pbx", 1e-9))
+    assert stopped.best_ell >= 10**5 and curve[0][2] == 0 < curve[-1][2]
+    assert _digest([stopped, curve]) == OPTIMIZE_EXTRAS_DIGEST
