@@ -10,13 +10,19 @@ intensities equal this reduces exactly to the plain three-intensity
 protocol chain.
 
 One evaluation computes each quantity once, and only what the key uses:
-``detection_error_prob`` once per intensity object (three calls when all
-states share their pair), the taus and intensity weights in one
-``intensity_terms`` call, and 12 concentration-corrected counts, one
+``counts_core`` runs ``statistics_core``, with ``detection_error_prob``
+once per intensity object (three calls when all states share their pair),
+then ``sifted_counts_core``; the taus and intensity weights come from one
+``intensity_terms`` call, and 12 concentration-corrected counts from one
 ``count_lower_core`` or ``count_upper_core`` call each: five per basis for
 its vacuum and single-photon bounds, and two Z-basis error counts for
-``v_z1``.  The caller passes in the privacy-amplification constant, which
-depends only on the eps budget.
+``v_z1``.  The caller passes in the terms that depend only on the eps
+budget: the privacy-amplification constant and the leakage's log2(1 /
+eps_c).  An optimizer search holds the link and mu3 fixed (and mu1, mu2
+in ``fixed_pbx_and_mu``), so it takes their statistics once
+(``finitekey._search_terms``), and each evaluation runs only
+``sifted_counts_core``, after ``pair_statistics`` where the pair is
+searched.
 
 Each straight-line step has one body, run with a float or an array set of
 operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0`` and ``clamp``
@@ -171,28 +177,42 @@ def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
             m_tot * p1 * d1 / sum_pd, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
 
 
-def counts_core(pax, pbx,
-                mu1_h, mu2_h, mu1_v, mu2_v,
-                mu1_d, mu2_d, mu1_a, mu2_a,
-                mu3, p1, p2, p3,
-                p_d, p_ec, qber_i, p_ap, n_pulses):
-    """Expected sifted detection and error counts per basis and intensity.
+def statistics_core(mu1_h, mu2_h, mu1_v, mu2_v, mu1_d, mu2_d, mu1_a, mu2_a, mu3,
+                    p_d, p_ec, qber_i, p_ap):
+    """Detection and error statistics of the states, ``(x, z, d3, e3)``: the
+    ``pair_statistics`` of each basis and the third intensity's pair.
 
     The X basis is sent in the H and V states, the Z basis in D and A (it
     reuses the X statistics when D, A are passed the very objects H, V
-    are).  Returns
-    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
+    are).
     """
-    d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
     x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
     z = x if mu1_d is mu1_h and mu2_d is mu2_h and mu1_a is mu1_v and mu2_a is mu2_v else (
         pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
+    return (x, z, *detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i))
+
+
+def sifted_counts_core(pax, pbx, x, z, d3, e3, p1, p2, p3, n_pulses):
+    """Expected sifted counts from the ``statistics_core`` of the states:
+    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)."""
     n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
         pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
     n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = basis_counts_core(
         (1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
     return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
             m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
+
+
+def counts_core(pax, pbx,
+                mu1_h, mu2_h, mu1_v, mu2_v,
+                mu1_d, mu2_d, mu1_a, mu2_a,
+                mu3, p1, p2, p3,
+                p_d, p_ec, qber_i, p_ap, n_pulses):
+    """Expected sifted detection and error counts per basis and intensity:
+    the ``sifted_counts_core`` of the states' ``statistics_core``."""
+    return sifted_counts_core(pax, pbx, *statistics_core(
+        mu1_h, mu2_h, mu1_v, mu2_v, mu1_d, mu2_d, mu1_a, mu2_a, mu3, p_d, p_ec, qber_i, p_ap),
+        p1, p2, p3, n_pulses)
 
 
 def count_lower_core(c, s, beta):
@@ -243,13 +263,15 @@ def chain_bounds_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3,
     return s_x0, s_x1, s_z0, s_z1, floor0(v_z1)
 
 
-def finite_leakage_core(n_x, q, eps_c, f_inv):
+def finite_leakage_core(n_x, q, ec_bits, f_inv):
     """Finite-size reconciliation leakage in bits at n_x > 0 and 0 < q <= 0.5,
     around the inverse binomial CDF value ``f_inv``, floored at zero and
-    capped at ``n_x``; ``finitekey._leakage`` picks it or the rate-factor form."""
+    capped at ``n_x``; ``ec_bits`` is log2(1 / eps_c), the correctness term
+    (``SecurityParams.ec_bits``).  ``finitekey._leakage`` picks it or the
+    rate-factor form."""
     lr = log((1.0 - q) / q) / LN2
     return clamp(n_x * binary_entropy(q) + n_x * (1.0 - q) * lr - (f_inv - 1.0) * lr
-                 - 0.5 * (log(n_x) / LN2) - (log(1.0 / eps_c) / LN2), n_x)
+                 - 0.5 * (log(n_x) / LN2) - ec_bits, n_x)
 
 
 def privacy_amplification_bits(eps_s, eps_c):
@@ -368,11 +390,11 @@ _ARRAY = dict(globals(), exp=_libm_exp, log=_libm_log, sqrt=np.sqrt,
               floor0=lambda x: np.where(x < 0.0, 0.0, x), clamp=_clamp_array,
               basis_counts_core=_basis_counts, binary_entropy=_binary_entropy)
 _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__name__)
-               for step in (detection_error_prob, pair_statistics, counts_core,
-                            chernoff_delta_plus, chernoff_delta_minus, count_lower_core,
-                            count_upper_core, vacuum_bound_core, single_photon_bound_core,
-                            basis_bounds_core, intensity_terms, chain_bounds_core,
-                            finite_leakage_core)})
+               for step in (detection_error_prob, pair_statistics, statistics_core,
+                            sifted_counts_core, counts_core, chernoff_delta_plus,
+                            chernoff_delta_minus, count_lower_core, count_upper_core,
+                            vacuum_bound_core, single_photon_bound_core, basis_bounds_core,
+                            intensity_terms, chain_bounds_core, finite_leakage_core)})
 counts_array = _ARRAY["counts_core"]
 
 

@@ -11,8 +11,9 @@ where every ``k >= n`` meets the predicate.  For integer ``n`` this is
 ``scipy.stats.binom.ppf``.
 
 It is computed with scalar ``betainc`` calls: a normal start with a
-Cornish-Fisher skew term, a bracket grown by doubling steps, then
-bisection down to two adjacent integers.
+Cornish-Fisher skew term, then two probes, k and k - 1 or k + 1, which
+mostly bracket the crossing and end the search; otherwise a bracket grown
+by doubling steps, then bisection down to two adjacent integers.
 
 ``binom_ppf_array`` is its twin over arrays, for fixed-parameter sweeps.
 Each element below 2^53 trials takes the scalar start and first two
@@ -54,31 +55,41 @@ def _meets(q: float, n: float, x: float, k: int) -> bool:
     return k >= n or _betainc(n - k, k + 1.0, x) >= q
 
 
-def binom_ppf(q: float, n: float, p: float) -> float:
+def binom_ppf(q: float, n: float, p: float, z: float | None = None) -> float:
     """Smallest integer k with P(X <= k) >= q, capped at n.
 
     Takes scalars, NumPy scalars included, and computes on Python floats.
-    A trial count that is not positive and finite gives 0.
+    A trial count that is not positive and finite gives 0.  ``z`` is the
+    start's standard normal quantile of ``q``, for a caller that holds it.
+    The search returns after its first two probes where they bracket the
+    crossing, as ``binom_ppf_array`` does.
     """
     q, n, p = float(q), float(n), float(p)
     if not 0.0 < n < math.inf:
         return 0.0
     x = 1.0 - p
-    z = _normal_quantile(q)
+    if z is None:
+        z = _normal_quantile(q)
     # mean + sigma (z + skew (z^2 - 1) / 6), with skew = (1 - 2p) / sigma
     start = n * p + math.sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     k = min(max(math.ceil(start - 0.5), 0), math.ceil(n))
-    # grow a bracket lo < hi by doubling steps, where lo fails the predicate
-    # (lo = -1 is below the support) and hi meets it, then bisect it
-    step = 1
+    # the first two probes, k and k - 1 or k + 1, mostly bracket the crossing;
+    # otherwise grow a bracket lo < hi by doubling steps, where lo fails the
+    # predicate (lo = -1 is below the support) and hi meets it, then bisect it
     if _meets(q, n, x, k):
-        hi, lo = k, k - 1
+        if k == 0 or not _meets(q, n, x, k - 1):
+            return min(float(k), n)
+        hi, step = k - 1, 2
+        lo = hi - step
         while lo >= 0 and _meets(q, n, x, lo):
             hi, step = lo, 2 * step
             lo = hi - step
         lo = max(lo, -1)
     else:
-        lo, hi = k, k + 1
+        if _meets(q, n, x, k + 1):
+            return min(float(k + 1), n)
+        lo, step = k + 1, 2
+        hi = lo + step
         while not _meets(q, n, x, hi):
             lo, step = hi, 2 * step
             hi = lo + step

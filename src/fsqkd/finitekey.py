@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels as k
-from ._quantile import binom_ppf, binom_ppf_array
+from ._quantile import _normal_quantile, binom_ppf, binom_ppf_array
 from .channel import (BlockCounts, ChannelConditions, ParameterError, ProtocolParams,
                       check_range, expected_block_counts)
 
@@ -83,6 +83,17 @@ class SecurityParams:
     def pa_bits(self) -> float:
         """The privacy-amplification constant of the key expression."""
         return k.privacy_amplification_bits(self.eps_s, self.eps_c)
+
+    @cached_property
+    def ec_bits(self) -> float:
+        """log2(1 / eps_c), the correctness term of the binomial leakage."""
+        return math.log(1.0 / self.eps_c) / k.LN2
+
+    @cached_property
+    def ec_start(self) -> float:
+        """The standard normal quantile of eps_c, where the binomial
+        leakage's quantile search starts."""
+        return _normal_quantile(self.eps_c)
 
 
 @dataclass(frozen=True)
@@ -155,8 +166,9 @@ def _leakage(n_x: float, qber_x: float, sec: SecurityParams) -> tuple[float, flo
     if qber_x <= 0.0:
         return 0.0, 0.0
     q = 0.5 if qber_x > 0.5 else qber_x
-    f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - q) if n_x > 0.0 and qber_x > 0.0 else 0.0
-    return k.finite_leakage_core(n_x, q, sec.eps_c, f_inv), f_inv
+    f_inv = (binom_ppf(sec.eps_c, n_x, 1.0 - q, sec.ec_start) if n_x > 0.0 and qber_x > 0.0
+             else 0.0)
+    return k.finite_leakage_core(n_x, q, sec.ec_bits, f_inv), f_inv
 
 
 def _count_leakage(c: tuple, sec: SecurityParams) -> tuple[float, float]:
@@ -182,7 +194,7 @@ def _leakage_array(n_x, qber_x, sec: SecurityParams) -> tuple[np.ndarray, np.nda
     live = (n_x > 0.0) & (qber_x > 0.0)
     f_inv[live] = binom_ppf_array(sec.eps_c, n_x[live], 1.0 - q[live])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = k._ARRAY["finite_leakage_core"](n_x, q, sec.eps_c, f_inv)
+        lam = k._ARRAY["finite_leakage_core"](n_x, q, sec.ec_bits, f_inv)
     return np.where((n_x <= 0.0) | (qber_x <= 0.0), 0.0, lam), f_inv
 
 
@@ -236,16 +248,36 @@ def key_length_for_channel(params: ProtocolParams,
     return secure_key_length(counts, params, sec)
 
 
-def _evaluate_flat(pax: float, pbx: float,
-                   mu1: float, mu2: float, mu3: float,
-                   p1: float, p2: float, p3: float,
-                   p_d: float, p_ec: float, qber_i: float, p_ap: float,
-                   n_pulses: float, sec: SecurityParams) -> tuple:
-    """Hot-path evaluation on plain floats; returns the kernel result tuple.
+def _search_terms(p_d: float, p_ec: float, qber_i: float, p_ap: float, n_pulses: float,
+                  sec: SecurityParams, mu: tuple) -> tuple:
+    """What a search holds fixed, bound once for ``_evaluate_flat``.
 
-    The same chain as :func:`key_length_for_channel`, without dataclass
-    construction.
+    ``mu`` is the intensity triple, with ``None`` for a searched ``mu1`` and
+    ``mu2``.  Holds the statistics of the fixed intensities (the X basis'
+    pair is None when it is searched), the link, and the chain's constants.
     """
-    c = k.counts_core(pax, pbx, mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2,
-                      mu3, p1, p2, p3, p_d, p_ec, qber_i, p_ap, n_pulses)
-    return _key_chain(c, mu1, mu2, mu3, p1, p2, p3, sec)[0]
+    mu1, mu2, mu3 = mu
+    link = (p_d, p_ec, p_ap, qber_i)
+    if mu1 is None:
+        x, (d3, e3) = None, k.detection_error_prob(mu3, *link)
+    else:
+        x, _, d3, e3 = k.statistics_core(mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2, mu3,
+                                         p_d, p_ec, qber_i, p_ap)
+    return x, d3, e3, link, n_pulses, sec, (sec.beta, sec.eps, sec.pa_bits)
+
+
+def _evaluate_flat(pax: float, pbx: float, mu1: float, mu2: float, mu3: float,
+                   p1: float, p2: float, p3: float, terms: tuple) -> tuple:
+    """Hot-path evaluation on plain floats; returns the ``bounds_ell_core`` tuple.
+
+    The same chain as :func:`key_length_for_channel` for states that all
+    send (mu1, mu2, mu3), without dataclass construction.  ``terms`` is the
+    search's ``_search_terms``, built for these ``mu3`` (and ``mu1``,
+    ``mu2`` where they are fixed): only the statistics of a searched pair,
+    the sifted counts, the leakage and the bounds are computed here.
+    """
+    x, d3, e3, link, n_pulses, sec, chain = terms
+    if x is None:
+        x = k.pair_statistics(mu1, mu2, mu1, mu2, *link)
+    c = k.sifted_counts_core(pax, pbx, x, x, d3, e3, p1, p2, p3, n_pulses)
+    return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3, *chain, _count_leakage(c, sec)[0])

@@ -30,7 +30,8 @@ from typing import Iterator, Sequence
 
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
                       check_intensities, check_range)
-from .finitekey import KeyLengthResult, SecurityParams, _evaluate_flat, key_length_for_channel
+from .finitekey import (KeyLengthResult, SecurityParams, _evaluate_flat, _search_terms,
+                        key_length_for_channel)
 
 
 class Regime(str, Enum):
@@ -292,11 +293,11 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     after an improving call.  A ``stop_at`` that no evaluated point
     reaches changes nothing.
     """
-    p_d = channel.transmittance
-    n_pulses = channel.n_pulses
     n_evals = n_calls = 0
     stop = math.inf if stop_at is None else stop_at
     decode = _decoder(spec)
+    terms = _search_terms(channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
+                          channel.n_pulses, sec, spec.mu or (None, None, spec.mu3))
 
     def neg_raw(t: list[float]) -> float:
         nonlocal n_evals, n_calls
@@ -304,11 +305,8 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         dec = decode(t)
         if dec is None:
             return 1e30
-        pax, pbx, mu1, mu2, mu3, p1, p2, p3 = dec
         n_evals += 1
-        out = _evaluate_flat(pax, pbx, mu1, mu2, mu3, p1, p2, p3,
-                             p_d, channel.p_ec, channel.qber_i, channel.p_ap,
-                             n_pulses, sec)
+        out = _evaluate_flat(*dec, terms)
         if out[0] >= stop:
             raise _Met(t, -out[1])
         return -out[1]

@@ -22,7 +22,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, OptimizationSpe
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import ParameterError, check_intensities
-from fsqkd.finitekey import _evaluate_flat
+from fsqkd.finitekey import _evaluate_flat, _search_terms
 
 EVALUATE_FLAT_DIGESTS = {
     ("binomial", 0.0):
@@ -95,7 +95,8 @@ def evaluate_flat_rows(ec_method: str, mu3: float, n: int = 2000) -> list:
     for _ in range(n):
         mu1, mu2 = _intensities(rng, mu3)
         rows.append(_evaluate_flat(rng.uniform(0.001, 0.999), rng.uniform(0.001, 0.999),
-                                   mu1, mu2, mu3, *_probabilities(rng), *_link(rng), sec))
+                                   mu1, mu2, mu3, *_probabilities(rng),
+                                   _search_terms(*_link(rng), sec, (None, None, mu3))))
     return rows
 
 

@@ -14,7 +14,7 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, OptimizationSpe
 from fsqkd import _kernels
 from fsqkd._quantile import binom_ppf
 from fsqkd.channel import BlockCounts
-from fsqkd.finitekey import _REASONS, _evaluate_flat
+from fsqkd.finitekey import _REASONS, _evaluate_flat, _search_terms
 
 BETA_REF = math.log(1.0 / (1e-9 + 1e-15))
 
@@ -374,9 +374,9 @@ class TestOneScalarChain:
         assert ref.lambda_ec > 0.0
 
         par = reference_params
-        flat = _evaluate_flat(par.pax, par.pbx, *par.mu, *par.p_mu,
-                              channel.transmittance, channel.p_ec, channel.qber_i,
-                              channel.p_ap, channel.n_pulses, sec)
+        flat = _evaluate_flat(par.pax, par.pbx, *par.mu, *par.p_mu, _search_terms(
+            channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
+            channel.n_pulses, sec, (None, None, par.mu[2])))
         ell, raw, s_x0, s_x1, _, _, _, phi_x, lam, qber_x, code = flat
         assert (int(ell), raw.hex(), s_x0.hex(), s_x1.hex(), phi_x.hex(),
                 lam.hex(), qber_x.hex(), _REASONS.get(code)) == (

@@ -363,9 +363,15 @@ class TestStopAt:
         assert res.restart_trace[:-1] == full.restart_trace[:len(res.restart_trace) - 1]
         assert res.restart_trace[-1]["raw"] == res.best_raw
 
-    def test_counts_stop_at_the_witness(self, monkeypatch):
+    # a loss and a target that each regime's search meets after its first restart
+    @pytest.mark.parametrize("spec, eta_db, stop_at",
+                             zip(STOP_SPECS, (29.0, 30.0, 32.0), (10**5, 10**5, 9000)),
+                             ids=STOP_IDS)
+    def test_counts_stop_at_the_witness(self, monkeypatch, spec, eta_db, stop_at):
         # evaluations counts the objective's evaluations up to the witness, and
-        # the interrupted restart's nfev its calls (infeasible ones too) up to it
+        # the interrupted restart's nfev its calls (infeasible ones too) up to
+        # it; every regime's evaluations pass through the module's
+        # _evaluate_flat, once each
         evaluated, calls = [], []
         evaluate, minimize = fsqkd_optimize._evaluate_flat, fsqkd_optimize.minimize
 
@@ -383,11 +389,11 @@ class TestStopAt:
 
         monkeypatch.setattr(fsqkd_optimize, "_evaluate_flat", counted_evaluate)
         monkeypatch.setattr(fsqkd_optimize, "minimize", counted_minimize)
-        channel = replace(CHANNEL, eta_loss_db=29.0)
-        res = optimize(OptimizationSpec(), channel, SEC, stop_at=10**5)
+        channel = replace(CHANNEL, eta_loss_db=eta_db)
+        res = optimize(spec, channel, SEC, stop_at=stop_at)
         assert len(res.restart_trace) > 1
         assert res.evaluations == len(evaluated)
         assert [t["nfev"] for t in res.restart_trace] == calls
-        full = optimize(OptimizationSpec(), channel, SEC)
+        full = optimize(spec, channel, SEC)
         last = len(res.restart_trace) - 1
         assert res.restart_trace[last]["nfev"] < full.restart_trace[last]["nfev"]

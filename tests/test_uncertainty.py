@@ -192,7 +192,7 @@ def scalar_grid(model, channel, sec):
             lam = 0.0
         else:
             f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
-            lam = k.finite_leakage_core(n_x, min(q, 0.5), sec.eps_c, f_inv)
+            lam = k.finite_leakage_core(n_x, min(q, 0.5), sec.ec_bits, f_inv)
         for e1, e2 in itertools.product(range(g), repeat=2):
             out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
                                     sec.beta, sec.eps, sec.pa_bits, lam)
