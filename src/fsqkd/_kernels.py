@@ -180,7 +180,8 @@ def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
 def statistics_core(mu1_h, mu2_h, mu1_v, mu2_v, mu1_d, mu2_d, mu1_a, mu2_a, mu3,
                     p_d, p_ec, qber_i, p_ap):
     """Detection and error statistics of the states, ``(x, z, d3, e3)``: the
-    ``pair_statistics`` of each basis and the third intensity's pair.
+    ``pair_statistics`` of each basis, and the third intensity's detection
+    and error probabilities, which both bases share.
 
     The X basis is sent in the H and V states, the Z basis in D and A (it
     reuses the X statistics when D, A are passed the very objects H, V
