@@ -10,9 +10,9 @@ intensities equal this reduces exactly to the plain three-intensity
 protocol chain.
 
 One evaluation computes each quantity once, and only what the key uses:
-``counts_core`` runs ``statistics_core``, with ``detection_error_prob``
-once per intensity object (three calls when all states share their pair),
-then ``sifted_counts_core``; the taus and intensity weights come from one
+``counts_core`` calls ``detection_error_prob`` once per intensity object
+(three calls when all states share their pair), then
+``sifted_counts_core``; the taus and intensity weights come from one
 ``intensity_terms`` call, and 12 concentration-corrected counts from one
 ``count_lower_core`` or ``count_upper_core`` call each: five per basis for
 its vacuum and single-photon bounds, and two Z-basis error counts for
@@ -177,24 +177,9 @@ def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
             m_tot * p1 * d1 / sum_pd, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
 
 
-def statistics_core(mu1_h, mu2_h, mu1_v, mu2_v, mu1_d, mu2_d, mu1_a, mu2_a, mu3,
-                    p_d, p_ec, qber_i, p_ap):
-    """Detection and error statistics of the states, ``(x, z, d3, e3)``: the
-    ``pair_statistics`` of each basis, and the third intensity's detection
-    and error probabilities, which both bases share.
-
-    The X basis is sent in the H and V states, the Z basis in D and A (it
-    reuses the X statistics when D, A are passed the very objects H, V
-    are).
-    """
-    x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
-    z = x if mu1_d is mu1_h and mu2_d is mu2_h and mu1_a is mu1_v and mu2_a is mu2_v else (
-        pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
-    return (x, z, *detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i))
-
-
 def sifted_counts_core(pax, pbx, x, z, d3, e3, p1, p2, p3, n_pulses):
-    """Expected sifted counts from the ``statistics_core`` of the states:
+    """Expected sifted counts from the ``pair_statistics`` ``x``, ``z`` of
+    the X and Z bases and the third intensity's ``d3``, ``e3``:
     (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)."""
     n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
         pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
@@ -209,11 +194,18 @@ def counts_core(pax, pbx,
                 mu1_d, mu2_d, mu1_a, mu2_a,
                 mu3, p1, p2, p3,
                 p_d, p_ec, qber_i, p_ap, n_pulses):
-    """Expected sifted detection and error counts per basis and intensity:
-    the ``sifted_counts_core`` of the states' ``statistics_core``."""
-    return sifted_counts_core(pax, pbx, *statistics_core(
-        mu1_h, mu2_h, mu1_v, mu2_v, mu1_d, mu2_d, mu1_a, mu2_a, mu3, p_d, p_ec, qber_i, p_ap),
-        p1, p2, p3, n_pulses)
+    """Expected sifted detection and error counts per basis and intensity,
+    in ``sifted_counts_core`` order.
+
+    The X basis is sent in the H and V states, the Z basis in D and A (it
+    reuses the X statistics when D, A are passed the very objects H, V
+    are).
+    """
+    d3, e3 = detection_error_prob(mu3, p_d, p_ec, p_ap, qber_i)
+    x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
+    z = x if mu1_d is mu1_h and mu2_d is mu2_h and mu1_a is mu1_v and mu2_a is mu2_v else (
+        pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
+    return sifted_counts_core(pax, pbx, x, z, d3, e3, p1, p2, p3, n_pulses)
 
 
 def count_lower_core(c, s, beta):
@@ -391,11 +383,11 @@ _ARRAY = dict(globals(), exp=_libm_exp, log=_libm_log, sqrt=np.sqrt,
               floor0=lambda x: np.where(x < 0.0, 0.0, x), clamp=_clamp_array,
               basis_counts_core=_basis_counts, binary_entropy=_binary_entropy)
 _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__name__)
-               for step in (detection_error_prob, pair_statistics, statistics_core,
-                            sifted_counts_core, counts_core, chernoff_delta_plus,
-                            chernoff_delta_minus, count_lower_core, count_upper_core,
-                            vacuum_bound_core, single_photon_bound_core, basis_bounds_core,
-                            intensity_terms, chain_bounds_core, finite_leakage_core)})
+               for step in (detection_error_prob, pair_statistics, sifted_counts_core,
+                            counts_core, chernoff_delta_plus, chernoff_delta_minus,
+                            count_lower_core, count_upper_core, vacuum_bound_core,
+                            single_photon_bound_core, basis_bounds_core, intensity_terms,
+                            chain_bounds_core, finite_leakage_core)})
 counts_array = _ARRAY["counts_core"]
 
 

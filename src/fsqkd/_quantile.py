@@ -55,21 +55,19 @@ def _meets(q: float, n: float, x: float, k: int) -> bool:
     return k >= n or _betainc(n - k, k + 1.0, x) >= q
 
 
-def binom_ppf(q: float, n: float, p: float, z: float | None = None) -> float:
+def binom_ppf(q: float, n: float, p: float) -> float:
     """Smallest integer k with P(X <= k) >= q, capped at n.
 
     Takes scalars, NumPy scalars included, and computes on Python floats.
-    A trial count that is not positive and finite gives 0.  ``z`` is the
-    start's standard normal quantile of ``q``, for a caller that holds it.
-    The search returns after its first two probes where they bracket the
-    crossing, as ``binom_ppf_array`` does.
+    A trial count that is not positive and finite gives 0.  The search
+    returns after its first two probes where they bracket the crossing,
+    as ``binom_ppf_array`` does.
     """
     q, n, p = float(q), float(n), float(p)
     if not 0.0 < n < math.inf:
         return 0.0
     x = 1.0 - p
-    if z is None:
-        z = _normal_quantile(q)
+    z = _normal_quantile(q)
     # mean + sigma (z + skew (z^2 - 1) / 6), with skew = (1 - 2p) / sigma
     start = n * p + math.sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     k = min(max(math.ceil(start - 0.5), 0), math.ceil(n))

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels as k
-from ._quantile import _normal_quantile, binom_ppf, binom_ppf_array
+from ._quantile import binom_ppf, binom_ppf_array
 from .channel import (BlockCounts, ChannelConditions, ParameterError, ProtocolParams,
                       check_range, expected_block_counts)
 
@@ -88,12 +88,6 @@ class SecurityParams:
     def ec_bits(self) -> float:
         """log2(1 / eps_c), the correctness term of the binomial leakage."""
         return math.log(1.0 / self.eps_c) / k.LN2
-
-    @cached_property
-    def ec_start(self) -> float:
-        """The standard normal quantile of eps_c, where the binomial
-        leakage's quantile search starts."""
-        return _normal_quantile(self.eps_c)
 
 
 @dataclass(frozen=True)
@@ -166,8 +160,7 @@ def _leakage(n_x: float, qber_x: float, sec: SecurityParams) -> tuple[float, flo
     if qber_x <= 0.0:
         return 0.0, 0.0
     q = 0.5 if qber_x > 0.5 else qber_x
-    f_inv = (binom_ppf(sec.eps_c, n_x, 1.0 - q, sec.ec_start) if n_x > 0.0 and qber_x > 0.0
-             else 0.0)
+    f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - q) if n_x > 0.0 and qber_x > 0.0 else 0.0
     return k.finite_leakage_core(n_x, q, sec.ec_bits, f_inv), f_inv
 
 
@@ -253,31 +246,32 @@ def _search_terms(p_d: float, p_ec: float, qber_i: float, p_ap: float, n_pulses:
     """What a search holds fixed, bound once for ``_evaluate_flat``.
 
     ``mu`` is the intensity triple, with ``None`` for a searched ``mu1`` and
-    ``mu2``.  Holds the statistics of the fixed intensities (the X basis'
-    pair is None when it is searched), the link, and the chain's constants.
+    ``mu2``.  Holds the intensities with their statistics (None for a
+    searched pair), the link, and the chain's constants.
     """
     mu1, mu2, mu3 = mu
     link = (p_d, p_ec, p_ap, qber_i)
-    if mu1 is None:
-        x, (d3, e3) = None, k.detection_error_prob(mu3, *link)
-    else:
-        x, _, d3, e3 = k.statistics_core(mu1, mu2, mu1, mu2, mu1, mu2, mu1, mu2, mu3,
-                                         p_d, p_ec, qber_i, p_ap)
-    return x, d3, e3, link, n_pulses, sec, (sec.beta, sec.eps, sec.pa_bits)
+    x = None if mu1 is None else k.pair_statistics(mu1, mu2, mu1, mu2, *link)
+    return (mu1, mu2, x, mu3, *k.detection_error_prob(mu3, *link), link, n_pulses, sec,
+            (sec.beta, sec.eps, sec.pa_bits))
 
 
-def _evaluate_flat(pax: float, pbx: float, mu1: float, mu2: float, mu3: float,
-                   p1: float, p2: float, p3: float, terms: tuple) -> tuple:
+def _evaluate_flat(terms: tuple, pax: float, pbx: float, p1: float, p2: float, p3: float,
+                   mu1: float | None = None, mu2: float | None = None) -> tuple:
     """Hot-path evaluation on plain floats; returns the ``bounds_ell_core`` tuple.
 
     The same chain as :func:`key_length_for_channel` for states that all
-    send (mu1, mu2, mu3), without dataclass construction.  ``terms`` is the
-    search's ``_search_terms``, built for these ``mu3`` (and ``mu1``,
-    ``mu2`` where they are fixed): only the statistics of a searched pair,
-    the sifted counts, the leakage and the bounds are computed here.
+    send one intensity triple, without dataclass construction.  ``terms``
+    is the search's ``_search_terms``, which holds mu3 and its statistics.
+    A searched pair (mu1, mu2) is passed here and its statistics computed
+    here; a fixed pair is omitted and read, with its statistics, from
+    ``terms``.  Then only the sifted counts, the leakage and the bounds
+    are computed.
     """
-    x, d3, e3, link, n_pulses, sec, chain = terms
-    if x is None:
+    fixed1, fixed2, x, mu3, d3, e3, link, n_pulses, sec, chain = terms
+    if mu1 is None:
+        mu1, mu2 = fixed1, fixed2
+    else:
         x = k.pair_statistics(mu1, mu2, mu1, mu2, *link)
     c = k.sifted_counts_core(pax, pbx, x, x, d3, e3, p1, p2, p3, n_pulses)
     return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3, *chain, _count_leakage(c, sec)[0])

@@ -153,12 +153,14 @@ def _start_points(spec: OptimizationSpec) -> Iterator[list[float]]:
 
 
 def _decoder(spec: OptimizationSpec):
-    """Transformed coordinates -> (pax, pbx, mu1, mu2, mu3, p1, p2, p3), or
-    None for an infeasible intensity pair; the regime is read once."""
+    """Transformed coordinates -> (pax, pbx, p1, p2, p3), followed by the
+    searched (mu1, mu2) where the regime searches them, or None for an
+    infeasible intensity pair; the regime is read once."""
     plo, phi = PROB_BOUNDS
     mlo, mhi = INTENSITY_BOUNDS
     pbx_free = spec.regime is Regime.FULL
     mu_fixed = spec.regime is Regime.FIXED_PBX_AND_MU
+    mu3 = spec.mu3
 
     def decode(t: Sequence[float]):
         pax = _interval(t[0], plo, phi)
@@ -168,16 +170,13 @@ def _decoder(spec: OptimizationSpec):
         p2 = _interval(t[2], plo, 1.0 - p1 - plo)
         p3 = 1.0 - p1 - p2
         if mu_fixed:
-            mu1, mu2, mu3 = spec.mu
-        else:
-            mu3 = spec.mu3
-            mu1 = _interval(t[3], mlo, mhi)
-            r_lo = max(mu3 / mu1, mlo / mu1)
-            r_hi = 1.0 - mu3 / mu1 - 1e-9
-            if r_hi <= r_lo:
-                return None
-            mu2 = mu1 * _interval(t[4], r_lo, r_hi)
-        return pax, pbx, mu1, mu2, mu3, p1, p2, p3
+            return pax, pbx, p1, p2, p3
+        mu1 = _interval(t[3], mlo, mhi)
+        r_lo = max(mu3 / mu1, mlo / mu1)
+        r_hi = 1.0 - mu3 / mu1 - 1e-9
+        if r_hi <= r_lo:
+            return None
+        return pax, pbx, p1, p2, p3, mu1, mu1 * _interval(t[4], r_lo, r_hi)
     return decode
 
 
@@ -306,7 +305,7 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         if dec is None:
             return 1e30
         n_evals += 1
-        out = _evaluate_flat(*dec, terms)
+        out = _evaluate_flat(terms, *dec)
         if out[0] >= stop:
             raise _Met(t, -out[1])
         return -out[1]
@@ -327,8 +326,8 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         if met:
             break
 
-    pax, pbx, mu1, mu2, mu3, p1, p2, p3 = decode(best[1])
-    best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3),
+    pax, pbx, p1, p2, p3, *pair = decode(best[1])
+    best_params = ProtocolParams(pax=pax, pbx=pbx, mu=(*pair, spec.mu3) if pair else tuple(spec.mu),
                                  p_mu=(p1, p2, p3))
     # authoritative evaluation through the standard path
     result = key_length_for_channel(best_params, channel, sec)

@@ -94,9 +94,10 @@ def evaluate_flat_rows(ec_method: str, mu3: float, n: int = 2000) -> list:
     rows = []
     for _ in range(n):
         mu1, mu2 = _intensities(rng, mu3)
-        rows.append(_evaluate_flat(rng.uniform(0.001, 0.999), rng.uniform(0.001, 0.999),
-                                   mu1, mu2, mu3, *_probabilities(rng),
-                                   _search_terms(*_link(rng), sec, (None, None, mu3))))
+        pax, pbx = rng.uniform(0.001, 0.999), rng.uniform(0.001, 0.999)
+        p_mu = _probabilities(rng)
+        terms = _search_terms(*_link(rng), sec, (None, None, mu3))
+        rows.append(_evaluate_flat(terms, pax, pbx, *p_mu, mu1, mu2))
     return rows
 
 

@@ -232,10 +232,11 @@ def test_prob_bounds_keep_every_decoded_probability_in_its_domain():
     # each corner of the search box decodes to a probability vector in the
     # domain, and every probability stays inside the box
     lo, hi = PROB_BOUNDS
-    decode = _decoder(OptimizationSpec())
+    spec = OptimizationSpec()
+    decode = _decoder(spec)
     for t in itertools.product((-800.0, 0.0, 800.0), repeat=3):
-        pax, pbx, mu1, mu2, mu3, *p_mu = decode([*t, 0.0, 0.0])
-        ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, mu3), p_mu=tuple(p_mu))
+        pax, pbx, *p_mu, mu1, mu2 = decode([*t, 0.0, 0.0])
+        ProtocolParams(pax=pax, pbx=pbx, mu=(mu1, mu2, spec.mu3), p_mu=tuple(p_mu))
         assert lo <= pax <= hi and all(lo * (1 - 1e-9) <= p <= hi for p in p_mu)
 
 

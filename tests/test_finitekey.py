@@ -374,14 +374,17 @@ class TestOneScalarChain:
         assert ref.lambda_ec > 0.0
 
         par = reference_params
-        flat = _evaluate_flat(par.pax, par.pbx, *par.mu, *par.p_mu, _search_terms(
-            channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
-            channel.n_pulses, sec, (None, None, par.mu[2])))
-        ell, raw, s_x0, s_x1, _, _, _, phi_x, lam, qber_x, code = flat
-        assert (int(ell), raw.hex(), s_x0.hex(), s_x1.hex(), phi_x.hex(),
-                lam.hex(), qber_x.hex(), _REASONS.get(code)) == (
-            ref.ell, ref.raw.hex(), ref.s_x0.hex(), ref.s_x1.hex(), ref.phi_x.hex(),
-            ref.lambda_ec.hex(), ref.qber_x.hex(), ref.reason)
+        # a searched pair is passed to _evaluate_flat, a fixed one bound in its terms
+        for fixed in ((None, None, par.mu[2]), par.mu):
+            terms = _search_terms(channel.transmittance, channel.p_ec, channel.qber_i,
+                                  channel.p_ap, channel.n_pulses, sec, fixed)
+            flat = _evaluate_flat(terms, par.pax, par.pbx, *par.p_mu,
+                                  *par.mu[:2 if fixed[0] is None else 0])
+            ell, raw, s_x0, s_x1, _, _, _, phi_x, lam, qber_x, code = flat
+            assert (int(ell), raw.hex(), s_x0.hex(), s_x1.hex(), phi_x.hex(),
+                    lam.hex(), qber_x.hex(), _REASONS.get(code)) == (
+                ref.ell, ref.raw.hex(), ref.s_x0.hex(), ref.s_x1.hex(), ref.phi_x.hex(),
+                ref.lambda_ec.hex(), ref.qber_x.hex(), ref.reason)
 
         assert key_length_for_intensities({}, par, channel, sec) == ref.ell
 
