@@ -24,8 +24,11 @@ Reported key lengths are the floored values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Iterator, Sequence
 
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
@@ -107,7 +110,15 @@ class OptimizationSpec:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """The best point found and its key length, evaluated once."""
+    """The best point found and its key length, evaluated once.
+
+    ``restart_trace`` holds one dict per restart: its index, its start
+    point, ``raw``, the key expression of the point it ended on, and
+    ``nfev``, its objective calls.  A restart that ends outside the
+    feasible intensity pairs stands for the feasible point it evaluated
+    with the largest key expression; ``raw`` is None for a restart that
+    evaluated none, and such a restart never gives the best point.
+    """
 
     best_params: ProtocolParams
     result: KeyLengthResult
@@ -185,8 +196,15 @@ def _decoder(spec: OptimizationSpec):
 _FATOL_BITS = 0.01
 
 
-class _CallLimit(Exception):
-    """``maxfev`` calls made: the step in progress stops where it is."""
+def _ordered(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+    """The vertices and their values in value order, equal values in index
+    order: each vertex inserted in turn after every value not above its own."""
+    out_sim, out_f = [], []
+    for x, fx in zip(sim, fsim):
+        i = bisect_right(out_f, fx)
+        out_f.insert(i, fx)
+        out_sim.insert(i, x)
+    return out_sim, out_f
 
 
 def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
@@ -196,14 +214,18 @@ def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
     The method of Nelder & Mead, Comput. J. 7, 308 (1965), with the
     arithmetic and control flow of scipy's ``_minimize_neldermead``
     (coefficients 1, 2, 1/2, 1/2; a 5% initial step, 0.00025 on a zero
-    coordinate; the centroid summed vertex by vertex).  It stops when either
-    spread is small: every vertex within ``xatol`` of the best in every
-    coordinate (the vertex stop), or every value within ``fatol`` of the
-    least (the value stop, off by default).  scipy stops only when both are,
-    so this is scipy's path at ``fatol = inf``, or at ``xatol = inf`` when
-    ``xatol < 0``.  It also stops after ``maxfev`` calls of ``fun``, where
-    the step in progress stops at the call it could not make.  Equal values
-    keep vertex order (a stable sort), so the path depends on the arithmetic
+    coordinate; the centroid summed vertex by vertex, left to right).  It
+    stops when either spread is small: every vertex within ``xatol`` of the
+    best in every coordinate (the vertex stop), or every value within
+    ``fatol`` of the least (the value stop, off by default, and tested
+    first).  scipy stops only when both are, so this is scipy's path at
+    ``fatol = inf``, or at ``xatol = inf`` when ``xatol < 0``.  It also
+    stops after ``maxfev`` calls of ``fun``, where the step in progress
+    stops at the call it could not make.  The vertices stay in value order
+    with equal values in vertex order (a stable sort): the start simplex
+    and the simplex after a shrink are ordered by inserting each vertex in
+    turn, and a reflection, expansion or contraction inserts only its new
+    vertex, so no step re-sorts and the path depends on the arithmetic
     alone.  ``fun`` must not modify the list it is given.
     """
     n = len(x0)
@@ -214,57 +236,68 @@ def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
         sim.append(y)
     fsim = [math.inf] * (n + 1)
     nfev = 0
-
-    def f(x):
-        nonlocal nfev
+    for k in range(n + 1):
         if nfev >= maxfev:
-            raise _CallLimit
+            break
         nfev += 1
-        return fun(x)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _CallLimit:
-        pass
+        fsim[k] = fun(sim[k])
+    sim, fsim = _ordered(sim, fsim)
     while True:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-        best, worst = sim[0], sim[-1]
-        if (nfev >= maxfev or fsim[-1] - fsim[0] <= fatol
-                or all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
+        best = sim[0]
+        if nfev >= maxfev or fsim[-1] - fsim[0] <= fatol:
             return best, fsim[0], nfev
-        xbar = best
-        for v in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, v)]
-        xbar = [a / n for a in xbar]
-        try:
-            xr = [2.0 * a - b for a, b in zip(xbar, worst)]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+        for i in range(1, n + 1):
+            for a, b in zip(sim[i], best):
+                if not abs(a - b) <= xatol:
+                    break
             else:
-                if fxr < fsim[-1]:
-                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
-                        fsim[j] = f(sim[j])
-        except _CallLimit:
-            pass
+                continue
+            break
+        else:
+            return best, fsim[0], nfev
+        worst, fworst = sim.pop(), fsim.pop()
+        xbar = [reduce(add, col) / n for col in zip(*sim)]
+        # a step that the call limit cuts moves no vertex: the best stands
+        if nfev >= maxfev:
+            return best, fsim[0], nfev
+        nfev += 1
+        xr = [2.0 * a - b for a, b in zip(xbar, worst)]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            if nfev >= maxfev:
+                return best, fsim[0], nfev
+            nfev += 1
+            xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
+            fxe = fun(xe)
+            x, fx = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-1]:
+            x, fx = xr, fxr
+        else:
+            if nfev >= maxfev:
+                return best, fsim[0], nfev
+            nfev += 1
+            if fxr < fworst:
+                x = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                fx = fun(x)
+                shrink = not fx <= fxr
+            else:
+                x = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                fx = fun(x)
+                shrink = not fx < fworst
+            if shrink:
+                sim.append(worst)
+                fsim.append(fworst)
+                for j in range(1, n + 1):
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                    if nfev >= maxfev:
+                        break
+                    nfev += 1
+                    fsim[j] = fun(sim[j])
+                sim, fsim = _ordered(sim, fsim)
+                continue
+        i = bisect_right(fsim, fx)
+        fsim.insert(i, fx)
+        sim.insert(i, x)
 
 
 class _Met(Exception):
@@ -293,13 +326,14 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     reaches changes nothing.
     """
     n_evals = n_calls = 0
+    least = None  # a restart's least feasible value and its point
     stop = math.inf if stop_at is None else stop_at
     decode = _decoder(spec)
     terms = _search_terms(channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
                           channel.n_pulses, sec, spec.mu or (None, None, spec.mu3))
 
     def neg_raw(t: list[float]) -> float:
-        nonlocal n_evals, n_calls
+        nonlocal n_evals, n_calls, least
         n_calls += 1
         dec = decode(t)
         if dec is None:
@@ -308,20 +342,29 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
         out = _evaluate_flat(terms, *dec)
         if out[0] >= stop:
             raise _Met(t, -out[1])
-        return -out[1]
+        value = -out[1]
+        if least is None or value < least[0]:
+            least = (value, t)
+        return value
 
     trace = []
-    best = (math.inf, [])
+    best = None
     for r, t0 in enumerate(_start_points(spec)):
-        calls_before, met = n_calls, False
+        calls_before, met, least = n_calls, False, None
         try:
             cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
                                               spec.max_evals_per_restart, _FATOL_BITS)
         except _Met as witness:
             (cand_t, cand_fun), nfev, met = witness.args, n_calls - calls_before, True
-        trace.append({"restart": r, "start": tuple(t0), "raw": -cand_fun, "nfev": nfev})
+        # an infeasible pair's 1e30 beats a key expression below -1e30 bits,
+        # so a restart can end outside the feasible pairs: it then stands
+        # for its least feasible value, or for nothing if it had none
+        if not met and decode(cand_t) is None:
+            cand_fun, cand_t = least or (None, None)
+        trace.append({"restart": r, "start": tuple(t0),
+                      "raw": None if cand_t is None else -cand_fun, "nfev": nfev})
         # the least value wins, and the least point among equal values
-        if met or (cand_fun, cand_t) < best:
+        if cand_t is not None and (met or best is None or (cand_fun, cand_t) < best):
             best = (cand_fun, cand_t)
         if met:
             break

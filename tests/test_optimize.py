@@ -175,6 +175,35 @@ class TestOptimize:
         assert len(res.restart_trace) == 8
         assert (res.evaluations, sum(t["nfev"] for t in res.restart_trace)) == (1209, 1245)
 
+    @pytest.mark.parametrize("mu3", [0.3, 0.4, 0.45, 0.48])
+    def test_restart_without_a_feasible_pair_records_no_key_expression(self, mu3):
+        # a start simplex with no feasible intensity pair is constant at the
+        # infeasible value: the value stop ends it after ndim + 1 calls
+        spec = OptimizationSpec(mu3=mu3, max_evals_per_restart=200)
+        res = optimize(spec, CHANNEL, SEC)
+        decode = fsqkd_optimize._decoder(spec)
+        raws = [t["raw"] for t in res.restart_trace]
+        assert None in raws
+        for t in res.restart_trace:
+            if t["raw"] is None:
+                assert decode(t["start"]) is None and t["nfev"] == spec.ndim + 1
+        assert res.best_raw == max(raw for raw in raws if raw is not None)
+
+    @pytest.mark.parametrize("f_ec", [1e40, 1e308])
+    def test_key_expressions_below_the_infeasible_value(self, f_ec):
+        # every feasible key expression lies below -1e30 bits (-inf at 1e308),
+        # so a restart can end on an infeasible pair; the best restart is
+        # still a feasible point, the one with the largest key expression
+        spec = OptimizationSpec(mu3=0.45, max_evals_per_restart=200)
+        channel = ChannelConditions(eta_loss_db=70.0, p_ec=1e-3, qber_i=0.05,
+                                    integration_time_s=1.0)
+        sec = SecurityParams(ec_method="rate-factor", f_ec=f_ec)
+        res = optimize(spec, channel, sec)
+        replace(res.best_params)  # re-runs ProtocolParams validation
+        assert res.result == key_length_for_channel(res.best_params, channel, sec)
+        raws = [t["raw"] for t in res.restart_trace if t["raw"] is not None]
+        assert res.best_ell == 0 and res.best_raw == max(raws) < -1e30
+
 
 def rosenbrock(x):
     return sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2
@@ -266,6 +295,155 @@ class TestNelderMead:
         # the start simplex's values already agree: n + 1 calls
         x0 = [0.4, -1.0, 2.0]
         assert fsqkd_optimize.minimize(lambda x: -3.0, x0, 1e-6, 10**6, fatol) == (x0, -3.0, 4)
+
+
+class _CallLimit(Exception):
+    """``maxfev`` calls made: the step in progress stops where it is."""
+
+
+def reference_minimize(fun, x0, xatol, maxfev, fatol=-math.inf):
+    """The Nelder-Mead driver before insertion ordering, verbatim: it
+    re-sorts the whole simplex every iteration and counts calls through a
+    closure.  ``fsqkd.optimize.minimize`` must give its (x, f, nfev)."""
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _CallLimit
+        nfev += 1
+        return fun(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _CallLimit:
+        pass
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        best, worst = sim[0], sim[-1]
+        if (nfev >= maxfev or fsim[-1] - fsim[0] <= fatol
+                or all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
+            return best, fsim[0], nfev
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        try:
+            xr = [2.0 * a - b for a, b in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+        except _CallLimit:
+            pass
+
+
+def plateau(x):
+    # ties: a quadratic floored to steps of 1/4
+    return math.floor(4.0 * sum(v * v for v in x)) / 4.0
+
+
+def walled(x):
+    # ties at 1e30 outside a box, like optimize's infeasible intensity pairs
+    return 1e30 if max(abs(v) for v in x) > 2.0 else rosenbrock(x) if len(x) > 1 else x[0] ** 2
+
+
+def mixed_quadratic(x):
+    return (x[0] - 1.0) ** 2 + (x[1] - 2.0) ** 2 + (x[2] + 1.0) ** 2
+
+
+ORACLE_OBJECTIVES = (rosenbrock, shifted_quadratic, wavy, plateau, walled,
+                     lambda x: -3.0, lambda x: (x[0] - 0.25) ** 2)
+# from this start a centroid summed with compensation (math.fsum, or builtin
+# sum from Python 3.12 on) leaves the left-to-right sum's path within 50 calls
+MIXED_START = [1e16, 1.0, 0.0]
+
+
+def _oracle_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([2, 3, 5]))
+        fun = ORACLE_OBJECTIVES[int(rng.integers(len(ORACLE_OBJECTIVES)))]
+        x0 = [float(rng.choice([0.0, 1.0, rng.uniform(-3.0, 3.0)])) for _ in range(n)]
+        xatol = float(rng.choice([1e-5, 1e-3, 0.0, -1.0]))
+        fatol = float(rng.choice([-math.inf, 0.0, 1e-6, 1e-2]))
+        yield fun, x0, xatol, fatol
+
+
+class TestOracle:
+    """``minimize`` against the driver it replaced, on (x, f, nfev)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_cut_of_a_seeded_batch(self, seed):
+        # each case runs to its own stop, then is cut after every call count
+        # up to that stop (capped at 120): a cut lands inside every kind of
+        # step the path takes, the shrink included
+        for fun, x0, xatol, fatol in _oracle_cases(25, seed):
+            full = reference_minimize(fun, x0, xatol, 3000, fatol)
+            assert fsqkd_optimize.minimize(fun, x0, xatol, 3000, fatol) == full
+            for maxfev in range(1, min(full[2], 120) + 1):
+                assert (fsqkd_optimize.minimize(fun, x0, xatol, maxfev, fatol)
+                        == reference_minimize(fun, x0, xatol, maxfev, fatol)), maxfev
+
+    @pytest.mark.parametrize("maxfev", [20, 50, 200, 2000])
+    def test_mixed_magnitudes_keep_the_left_to_right_centroid(self, maxfev, monkeypatch):
+        expect = reference_minimize(mixed_quadratic, MIXED_START, 1e-5, maxfev)
+        assert fsqkd_optimize.minimize(mixed_quadratic, MIXED_START, 1e-5, maxfev) == expect
+        if maxfev >= 50:
+            # the case can tell the two sums apart
+            monkeypatch.setattr(fsqkd_optimize, "reduce", lambda op, col: math.fsum(col))
+            assert fsqkd_optimize.minimize(mixed_quadratic, MIXED_START, 1e-5, maxfev) != expect
+
+    @pytest.mark.parametrize("raise_at", [1, 4, 5, 9, 17, 60, 333])
+    def test_an_objective_that_raises_stops_after_the_same_calls(self, raise_at):
+        # as optimize's stop_at witness does, mid-step
+        class Raised(Exception):
+            pass
+
+        def calls_until_raise(driver, fun, x0):
+            calls = []
+
+            def raising(x):
+                calls.append(list(x))
+                if len(calls) == raise_at:
+                    raise Raised
+                return fun(x)
+            with pytest.raises(Raised):
+                driver(raising, x0, -1.0, 10**6, -math.inf)
+            return calls
+
+        for fun, x0 in ((rosenbrock, [-1.2, 1.0, 0.5, 0.0, 2.0]), (plateau, [0.7, 1.5, -0.2]),
+                        (lambda x: -3.0, [0.4, -1.0, 2.0])):
+            assert (calls_until_raise(fsqkd_optimize.minimize, fun, x0)
+                    == calls_until_raise(reference_minimize, fun, x0))
 
 
 @pytest.fixture
