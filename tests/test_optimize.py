@@ -373,7 +373,7 @@ def plateau(x):
 
 def walled(x):
     # ties at 1e30 outside a box, like optimize's infeasible intensity pairs
-    return 1e30 if max(abs(v) for v in x) > 2.0 else rosenbrock(x) if len(x) > 1 else x[0] ** 2
+    return 1e30 if max(abs(v) for v in x) > 2.0 else rosenbrock(x)
 
 
 def mixed_quadratic(x):
