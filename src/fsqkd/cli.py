@@ -10,6 +10,7 @@ valid answer), 2 configuration or usage error, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -44,14 +45,9 @@ _CSV_FIELDS = ("ell", "s_x0", "s_x1", "phi_x", "lambda_ec")
 _AXES = ("eta_loss_db", "log10_pec", "qber_i", "tau_s")
 
 
-def _params_obj(params: ProtocolParams) -> dict:
-    return {"pax": params.pax, "pbx": params.pbx,
-            "mu": list(params.mu), "p_mu": list(params.p_mu)}
-
-
 def _result_obj(result: KeyLengthResult, params: ProtocolParams) -> dict:
     return {**{name: getattr(result, name) for name in _JSON_FIELDS},
-            "params": _params_obj(params)}
+            "params": dataclasses.asdict(params)}
 
 
 def _table_text(fmt: str, axes, params, columns: dict[str, list]) -> str:
@@ -66,7 +62,7 @@ def _table_text(fmt: str, axes, params, columns: dict[str, list]) -> str:
         return itertools.repeat(text(params)) if one else map(text, params)
 
     if fmt == "json":
-        rows = zip(zip(*(columns[name] for name in _JSON_FIELDS)), per_row(_params_obj),
+        rows = zip(zip(*(columns[name] for name in _JSON_FIELDS)), per_row(dataclasses.asdict),
                    itertools.product(*axes))
         return _dump_json([{**dict(zip(_JSON_FIELDS, values)), "params": p,
                             **dict(zip(_AXES, point))} for values, p, point in rows])
@@ -141,26 +137,20 @@ def _cmd_budget(cfg: RunConfig, args) -> str:
     if args.format == "csv":
         val = "" if res.max_eta_db is None else _num(res.max_eta_db)
         return f"max_eta_db,target_bits\n{val},{res.target_bits}"
-    return _dump_json({"max_eta_db": res.max_eta_db, "target_bits": res.target_bits,
-                       "probes": [[eta, ell] for eta, ell in res.probes]})
+    return _dump_json(dataclasses.asdict(res))
 
 
 def _cmd_worstcase(cfg: RunConfig, args) -> str:
     channel, sec, model = cfg.channel(), cfg.security(), cfg.uncertainty_model()
     res = worst_case_key_length(model, channel, sec)
-    return _dump_json({"min_ell": res.min_ell, "nominal_ell": res.nominal_ell,
-                       "argmin": res.argmin, "argmin_index": res.argmin_index,
-                       "evaluations": res.evaluations, "f": model.f,
+    return _dump_json({**dataclasses.asdict(res), "f": model.f,
                        "grid_points_per_dim": model.grid_points_per_dim})
 
 
 def _cmd_sift_equiv(cfg: RunConfig, args) -> str:
     pax = args.pax if args.pax is not None else cfg.require("protocol.pax")
     pbx = args.pbx if args.pbx is not None else cfg.require("protocol.pbx")
-    eq = sifting_equivalence(pax, pbx)
-    return _dump_json({"p_x": eq.p_x, "k_ratio": eq.k_ratio,
-                       "f_asymmetric": eq.f_asymmetric,
-                       "f_symmetric": eq.f_symmetric})
+    return _dump_json(dataclasses.asdict(sifting_equivalence(pax, pbx)))
 
 
 # name -> handler, the output formats it can write, help text

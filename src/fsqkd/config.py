@@ -66,7 +66,6 @@ SCHEMA: dict[str, tuple[str, str | None]] = {
     "optimize.mu3": (FLOAT, "mu3"),
     "optimize.restarts": (INT, "restarts"),
     "optimize.seed": (INT, "seed"),
-    "optimize.tolerance": (FLOAT, "tolerance"),
     "optimize.max_evals": (INT, "max_evals_per_restart"),
     "sweep.eta_loss_db": (FLOATLIST, "eta_loss_db"),
     "sweep.log10_pec": (FLOATLIST, "log10_pec"),

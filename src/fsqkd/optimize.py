@@ -60,7 +60,9 @@ class OptimizationSpec:
     ``fixed_pbx_and_mu``), and the intensity triple ``mu`` exactly when it
     is ``fixed_pbx_and_mu``.  ``mu3`` stays fixed at its configured floor
     during the search, and must leave some start point a feasible
-    intensity pair.
+    intensity pair.  Each restart ends at the first of the fixed stop rules
+    ``_XATOL`` and ``_FATOL_BITS``, or after ``max_evals_per_restart``
+    objective calls.
     """
 
     regime: Regime = Regime.FULL
@@ -69,7 +71,6 @@ class OptimizationSpec:
     mu3: float = 1e-9
     restarts: int = 8
     seed: int = 0
-    tolerance: float = 1e-5
     max_evals_per_restart: int = 2000
 
     def __post_init__(self) -> None:
@@ -93,7 +94,6 @@ class OptimizationSpec:
         check_integer("restarts", self.restarts, "positive integer")
         check_integer("seed", self.seed, "integer")
         check_integer("max_evals_per_restart", self.max_evals_per_restart, "positive integer")
-        check_range("tolerance", self.tolerance, "positive")
         # mu1 must exceed mu3 + max(mu3, lo); a mu3 that leaves no such mu1
         # at any start point would leave the search nothing to decode
         if not any(map(_decoder(self), _start_points(self))):
@@ -191,8 +191,11 @@ def _decoder(spec: OptimizationSpec):
     return decode
 
 
-# ``optimize``'s value stop: a restart ends once its vertex values agree to
-# within this many bits of the key expression
+# ``optimize``'s two stop rules: a restart ends once every vertex lies
+# within _XATOL of the best in every coordinate (the vertex stop), or once
+# the vertex values agree to within _FATOL_BITS bits of the key expression
+# (the value stop)
+_XATOL = 1e-5
 _FATOL_BITS = 0.01
 
 
@@ -218,15 +221,16 @@ def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
     stops when either spread is small: every vertex within ``xatol`` of the
     best in every coordinate (the vertex stop), or every value within
     ``fatol`` of the least (the value stop, off by default, and tested
-    first).  scipy stops only when both are, so this is scipy's path at
-    ``fatol = inf``, or at ``xatol = inf`` when ``xatol < 0``.  It also
-    stops after ``maxfev`` calls of ``fun``, where the step in progress
-    stops at the call it could not make.  The vertices stay in value order
-    with equal values in vertex order (a stable sort): the start simplex
-    and the simplex after a shrink are ordered by inserting each vertex in
-    turn, and a reflection, expansion or contraction inserts only its new
-    vertex, so no step re-sorts and the path depends on the arithmetic
-    alone.  ``fun`` must not modify the list it is given.
+    first); ``optimize`` passes ``_XATOL`` and ``_FATOL_BITS``.  scipy
+    stops only when both are, so this is scipy's path at ``fatol = inf``,
+    or at ``xatol = inf`` when ``xatol < 0``.  It also stops after
+    ``maxfev`` calls of ``fun``, where the step in progress stops at the
+    call it could not make.  The vertices stay in value order with equal
+    values in vertex order (a stable sort): the start simplex and the
+    simplex after a shrink are ordered by inserting each vertex in turn,
+    and a reflection, expansion or contraction inserts only its new vertex,
+    so no step re-sorts and the path depends on the arithmetic alone.
+    ``fun`` must not modify the list it is given.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -352,8 +356,8 @@ def optimize(spec: OptimizationSpec, channel: ChannelConditions,
     for r, t0 in enumerate(_start_points(spec)):
         calls_before, met, least = n_calls, False, None
         try:
-            cand_t, cand_fun, nfev = minimize(neg_raw, t0, spec.tolerance,
-                                              spec.max_evals_per_restart, _FATOL_BITS)
+            cand_t, cand_fun, nfev = minimize(neg_raw, t0, _XATOL, spec.max_evals_per_restart,
+                                              _FATOL_BITS)
         except _Met as witness:
             (cand_t, cand_fun), nfev, met = witness.args, n_calls - calls_before, True
         # an infeasible pair's 1e30 beats a key expression below -1e30 bits,

@@ -10,8 +10,9 @@ that privacy amplification must assume; at f = 0 that is the nominal one.
 
 A basis' counts depend on its two states only through the mean of their
 statistics, so only on their ``(min, max)`` mu1 and mu2 pairs: R =
-(g (g + 1) / 2)^2 rows, 36 at g = 3, each with one ``_kernels.counts_core``
-call for both bases and one ``finitekey._count_leakage`` call.  The decoy
+(g (g + 1) / 2)^2 rows, 36 at g = 3.  One ``_kernels.counts_array`` call
+gives every row's counts for both bases, and one
+``finitekey._count_leakage_array`` call their leakage.  The decoy
 bounds (``_kernels._chain_bounds``) run once over every distinct
 estimator pair in the decoy domain of ``channel.check_intensities``; a
 pair outside it gives zero key.  A point (X row, Z row, pair) stands for
@@ -57,7 +58,7 @@ import numpy as np
 from . import _kernels as k
 from .channel import (ChannelConditions, ParameterError, ProtocolParams, check_integer,
                       check_intensities, check_range)
-from .finitekey import SecurityParams, _count_leakage, _key_chain
+from .finitekey import SecurityParams, _count_leakage_array, _key_chain
 
 GRID_DIMS = ("h_mu1", "h_mu2", "v_mu1", "v_mu2", "d_mu1", "d_mu2",
              "a_mu1", "a_mu2", "est_mu1", "est_mu2")
@@ -152,14 +153,15 @@ def _grid_minimum(model: IntensityUncertaintyModel, channel: ChannelConditions,
         row.setdefault((min(s1, t1), max(s1, t1), min(s2, t2), max(s2, t2)), i)
     for i, pair in enumerate(itertools.product(cand1, cand2)):
         est.setdefault(pair, i)
-    rows = [k.counts_core(params.pax, params.pbx, lo1, lo2, hi1, hi2, lo1, lo2, hi1, hi2,
-                          mu3, *params.p_mu, channel.transmittance, channel.p_ec,
-                          channel.qber_i, channel.p_ap, channel.n_pulses)
-            for lo1, hi1, lo2, hi2 in row]
-    lam = np.array([_count_leakage(c, sec)[0] for c in rows])[:, None]
+    # both bases send the row's pairs, so Z reuses the X statistics
+    lo1, hi1, lo2, hi2 = np.array(list(row)).T
+    counts = k.counts_array(params.pax, params.pbx, lo1, lo2, hi1, hi2, lo1, lo2, hi1, hi2,
+                            mu3, *params.p_mu, channel.transmittance, channel.p_ec,
+                            channel.qber_i, channel.p_ap, channel.n_pulses)
+    lam = _count_leakage_array(counts, sec)[0][:, None]
 
     # X-basis rows down, Z-basis rows across, the pairs in the decoy domain ahead
-    cols = np.array(rows).T
+    cols = np.array(np.broadcast_arrays(*counts))
     n_x, n_z, m_z = cols[0:3, :, None], cols[3:6, None, :], cols[9:12, None, :]
     inside = [j for j, pair in enumerate(est) if _decoy_domain(*pair, mu3)]
     est_mu1, est_mu2 = np.reshape(list(est), (-1, 2))[inside].T[..., None, None]

@@ -32,8 +32,7 @@ MODULE_ONLY = {"fsqkd.optimize": {"minimize"}}
 
 
 # the settings of a search; a new one is an edit here
-SPEC_FIELDS = ["regime", "pbx", "mu", "mu3", "restarts", "seed", "tolerance",
-               "max_evals_per_restart"]
+SPEC_FIELDS = ["regime", "pbx", "mu", "mu3", "restarts", "seed", "max_evals_per_restart"]
 
 
 def test_all_is_pinned():

@@ -1,10 +1,12 @@
 """Command-line interface: config handling, output formats, exit codes."""
+import dataclasses
 import itertools
 import json
 
 import pytest
 
-from fsqkd import cli, scenarios
+from fsqkd import (LossBudgetResult, ProtocolParams, SiftingEquivalence, WorstCaseResult, cli,
+                   scenarios)
 
 BASE_CONFIG = """
 # reference link
@@ -196,8 +198,6 @@ class TestConfigErrors:
         ("worstcase", ["ec.f_ec = 0.5", "worstcase.f = 0.05"], None),
         ("optimize", ["optimize.regime = full", "optimize.max_evals = 0"], None),
         ("optimize", ["optimize.regime = full", "optimize.mu3 = -0.1"], None),
-        ("optimize", ["optimize.regime = full", "optimize.restarts = 1",
-                      "optimize.tolerance = -1"], None),
         ("optimize", ["optimize.regime = full", "optimize.mu3 = 0.49"], None),
         ("keylength", ["protocol.mu1 = 800"], None),
         ("sweep", ["sweep.eta_loss_db = 30", "sweep.log10_pec = 400",
@@ -226,7 +226,7 @@ class TestConfigErrors:
                        "protocol.p_mu2 = 1e-305"],
          "fsqkd: configuration error: p_mu2 must be in [1e-290, 1), got 1e-305\n"),
     ], ids=["rounded-denominator", "f_ec-negative", "sweep-f_ec", "worstcase-f_ec",
-            "max_evals-zero", "mu3-negative", "tolerance-negative", "mu3-no-room",
+            "max_evals-zero", "mu3-negative", "mu3-no-room",
             "mu1-overflow", "log10_pec-overflow", "resolution-below-spacing",
             "p_ec-pinned", "pulse-count-overflow", "sweep-pulse-count-overflow",
             "finite-pulse-count-overflowing-counts", "worstcase-grid-points",
@@ -266,6 +266,22 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert err == "fsqkd: configuration error: unknown EC leakage method 'bogus'\n"
+
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_tolerance_key_exits_2(self, capsys, tmp_path, monkeypatch, source):
+        # the simplex stop is fixed; a tolerance that was once valid is an
+        # unknown key, from a file or from its override variable
+        path = tmp_path / "opt.cfg"
+        lines = ["optimize.regime = full", "optimize.restarts = 1"]
+        if source == "file":
+            lines.append("optimize.tolerance = 1e-6")
+        else:
+            monkeypatch.setenv("FSQKD_OPTIMIZE_TOLERANCE", "1e-6")
+        path.write_text(BASE_CONFIG.split("protocol.pax")[0] + "\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, ["optimize", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == ("fsqkd: configuration error: "
+                       "unknown configuration key 'optimize.tolerance'\n")
 
     @pytest.mark.parametrize("key", ["output.format", "output.path"])
     def test_output_keys_exit_2(self, capsys, tmp_path, key):
@@ -526,6 +542,53 @@ class TestSiftEquivCommand:
         assert obj["p_x"] == pytest.approx(0.75)
         assert obj["k_ratio"] == pytest.approx(9.0)
         assert obj["f_symmetric"] == pytest.approx(0.625)
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestJsonDocuments:
+    """Each JSON document is its result record, field for field, so a field
+    added to a record reaches the CLI without a CLI edit."""
+
+    OPTIMIZE = ["optimize.regime = fixed_pbx_and_mu", "optimize.pbx = 0.5",
+                "optimize.mu1 = 0.5", "optimize.mu2 = 0.1", "optimize.restarts = 1",
+                "optimize.max_evals = 50"]
+    SWEEP = ["sweep.eta_loss_db = 20, 30", "sweep.log10_pec = -6", "sweep.qber_i = 0.01",
+             "sweep.tau_s = 60"]
+
+    def _document(self, capsys, tmp_path, command, lines, fixed=True):
+        config = BASE_CONFIG if fixed else BASE_CONFIG.split("protocol.pax")[0]
+        path = tmp_path / "c.cfg"
+        path.write_text(config + "\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, [command, "--config", str(path), "--format", "json"])
+        assert code == 0
+        return json.loads(out)
+
+    def test_budget_is_its_record(self, capsys, tmp_path):
+        doc = self._document(capsys, tmp_path, "budget", ["budget.resolution_db = 1"])
+        assert set(doc) == _names(LossBudgetResult)
+
+    def test_worstcase_is_its_record_and_grid(self, capsys, tmp_path):
+        doc = self._document(capsys, tmp_path, "worstcase",
+                             ["worstcase.f = 0.05", "worstcase.grid_points = 2"])
+        assert set(doc) == _names(WorstCaseResult) | {"f", "grid_points_per_dim"}
+
+    def test_sift_equiv_is_its_record(self, capsys, tmp_path):
+        doc = self._document(capsys, tmp_path, "sift-equiv", [])
+        assert set(doc) == _names(SiftingEquivalence)
+
+    @pytest.mark.parametrize("command, lines, fixed", [
+        ("keylength", [], True),
+        ("optimize", OPTIMIZE, False),
+        ("sweep", SWEEP, True),
+        ("sweep", OPTIMIZE + SWEEP, False),
+    ], ids=["keylength", "optimize", "sweep-fixed", "sweep-optimized"])
+    def test_params_are_protocol_params(self, capsys, tmp_path, command, lines, fixed):
+        doc = self._document(capsys, tmp_path, command, lines, fixed)
+        for row in doc if isinstance(doc, list) else [doc]:
+            assert set(row["params"]) == _names(ProtocolParams)
 
 
 class TestOptimizeCommand:

@@ -1,6 +1,7 @@
 """Configuration loading: grammar, coercion, env overrides, builders."""
 import dataclasses
 import json
+import re
 import signal
 from pathlib import Path
 
@@ -257,8 +258,7 @@ NON_DEFAULT = {
     "security.eps_s": 1e-10, "security.eps_c": 1e-14, "security.beta": 25.0,
     "ec.method": "rate-factor", "ec.f_ec": 1.2,
     "optimize.regime": "fixed_pbx", "optimize.pbx": 0.6, "optimize.mu3": 1e-8,
-    "optimize.restarts": 3, "optimize.seed": 5, "optimize.tolerance": 1e-6,
-    "optimize.max_evals": 500,
+    "optimize.restarts": 3, "optimize.seed": 5, "optimize.max_evals": 500,
     "sweep.eta_loss_db": (10.0, 20.0), "sweep.log10_pec": (-7.0,), "sweep.qber_i": (0.02,),
     "sweep.tau_s": (30.0,),
     "budget.target_bits": 1000, "budget.eta_min_db": 5.0, "budget.eta_max_db": 50.0,
@@ -319,3 +319,9 @@ class TestKeyTable:
     def test_every_key_is_in_the_readme(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert [key for key in SCHEMA if f"`{key}`" not in readme] == []
+        # and every key of the README's key table is in SCHEMA, so a deleted
+        # key's row cannot stay behind
+        table = readme.split("| Key | Type | Fills | Default |")[1].split("\n\n")[0]
+        rows = [line.split(" | ")[0] for line in table.splitlines() if line.startswith("| `")]
+        listed = re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", "\n".join(rows))
+        assert listed and [key for key in listed if key not in SCHEMA] == []

@@ -20,13 +20,12 @@ from fsqkd import (ChannelConditions, IntensityUncertaintyModel, LossBudgetQuery
                    worst_case_key_length)
 from fsqkd import _kernels as k
 from fsqkd.channel import DOMAIN
-from fsqkd.optimize import INTENSITY_BOUNDS, PROB_BOUNDS, _decoder
+from fsqkd.optimize import _XATOL, INTENSITY_BOUNDS, PROB_BOUNDS, _decoder
 
 CHANNEL_KW = dict(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
                   integration_time_s=60.0, p_ap=1e-3, f_s=1e8)
 PROTOCOL_KW = dict(pax=0.7, pbx=0.5, mu=(0.5, 0.1, 0.0), p_mu=(0.8, 0.13, 0.07))
-SPEC_KW = dict(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=(0.5, 0.1, 0.0), mu3=1e-9,
-               tolerance=1e-5)
+SPEC_KW = dict(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=(0.5, 0.1, 0.0), mu3=1e-9)
 CHANNEL = ChannelConditions(**CHANNEL_KW)
 PARAMS = ProtocolParams(**PROTOCOL_KW)
 SEC = SecurityParams()
@@ -55,7 +54,7 @@ _FIELDS = [
     *[(SecurityParams, dict(eps_s=1e-9, eps_c=1e-15, beta=20.0, ec_method="rate-factor",
                             f_ec=1.16), f, None)
       for f in ("eps_s", "eps_c", "beta", "f_ec")],
-    *[(OptimizationSpec, SPEC_KW, f, None) for f in ("pbx", "mu3", "tolerance")],
+    *[(OptimizationSpec, SPEC_KW, f, None) for f in ("pbx", "mu3")],
     *[(OptimizationSpec, SPEC_KW, "mu", i) for i in range(3)],
     (IntensityUncertaintyModel, dict(f=0.1, nominal=PARAMS), "f", None),
     *[(LossBudgetQuery, dict(conditions=CHANNEL, params=PARAMS, eta_min_db=0.0,
@@ -73,25 +72,29 @@ _BASE_VALUES = {name: (base[field] if i is None else base[field][i])
                 for name, (_, base, field, i) in zip(FLOAT_FIELDS, _FIELDS)}
 _BASE_VALUES.update({"slot duration": 60.0})
 
-# the search box is the fixed PROB_BOUNDS and INTENSITY_BOUNDS, not a
-# setting: a spec refuses a box, whatever value one of its bounds takes
-BOX_FIELDS = {f"OptimizationSpec.{name}[{i}]": (name, i, box)
-              for name, box in (("prob_bounds", PROB_BOUNDS),
-                                ("intensity_bounds", INTENSITY_BOUNDS))
-              for i in range(2)}
+# the search box is the fixed PROB_BOUNDS and INTENSITY_BOUNDS and the
+# simplex stop the fixed _XATOL, not settings: a spec refuses a box or a
+# tolerance, whatever value it or one of its bounds takes
+REMOVED_FIELDS = {f"OptimizationSpec.{name}[{i}]": (name, i, box)
+                  for name, box in (("prob_bounds", PROB_BOUNDS),
+                                    ("intensity_bounds", INTENSITY_BOUNDS))
+                  for i in range(2)}
+REMOVED_FIELDS["OptimizationSpec.tolerance"] = ("tolerance", None, None)
 
 
-def _box_refused(field, value):
-    name, i, box = BOX_FIELDS[field]
+def _refused(field, value):
+    name, i, box = REMOVED_FIELDS[field]
+    if i is not None:
+        value = box[:i] + (value,) + box[i + 1:]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-        OptimizationSpec(**SPEC_KW, **{name: box[:i] + (value,) + box[i + 1:]})
+        OptimizationSpec(**SPEC_KW, **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", sorted([*FLOAT_FIELDS, *BOX_FIELDS]))
+@pytest.mark.parametrize("field", sorted([*FLOAT_FIELDS, *REMOVED_FIELDS]))
 def test_non_finite_rejected(field, value):
-    if field in BOX_FIELDS:
-        _box_refused(field, value)
+    if field in REMOVED_FIELDS:
+        _refused(field, value)
         return
     FLOAT_FIELDS[field](_BASE_VALUES[field])  # the finite base value is accepted
     with pytest.raises(ParameterError):
@@ -99,12 +102,12 @@ def test_non_finite_rejected(field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    (f, v) for f in sorted([*FLOAT_FIELDS, *BOX_FIELDS]) for v in ("30", None)
+    (f, v) for f in sorted([*FLOAT_FIELDS, *REMOVED_FIELDS]) for v in ("30", None)
     if (f, v) != ("SecurityParams.beta", None)  # None is beta's default
 ])
 def test_non_number_rejected(field, value):
-    if field in BOX_FIELDS:
-        _box_refused(field, value)
+    if field in REMOVED_FIELDS:
+        _refused(field, value)
         return
     # a comparison that raises TypeError counts as out of range, and the
     # value is shown as it is: '30', not 30
@@ -310,7 +313,13 @@ class TestIntensityDomain:
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_optimization_spec_domain(kwargs):
     # values just inside each edge are accepted
-    OptimizationSpec(restarts=1, max_evals_per_restart=1, tolerance=1e-12, mu3=0.0)
+    OptimizationSpec(restarts=1, max_evals_per_restart=1, mu3=0.0)
+    if "tolerance" in kwargs:
+        # a tolerance is refused; the fixed vertex stop is a positive one
+        assert 0.0 < _XATOL < math.inf
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tolerance'"):
+            OptimizationSpec(**kwargs)
+        return
     if "prob_bounds" in kwargs or "intensity_bounds" in kwargs:
         # a box is refused; the fixed one keeps each edge these boxes break:
         # the decoder's p3 = 1 - p1 - p2 stays a probability while plo < 1/3

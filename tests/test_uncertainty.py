@@ -316,21 +316,26 @@ class TestArrayGridExactness:
 
 @pytest.mark.parametrize("g,f,expected", [(2, 0.05, 9), (3, 0.05, 36), (3, 0.0, 1)],
                          ids=["2", "3", "f0-3"])
-def test_grid_counts_come_from_the_scalar_kernel(monkeypatch, g, f, expected):
-    """The grid takes its counts from ``counts_core``: one call per
+def test_grid_counts_come_from_one_array_call(monkeypatch, g, f, expected):
+    """The grid takes its counts from one ``counts_array`` call over every
     unordered pair of distinct mu1 values times unordered pair of distinct
-    mu2 values, (g (g + 1) / 2)^2 in all, and one call when f = 0."""
+    mu2 values, (g (g + 1) / 2)^2 elements in all and one when f = 0, and
+    makes no ``counts_core`` call."""
     calls = []
-    counts_core = k.counts_core
+    counts_array = k.counts_array
 
     def counting(*args):
-        calls.append(args)
-        return counts_core(*args)
+        calls.append(np.broadcast(*args).size)
+        return counts_array(*args)
 
-    monkeypatch.setattr(k, "counts_core", counting)
+    def scalar(*args):
+        raise AssertionError("counts_core was called")
+
+    monkeypatch.setattr(k, "counts_array", counting)
+    monkeypatch.setattr(k, "counts_core", scalar)
     model = IntensityUncertaintyModel(f=f, nominal=PARAMS, grid_points_per_dim=g)
     _grid_minimum(model, CHANNEL, SEC)
-    assert len(calls) == expected
+    assert calls == [expected]
 
 
 def random_counts(rng, mu1, mu2, mu3, p1, p2, p3, consistent):
