@@ -20,9 +20,12 @@ its vacuum and single-photon bounds, and two Z-basis error counts for
 budget: the privacy-amplification constant and the leakage's log2(1 /
 eps_c).  An optimizer search holds the link and mu3 fixed (and mu1, mu2
 in ``fixed_pbx_and_mu``), so it takes their statistics once
-(``finitekey._search_terms``), and each evaluation runs only
-``sifted_counts_core``, after ``pair_statistics`` where the pair is
-searched.
+(``finitekey._search_terms``).  Each evaluation takes a searched pair's
+from two ``detection_error_prob`` calls, then runs ``pair_counts_core``,
+the one scalar step that exists only for the search (the counts the key
+uses, from the one set of statistics all states share), then
+``bounds_ell_core``'s two stages, ``chain_bounds_core`` and
+``key_stage_core``.
 
 Each straight-line step has one body, run with a float or an array set of
 operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0`` and ``clamp``
@@ -37,9 +40,10 @@ An ``if`` cannot branch per element, so the steps with control flow keep
 array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
 return, ``finitekey._leakage_array`` the leakage's around the
 ``finite_leakage_core`` twin, and ``_chain_key`` (with ``_binary_entropy``
-and ``_fluct_gamma``) the key stage that ``bounds_ell_core`` runs after
-its ``chain_bounds_core`` call.  ``_chain_bounds`` runs that step's twin
-at each basis' own shape, ``_chain_key`` where the bases meet.  These
+and ``_fluct_gamma``) ``key_stage_core``, the key stage that
+``bounds_ell_core`` runs after its ``chain_bounds_core`` call.
+``_chain_bounds`` runs that step's twin at each basis' own shape,
+``_chain_key`` where the bases meet.  These
 evaluate every lane, with no gather or scatter: each branch is a mask,
 the scalar ``if`` itself (so NaN lanes follow the scalar), built at the
 small shapes and combined once.  A fixed-parameter sweep runs
@@ -273,6 +277,53 @@ def privacy_amplification_bits(eps_s, eps_c):
     return 6.0 * (log(21.0 / eps_s) / LN2) + (log(2.0 / eps_c) / LN2)
 
 
+def pair_counts_core(pax, pbx, d1, e1, d2, e2, d3, e3, p1, p2, p3, n_pulses):
+    """``sifted_counts_core`` of two bases that share the ``pair_statistics``
+    ``d1..e2``, as all states do in a search, cut to the floats the key uses:
+    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x, m_z2, m_z3), ``m_x`` the sum
+    m_x1 + m_x2 + m_x3."""
+    sift_x = pax * pbx * n_pulses
+    sift_z = (1.0 - pax) * (1.0 - pbx) * n_pulses
+    n_x1, n_x2, n_x3 = sift_x * p1 * d1, sift_x * p2 * d2, sift_x * p3 * d3
+    n_z1, n_z2, n_z3 = sift_z * p1 * d1, sift_z * p2 * d2, sift_z * p3 * d3
+    sum_pd = p1 * d1 + p2 * d2 + p3 * d3
+    if not sum_pd > 0.0:
+        return n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, 0.0, 0.0, 0.0
+    sum_pe = p1 * e1 + p2 * e2 + p3 * e3
+    m_tot = (n_x1 + n_x2 + n_x3) * sum_pe / sum_pd
+    m_x = m_tot * p1 * d1 / sum_pd + m_tot * p2 * d2 / sum_pd + m_tot * p3 * d3 / sum_pd
+    m_tot = (n_z1 + n_z2 + n_z3) * sum_pe / sum_pd
+    return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
+            m_x, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
+
+
+def key_stage_core(bounds, n_x, m_x, eps, pa_bits, lam):
+    """``bounds_ell_core``'s key stage and record from the ``chain_bounds_core``
+    tuple ``bounds`` (None where a basis has no counts) and the X-basis count
+    and error totals; ``_chain_key`` is its array counterpart."""
+    if bounds is None:
+        return (0.0, -pa_bits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
+                REASON_ZERO_COUNTS)
+    s_x0, s_x1, s_z0, s_z1, v_z1 = bounds
+    reason = REASON_OK
+    if s_x1 <= 0.0 or s_z1 <= 0.0:
+        phi_x, reason = 0.5, REASON_NO_SINGLE_PHOTON
+    else:
+        ratio = v_z1 / s_z1
+        phi_x = 0.5 if ratio >= 0.5 else ratio + fluct_gamma(eps, ratio, s_z1, s_x1)
+        if phi_x > 0.5:
+            phi_x = 0.5
+    raw = s_x0 + s_x1 * (1.0 - binary_entropy(phi_x)) - lam - pa_bits
+    if reason == REASON_OK:
+        ell = raw // 1.0
+        if ell <= 0.0:
+            ell = 0.0
+            reason = REASON_NEGATIVE_KEY
+    else:
+        ell = 0.0
+    return (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, m_x / n_x, reason)
+
+
 def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
                     m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
                     mu1, mu2, mu3, p1, p2, p3,
@@ -285,43 +336,13 @@ def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
     s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
     are no counts.  ``raw`` is the unfloored key expression (the
     optimization surrogate); ``ell`` is max(0, floor(raw)) or 0 on any
-    failure reason.
+    failure reason.  It runs ``chain_bounds_core``, then ``key_stage_core``.
     """
     n_x = n_x1 + n_x2 + n_x3
     n_z = n_z1 + n_z2 + n_z3
-
-    if n_x <= 0.0 or n_z <= 0.0:
-        return (0.0, -pa_bits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
-                REASON_ZERO_COUNTS)
-
-    s_x0, s_x1, s_z0, s_z1, v_z1 = chain_bounds_core(
+    bounds = None if n_x <= 0.0 or n_z <= 0.0 else chain_bounds_core(
         n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
-    qber_x = (m_x1 + m_x2 + m_x3) / n_x
-
-    reason = REASON_OK
-    if s_x1 <= 0.0 or s_z1 <= 0.0:
-        phi_x = 0.5
-        reason = REASON_NO_SINGLE_PHOTON
-    else:
-        ratio = v_z1 / s_z1
-        if ratio >= 0.5:
-            phi_x = 0.5
-        else:
-            phi_x = ratio + fluct_gamma(eps, ratio, s_z1, s_x1)
-            if phi_x > 0.5:
-                phi_x = 0.5
-
-    raw = s_x0 + s_x1 * (1.0 - binary_entropy(phi_x)) - lam - pa_bits
-
-    if reason == REASON_OK:
-        ell = raw // 1.0
-        if ell <= 0.0:
-            ell = 0.0
-            reason = REASON_NEGATIVE_KEY
-    else:
-        ell = 0.0
-
-    return (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, qber_x, reason)
+    return key_stage_core(bounds, n_x, m_x1 + m_x2 + m_x3, eps, pa_bits, lam)
 
 
 # --- array twins ----------------------------------------------------------

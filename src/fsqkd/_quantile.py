@@ -12,8 +12,12 @@ where every ``k >= n`` meets the predicate.  For integer ``n`` this is
 
 It is computed with scalar ``betainc`` calls: a normal start with a
 Cornish-Fisher skew term, then two probes, k and k - 1 or k + 1, which
-mostly bracket the crossing and end the search; otherwise a bracket grown
-by doubling steps, then bisection down to two adjacent integers.
+mostly bracket the crossing and end the search; otherwise ``_search``
+grows a bracket by doubling steps, then bisects it down to two adjacent
+integers.  ``binom_ppf`` settles the start and the first two probes on
+Python floats and ints, converting only inputs that are not floats; the
+start's normal quantile comes from a bounded cache (``lru_cache``), as
+each distinct NaN object would be a new key.
 
 ``binom_ppf_array`` is its twin over arrays, for fixed-parameter sweeps.
 Each element below 2^53 trials takes the scalar start and first two
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import ceil, inf, sqrt
 from statistics import NormalDist
 
 import numpy as np
@@ -61,22 +66,34 @@ def binom_ppf(q: float, n: float, p: float) -> float:
     Takes scalars, NumPy scalars included, and computes on Python floats.
     A trial count that is not positive and finite gives 0.  The search
     returns after its first two probes where they bracket the crossing,
-    as ``binom_ppf_array`` does.
+    as ``binom_ppf_array`` does; ``_search`` runs the rest.
     """
-    q, n, p = float(q), float(n), float(p)
-    if not 0.0 < n < math.inf:
+    if type(q) is not float or type(n) is not float or type(p) is not float:
+        q, n, p = float(q), float(n), float(p)
+    if not 0.0 < n < inf:
         return 0.0
     x = 1.0 - p
     z = _normal_quantile(q)
     # mean + sigma (z + skew (z^2 - 1) / 6), with skew = (1 - 2p) / sigma
-    start = n * p + math.sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
-    k = min(max(math.ceil(start - 0.5), 0), math.ceil(n))
-    # the first two probes, k and k - 1 or k + 1, mostly bracket the crossing;
-    # otherwise grow a bracket lo < hi by doubling steps, where lo fails the
-    # predicate (lo = -1 is below the support) and hi meets it, then bisect it
+    start = n * p + sqrt(n * p * x) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    k, top = ceil(start - 0.5), ceil(n)
+    k = 0 if k < 0 else k if k <= top else top
+    # the first two probes, k and k - 1 or k + 1, mostly bracket the crossing
     if _meets(q, n, x, k):
         if k == 0 or not _meets(q, n, x, k - 1):
-            return min(float(k), n)
+            return n if n < k else float(k)
+        return _search(q, n, x, k, True)
+    if _meets(q, n, x, k + 1):
+        return n if n < k + 1 else float(k + 1)
+    return _search(q, n, x, k, False)
+
+
+def _search(q: float, n: float, x: float, k: int, down: bool) -> float:
+    """The rest of ``binom_ppf``'s search where its first two probes at k
+    (which meets the predicate if ``down``) did not bracket the crossing:
+    grow a bracket lo < hi by doubling steps, where lo fails the predicate
+    (lo = -1 is below the support) and hi meets it, then bisect it."""
+    if down:
         hi, step = k - 1, 2
         lo = hi - step
         while lo >= 0 and _meets(q, n, x, lo):
@@ -84,8 +101,6 @@ def binom_ppf(q: float, n: float, p: float) -> float:
             lo = hi - step
         lo = max(lo, -1)
     else:
-        if _meets(q, n, x, k + 1):
-            return min(float(k + 1), n)
         lo, step = k + 1, 2
         hi = lo + step
         while not _meets(q, n, x, hi):

@@ -261,17 +261,24 @@ def _evaluate_flat(terms: tuple, pax: float, pbx: float, p1: float, p2: float, p
     """Hot-path evaluation on plain floats; returns the ``bounds_ell_core`` tuple.
 
     The same chain as :func:`key_length_for_channel` for states that all
-    send one intensity triple, without dataclass construction.  ``terms``
-    is the search's ``_search_terms``, which holds mu3 and its statistics.
-    A searched pair (mu1, mu2) is passed here and its statistics computed
-    here; a fixed pair is omitted and read, with its statistics, from
-    ``terms``.  Then only the sifted counts, the leakage and the bounds
-    are computed.
+    send one intensity triple, without dataclass construction or a count
+    vector.  ``terms`` is the search's ``_search_terms``, which holds mu3
+    and its statistics.  A searched pair (mu1, mu2) is passed here and its
+    statistics computed here; a fixed pair is omitted and read, with its
+    statistics, from ``terms``.  Then ``pair_counts_core``, ``_leakage``,
+    ``chain_bounds_core`` and ``key_stage_core`` run, as in ``bounds_ell_core``.
     """
-    fixed1, fixed2, x, mu3, d3, e3, link, n_pulses, sec, chain = terms
+    fixed1, fixed2, x, mu3, d3, e3, link, n_pulses, sec, (beta, eps, pa_bits) = terms
     if mu1 is None:
         mu1, mu2 = fixed1, fixed2
+        d1, e1, d2, e2 = x
     else:
-        x = k.pair_statistics(mu1, mu2, mu1, mu2, *link)
-    c = k.sifted_counts_core(pax, pbx, x, x, d3, e3, p1, p2, p3, n_pulses)
-    return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3, *chain, _count_leakage(c, sec)[0])
+        d1, e1 = k.detection_error_prob(mu1, *link)
+        d2, e2 = k.detection_error_prob(mu2, *link)
+    n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x, m_z2, m_z3 = k.pair_counts_core(
+        pax, pbx, d1, e1, d2, e2, d3, e3, p1, p2, p3, n_pulses)
+    n_x = n_x1 + n_x2 + n_x3
+    lam = _leakage(n_x, m_x / n_x if n_x > 0.0 else 0.0, sec)[0]
+    bounds = None if n_x <= 0.0 or n_z1 + n_z2 + n_z3 <= 0.0 else k.chain_bounds_core(
+        n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
+    return k.key_stage_core(bounds, n_x, m_x, eps, pa_bits, lam)

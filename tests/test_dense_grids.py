@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from fsqkd import ChannelConditions, ParameterError, ProtocolParams, SecurityParams, scenarios
+from fsqkd import OptimizationSpec, optimize
+from fsqkd.finitekey import _evaluate_flat, _search_terms
+from fsqkd.optimize import PROB_BOUNDS
 
 SEC = SecurityParams(ec_method="rate-factor")
 BASE = ChannelConditions(eta_loss_db=0.0, p_ec=0.0, qber_i=0.0, integration_time_s=1.0)
@@ -65,3 +68,38 @@ def test_rate_factor_key_is_monotone_on_dense_grids(axis):
         positive += np.count_nonzero(ell)
     # the grids reach key, so a step against the axis would show
     assert positive > 0.1 * POINTS * 27 * len(AXES[axis][0])
+
+
+# Acceptance case 1c: fixed_pbx_and_mu at pbx 0.5 and the factory intensities,
+# p_ec 1e-6, qber_i 0.01, a 30 min window; the spec the acceptance test uses
+WITNESS_MU = (0.5, 0.1, 0.0)
+WITNESS_GRID = 32  # points per searched coordinate
+
+
+@pytest.mark.parametrize("eta_db, restarts", [(42.0, 8), (42.5, 12)])
+def test_optimizer_reaches_the_dense_grid_best(eta_db, restarts):
+    """``optimize``'s ``best_ell`` is at least the best key of a dense grid of
+    ``_evaluate_flat`` over the regime's three searched coordinates (pax, p1
+    and p2 at the midpoints of 32 equal steps of the search box, p2 within
+    what p1 leaves), in ``fixed_pbx_and_mu`` at acceptance case 1c."""
+    sec = SecurityParams()
+    channel = ChannelConditions(eta_loss_db=eta_db, p_ec=1e-6, qber_i=0.01,
+                                integration_time_s=1800.0)
+    spec = OptimizationSpec(regime="fixed_pbx_and_mu", pbx=0.5, mu=WITNESS_MU,
+                            restarts=restarts, seed=1)
+    terms = _search_terms(channel.transmittance, channel.p_ec, channel.qber_i, channel.p_ap,
+                          channel.n_pulses, sec, WITNESS_MU)
+    lo, hi = PROB_BOUNDS
+    steps = [(i + 0.5) / WITNESS_GRID for i in range(WITNESS_GRID)]
+    grid_best = 0.0
+    for u in steps:
+        pax = lo + (hi - lo) * u
+        for v in steps:
+            p1 = lo + (1.0 - 3.0 * lo) * v
+            for w in steps:
+                p2 = lo + (1.0 - p1 - 2.0 * lo) * w
+                ell = _evaluate_flat(terms, pax, 0.5, p1, p2, 1.0 - p1 - p2)[0]
+                if ell > grid_best:
+                    grid_best = ell
+    assert grid_best > 0.0
+    assert optimize(spec, channel, sec).best_ell >= grid_best
