@@ -11,8 +11,8 @@ protocol chain.
 
 One evaluation computes each quantity once, and only what the key uses:
 ``counts_core`` calls ``detection_error_prob`` once per intensity object
-(three calls when all states share their pair), then
-``sifted_counts_core``; the taus and intensity weights come from one
+(three calls when all states share their pair), then ``basis_counts_core``
+once per basis; the taus and intensity weights come from one
 ``intensity_terms`` call, and 12 concentration-corrected counts from one
 ``count_lower_core`` or ``count_upper_core`` call each: five per basis for
 its vacuum and single-photon bounds, and two Z-basis error counts for
@@ -22,10 +22,10 @@ eps_c).  An optimizer search holds the link and mu3 fixed (and mu1, mu2
 in ``fixed_pbx_and_mu``), so it takes their statistics once
 (``finitekey._search_terms``).  Each evaluation takes a searched pair's
 from two ``detection_error_prob`` calls, then runs ``pair_counts_core``,
-the one scalar step that exists only for the search (the counts the key
-uses, from the one set of statistics all states share), then
-``bounds_ell_core``'s two stages, ``chain_bounds_core`` and
-``key_stage_core``.
+the one scalar step that exists only for the search (the nine counts the
+key uses, from the one set of statistics all states share), then
+``bounds_ell_core``, which every key length goes through: the
+``chain_bounds_core`` decoy bounds, then the key stage.
 
 Each straight-line step has one body, run with a float or an array set of
 operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0`` and ``clamp``
@@ -40,10 +40,9 @@ An ``if`` cannot branch per element, so the steps with control flow keep
 array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
 return, ``finitekey._leakage_array`` the leakage's around the
 ``finite_leakage_core`` twin, and ``_chain_key`` (with ``_binary_entropy``
-and ``_fluct_gamma``) ``key_stage_core``, the key stage that
-``bounds_ell_core`` runs after its ``chain_bounds_core`` call.
-``_chain_bounds`` runs that step's twin at each basis' own shape,
-``_chain_key`` where the bases meet.  These
+and ``_fluct_gamma``) the key stage that ``bounds_ell_core`` runs after its
+``chain_bounds_core`` call.  ``_chain_bounds`` runs that step's twin at
+each basis' own shape, ``_chain_key`` where the bases meet.  These
 evaluate every lane, with no gather or scatter: each branch is a mask,
 the scalar ``if`` itself (so NaN lanes follow the scalar), built at the
 small shapes and combined once.  A fixed-parameter sweep runs
@@ -181,25 +180,13 @@ def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
             m_tot * p1 * d1 / sum_pd, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
 
 
-def sifted_counts_core(pax, pbx, x, z, d3, e3, p1, p2, p3, n_pulses):
-    """Expected sifted counts from the ``pair_statistics`` ``x``, ``z`` of
-    the X and Z bases and the third intensity's ``d3``, ``e3``:
-    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)."""
-    n_x1, n_x2, n_x3, m_x1, m_x2, m_x3 = basis_counts_core(
-        pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
-    n_z1, n_z2, n_z3, m_z1, m_z2, m_z3 = basis_counts_core(
-        (1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
-    return (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-            m_x1, m_x2, m_x3, m_z1, m_z2, m_z3)
-
-
 def counts_core(pax, pbx,
                 mu1_h, mu2_h, mu1_v, mu2_v,
                 mu1_d, mu2_d, mu1_a, mu2_a,
                 mu3, p1, p2, p3,
                 p_d, p_ec, qber_i, p_ap, n_pulses):
-    """Expected sifted detection and error counts per basis and intensity,
-    in ``sifted_counts_core`` order.
+    """Expected sifted detection and error counts per basis and intensity:
+    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x1, m_x2, m_x3, m_z1, m_z2, m_z3).
 
     The X basis is sent in the H and V states, the Z basis in D and A (it
     reuses the X statistics when D, A are passed the very objects H, V
@@ -209,7 +196,9 @@ def counts_core(pax, pbx,
     x = pair_statistics(mu1_h, mu2_h, mu1_v, mu2_v, p_d, p_ec, p_ap, qber_i)
     z = x if mu1_d is mu1_h and mu2_d is mu2_h and mu1_a is mu1_v and mu2_a is mu2_v else (
         pair_statistics(mu1_d, mu2_d, mu1_a, mu2_a, p_d, p_ec, p_ap, qber_i))
-    return sifted_counts_core(pax, pbx, x, z, d3, e3, p1, p2, p3, n_pulses)
+    x_counts = basis_counts_core(pax * pbx * n_pulses, *x, d3, e3, p1, p2, p3)
+    z_counts = basis_counts_core((1.0 - pax) * (1.0 - pbx) * n_pulses, *z, d3, e3, p1, p2, p3)
+    return (*x_counts[:3], *z_counts[:3], *x_counts[3:], *z_counts[3:])
 
 
 def count_lower_core(c, s, beta):
@@ -278,10 +267,10 @@ def privacy_amplification_bits(eps_s, eps_c):
 
 
 def pair_counts_core(pax, pbx, d1, e1, d2, e2, d3, e3, p1, p2, p3, n_pulses):
-    """``sifted_counts_core`` of two bases that share the ``pair_statistics``
-    ``d1..e2``, as all states do in a search, cut to the floats the key uses:
-    (n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x, m_z2, m_z3), ``m_x`` the sum
-    m_x1 + m_x2 + m_x3."""
+    """``counts_core``'s counts when both bases share the ``pair_statistics``
+    ``d1..e2``, as all states do in a search, cut to the nine floats the key
+    uses, in ``bounds_ell_core``'s order: (n_x1, n_x2, n_x3, n_z1, n_z2,
+    n_z3, m_x, m_z2, m_z3), ``m_x`` the sum m_x1 + m_x2 + m_x3."""
     sift_x = pax * pbx * n_pulses
     sift_z = (1.0 - pax) * (1.0 - pbx) * n_pulses
     n_x1, n_x2, n_x3 = sift_x * p1 * d1, sift_x * p2 * d2, sift_x * p3 * d3
@@ -297,14 +286,26 @@ def pair_counts_core(pax, pbx, d1, e1, d2, e2, d3, e3, p1, p2, p3, n_pulses):
             m_x, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
 
 
-def key_stage_core(bounds, n_x, m_x, eps, pa_bits, lam):
-    """``bounds_ell_core``'s key stage and record from the ``chain_bounds_core``
-    tuple ``bounds`` (None where a basis has no counts) and the X-basis count
-    and error totals; ``_chain_key`` is its array counterpart."""
-    if bounds is None:
+def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x, m_z2, m_z3,
+                    mu1, mu2, mu3, p1, p2, p3, beta, eps, pa_bits, lam):
+    """Finite-key estimation chain to key length from the nine expected
+    counts the key uses, in ``pair_counts_core`` order.
+
+    ``eps`` is eps_s + eps_c, ``pa_bits`` their ``privacy_amplification_bits``
+    and ``lam`` the reconciliation leakage of the same X-basis counts, as
+    ``finitekey._leakage`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
+    s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
+    are no counts.  ``raw`` is the unfloored key expression (the
+    optimization surrogate); ``ell`` is max(0, floor(raw)) or 0 on any
+    failure reason.  It runs ``chain_bounds_core``, then the key stage
+    (``_chain_key`` over arrays).
+    """
+    n_x = n_x1 + n_x2 + n_x3
+    if n_x <= 0.0 or n_z1 + n_z2 + n_z3 <= 0.0:
         return (0.0, -pa_bits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
                 REASON_ZERO_COUNTS)
-    s_x0, s_x1, s_z0, s_z1, v_z1 = bounds
+    s_x0, s_x1, s_z0, s_z1, v_z1 = chain_bounds_core(
+        n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
     reason = REASON_OK
     if s_x1 <= 0.0 or s_z1 <= 0.0:
         phi_x, reason = 0.5, REASON_NO_SINGLE_PHOTON
@@ -322,27 +323,6 @@ def key_stage_core(bounds, n_x, m_x, eps, pa_bits, lam):
     else:
         ell = 0.0
     return (ell, raw, s_x0, s_x1, s_z0, s_z1, v_z1, phi_x, lam, m_x / n_x, reason)
-
-
-def bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3,
-                    m_x1, m_x2, m_x3, m_z1, m_z2, m_z3,
-                    mu1, mu2, mu3, p1, p2, p3,
-                    beta, eps, pa_bits, lam):
-    """Finite-key estimation chain from expected counts to key length.
-
-    ``eps`` is eps_s + eps_c, ``pa_bits`` their ``privacy_amplification_bits``
-    and ``lam`` the reconciliation leakage of the same X-basis counts, as
-    ``finitekey._leakage`` returns it.  Returns (ell, raw, s_x0, s_x1, s_z0,
-    s_z1, v_z1, phi_x, lam, qber_x, reason), with ``lam`` = 0 when there
-    are no counts.  ``raw`` is the unfloored key expression (the
-    optimization surrogate); ``ell`` is max(0, floor(raw)) or 0 on any
-    failure reason.  It runs ``chain_bounds_core``, then ``key_stage_core``.
-    """
-    n_x = n_x1 + n_x2 + n_x3
-    n_z = n_z1 + n_z2 + n_z3
-    bounds = None if n_x <= 0.0 or n_z <= 0.0 else chain_bounds_core(
-        n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
-    return key_stage_core(bounds, n_x, m_x1 + m_x2 + m_x3, eps, pa_bits, lam)
 
 
 # --- array twins ----------------------------------------------------------
@@ -404,8 +384,8 @@ _ARRAY = dict(globals(), exp=_libm_exp, log=_libm_log, sqrt=np.sqrt,
               floor0=lambda x: np.where(x < 0.0, 0.0, x), clamp=_clamp_array,
               basis_counts_core=_basis_counts, binary_entropy=_binary_entropy)
 _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__name__)
-               for step in (detection_error_prob, pair_statistics, sifted_counts_core,
-                            counts_core, chernoff_delta_plus, chernoff_delta_minus,
+               for step in (detection_error_prob, pair_statistics, counts_core,
+                            chernoff_delta_plus, chernoff_delta_minus,
                             count_lower_core, count_upper_core, vacuum_bound_core,
                             single_photon_bound_core, basis_bounds_core, intensity_terms,
                             chain_bounds_core, finite_leakage_core)})

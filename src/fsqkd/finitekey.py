@@ -205,14 +205,14 @@ def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,
                sec: SecurityParams) -> tuple[tuple, float]:
     """Leakage, then the estimation chain, for one count vector.
 
-    ``c`` holds the 12 expected counts in ``counts_core`` order; the
-    intensities and probabilities are the estimator's.  Returns the
-    ``bounds_ell_core`` tuple and the leakage quantile (0 in rate-factor
-    mode).
+    ``c`` holds the 12 expected counts in ``counts_core`` order, cut here to
+    the nine ``bounds_ell_core`` takes; the intensities and probabilities
+    are the estimator's.  Returns the ``bounds_ell_core`` tuple and the
+    leakage quantile (0 in rate-factor mode).
     """
     lam, f_inv = _count_leakage(c, sec)
-    return k.bounds_ell_core(*c, mu1, mu2, mu3, p1, p2, p3,
-                             sec.beta, sec.eps, sec.pa_bits, lam), f_inv
+    return k.bounds_ell_core(*c[:6], c[6] + c[7] + c[8], c[10], c[11], mu1, mu2, mu3,
+                             p1, p2, p3, sec.beta, sec.eps, sec.pa_bits, lam), f_inv
 
 
 def secure_key_length(counts: BlockCounts, params: ProtocolParams,
@@ -265,8 +265,8 @@ def _evaluate_flat(terms: tuple, pax: float, pbx: float, p1: float, p2: float, p
     vector.  ``terms`` is the search's ``_search_terms``, which holds mu3
     and its statistics.  A searched pair (mu1, mu2) is passed here and its
     statistics computed here; a fixed pair is omitted and read, with its
-    statistics, from ``terms``.  Then ``pair_counts_core``, ``_leakage``,
-    ``chain_bounds_core`` and ``key_stage_core`` run, as in ``bounds_ell_core``.
+    statistics, from ``terms``.  Then ``pair_counts_core``, ``_leakage`` and
+    ``bounds_ell_core`` run.
     """
     fixed1, fixed2, x, mu3, d3, e3, link, n_pulses, sec, (beta, eps, pa_bits) = terms
     if mu1 is None:
@@ -279,6 +279,5 @@ def _evaluate_flat(terms: tuple, pax: float, pbx: float, p1: float, p2: float, p
         pax, pbx, d1, e1, d2, e2, d3, e3, p1, p2, p3, n_pulses)
     n_x = n_x1 + n_x2 + n_x3
     lam = _leakage(n_x, m_x / n_x if n_x > 0.0 else 0.0, sec)[0]
-    bounds = None if n_x <= 0.0 or n_z1 + n_z2 + n_z3 <= 0.0 else k.chain_bounds_core(
-        n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_z2, m_z3, mu1, mu2, mu3, p1, p2, p3, beta)
-    return k.key_stage_core(bounds, n_x, m_x, eps, pa_bits, lam)
+    return k.bounds_ell_core(n_x1, n_x2, n_x3, n_z1, n_z2, n_z3, m_x, m_z2, m_z3,
+                             mu1, mu2, mu3, p1, p2, p3, beta, eps, pa_bits, lam)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -30,12 +32,19 @@ def _check_one_policy(params: ProtocolParams | None,
 
 def _check_axis(values: Sequence[float], field: str | None, domain: str | None = None,
                 sweep_axis: str | None = None) -> tuple[float, ...]:
-    """``values`` as floats, non-decreasing and each in the domain of the
-    channel field ``field`` (none for ``log10_pec``).  A sweep axis, named
-    by ``sweep_axis``, must also be non-empty and finite; ``skr_vs_time``'s
-    times may be empty, and their domain rejects a non-finite one."""
-    vals = tuple(float(v) for v in values)
+    """``values``, a sequence of real numbers (text is refused), as floats,
+    non-decreasing and each in the domain of the channel field ``field``
+    (none for ``log10_pec``).  A sweep axis, named by ``sweep_axis``, must
+    also be non-empty and finite; ``skr_vs_time``'s times may be empty, and
+    their domain rejects a non-finite one."""
     label = "times" if sweep_axis is None else f"sweep axis {sweep_axis}"
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ParameterError(f"{label} must be a sequence of numbers, got {values!r}")
+    vals = tuple(values)
+    for v in vals:
+        if not isinstance(v, numbers.Real):
+            raise ParameterError(f"{label} must be a sequence of numbers, got {v!r}")
+    vals = tuple(map(float, vals))
     if sweep_axis is not None and not vals:
         raise ParameterError(f"{label} is empty")
     if sweep_axis is not None and not all(map(math.isfinite, vals)):

@@ -26,6 +26,8 @@ def test_one_pair_on_two_queries_against_the_tree_itself(tmp_path):
     counts = block["counts"]
     assert counts["parent"] == counts["change"]
     assert counts["change"]["optimize/full"]["evaluations"] > 0
+    # one minimize call per restart, at least one per query
+    assert counts["change"]["optimize/full"]["minimize_calls"] >= 2
     assert counts["change"]["optimize/full"]["binom_ppf_calls"] > 0
     assert block["counts_repeat"] is True
     digests = block["answers_sha256"]

@@ -128,6 +128,45 @@ def test_non_number_intensity_rejected():
         key_length_for_intensities({"h_mu1": "0.3"}, PARAMS, CHANNEL, SEC)
 
 
+SWEEP_AXES = dict(eta_loss_db=(30.0,), log10_pec=(-6.0,), qber_i=(0.01,), tau_s=(60.0,))
+
+
+@pytest.mark.parametrize("values, shown", [
+    (("30",), "'30'"), ((30.0, "30"), "'30'"), (("x",), "'x'"), ((None,), "None"),
+    (30.0, "30.0"), ("30", "'30'"), (b"30", "b'30'"),
+], ids=["text", "text-after-number", "word", "none", "bare-number", "bare-text", "bytes"])
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+def test_non_number_sweep_axis_rejected(axis, values, shown):
+    # an axis entry is a number, as every other field's value is: text is
+    # refused, not converted, and the message names the axis
+    for policy in (dict(params=PARAMS), dict(opt_spec=OptimizationSpec())):
+        with pytest.raises(ParameterError, match=f"^sweep axis {axis} .*got {re.escape(shown)}$"):
+            SweepSpec(**{**SWEEP_AXES, axis: values}, **policy)
+
+
+@pytest.mark.parametrize("times, shown", [
+    (["60"], "'60'"), ([30.0, "60"], "'60'"), (["x"], "'x'"), ([None], "None"),
+    (60.0, "60.0"), ("60", "'60'"), (b"60", "b'60'"),
+], ids=["text", "text-after-number", "word", "none", "bare-number", "bare-text", "bytes"])
+def test_non_number_times_rejected(monkeypatch, times, shown):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(scenarios, "_grid_table", evaluated)
+    for policy in (dict(params=PARAMS), dict(opt_spec=OptimizationSpec())):
+        with pytest.raises(ParameterError, match=f"^times .*got {re.escape(shown)}$"):
+            skr_vs_time(times, CHANNEL, SEC, **policy)
+
+
+def test_numeric_axis_entries_accepted():
+    # NumPy scalars and ints are numbers; each entry is stored as a float
+    spec = SweepSpec(eta_loss_db=np.array([20, 30]), log10_pec=(np.float64(-6.0),),
+                     qber_i=(0,), tau_s=[np.int64(60)], params=PARAMS)
+    assert (spec.eta_loss_db, spec.log10_pec, spec.qber_i, spec.tau_s) == (
+        (20.0, 30.0), (-6.0,), (0.0,), (60.0,))
+    assert all(type(v) is float for v in spec.eta_loss_db + spec.tau_s)
+
+
 def _sweep(**policy):
     spec = SweepSpec(eta_loss_db=(30.0,), log10_pec=(-6.0,), qber_i=(0.01,),
                      tau_s=(60.0, 1e301), **policy)

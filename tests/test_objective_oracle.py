@@ -1,19 +1,19 @@
 """The optimizer objective against the stepwise chain it short-cuts.
 
-``finitekey._evaluate_flat`` takes the counts that the key uses from
-``_kernels.pair_counts_core`` and runs ``_leakage``, ``chain_bounds_core``
-and ``key_stage_core`` on them.  The stepwise chain builds the whole
-12-count vector with ``sifted_counts_core`` and runs ``_count_leakage`` and
-``bounds_ell_core`` on it.  The two must give the same record, bit for bit,
-at every point: the chain digests hash only the objective's rows, so this
-keeps the two compositions from drifting apart if a digest is re-recorded.
+``finitekey._evaluate_flat`` takes the nine counts that the key uses from
+``_kernels.pair_counts_core`` and runs ``_leakage`` and ``bounds_ell_core``
+on them.  The stepwise chain builds the whole 12-count vector with
+``counts_core``, runs ``_count_leakage`` on it and ``bounds_ell_core`` on
+its nine.  The two must give the same record, bit for bit, at every point:
+the chain digests hash only the objective's rows, so this keeps the two
+compositions from drifting apart if a digest is re-recorded.
 """
 import itertools
 import random
 
 import pytest
 
-from fsqkd import SecurityParams
+from fsqkd import ChannelConditions, OptimizationSpec, Regime, SecurityParams, optimize
 from fsqkd import _kernels as k
 from fsqkd.finitekey import _count_leakage, _evaluate_flat, _search_terms
 
@@ -49,9 +49,10 @@ def _stepwise(pax, pbx, p_mu, mu, mu3, link, n_pulses, sec):
     ``_count_leakage``; also returns the vector and the basis' ``sum_pd``."""
     d3, e3 = k.detection_error_prob(mu3, *link)
     x = k.pair_statistics(*mu, *mu, *link)
-    c = k.sifted_counts_core(pax, pbx, x, x, d3, e3, *p_mu, n_pulses)
-    record = k.bounds_ell_core(*c, *mu, mu3, *p_mu, sec.beta, sec.eps, sec.pa_bits,
-                               _count_leakage(c, sec)[0])
+    p_d, p_ec, p_ap, qber_i = link
+    c = k.counts_core(pax, pbx, *mu * 4, mu3, *p_mu, p_d, p_ec, qber_i, p_ap, n_pulses)
+    record = k.bounds_ell_core(*c[:6], c[6] + c[7] + c[8], c[10], c[11], *mu, mu3, *p_mu,
+                               sec.beta, sec.eps, sec.pa_bits, _count_leakage(c, sec)[0])
     return record, c, x, (d3, e3), p_mu[0] * x[0] + p_mu[1] * x[2] + p_mu[2] * d3
 
 
@@ -80,9 +81,45 @@ def test_objective_equals_the_stepwise_chain(ec_method, mu3, searched):
     assert no_detections > 0
 
 
+@pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+@pytest.mark.parametrize("searched", [True, False], ids=["searched", "fixed"])
+def test_objective_reaches_its_bounds_through_bounds_ell_core(monkeypatch, ec_method,
+                                                              searched):
+    """Each objective evaluation is one ``bounds_ell_core`` call, whose
+    record it returns as it is, so the counts -> leakage -> bounds glue
+    exists once; ``optimize`` adds one call for its final record."""
+    calls = []
+    bounds = k.bounds_ell_core
+
+    def counted(*args):
+        calls.append(bounds(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(k, "bounds_ell_core", counted)
+    rng = random.Random(f"one bounds call {ec_method} {searched}")
+    sec = SecurityParams(ec_method=ec_method)
+    for _ in range(200):
+        pax, pbx, p_mu, mu, (p_d, p_ec, p_ap, qber_i), n_pulses = _point(rng, 1e-9)
+        fixed = (None, None) if searched else mu
+        terms = _search_terms(p_d, p_ec, qber_i, p_ap, n_pulses, sec, (*fixed, 1e-9))
+        before = len(calls)
+        got = _evaluate_flat(terms, pax, pbx, *p_mu, *(mu if searched else ()))
+        assert len(calls) == before + 1 and got is calls[-1]
+
+    calls.clear()
+    channel = ChannelConditions(eta_loss_db=30.0, p_ec=1e-6, qber_i=0.01,
+                                integration_time_s=60.0)
+    spec = (OptimizationSpec(restarts=2) if searched else
+            OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=(0.5, 0.1, 1e-9),
+                             restarts=2))
+    res = optimize(spec, channel, sec)
+    assert res.evaluations > 0 and len(calls) == res.evaluations + 1
+    assert calls[-1][0] == res.result.ell
+
+
 def test_pair_counts_equal_the_sifted_counts():
     """Each of ``pair_counts_core``'s nine floats is the one that
-    ``sifted_counts_core`` gives with both bases on one set of statistics,
+    ``counts_core`` gives with every state sending one intensity pair,
     and ``m_x`` is its three X-basis error counts summed left to right."""
     rng = random.Random("pair counts")
     no_detections = 0

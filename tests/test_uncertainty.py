@@ -1,6 +1,7 @@
 """Worst-case key length under bounded intensity uncertainty."""
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -194,7 +195,8 @@ def scalar_grid(model, channel, sec):
             f_inv = binom_ppf(sec.eps_c, n_x, 1.0 - min(q, 0.5))
             lam = k.finite_leakage_core(n_x, min(q, 0.5), sec.ec_bits, f_inv)
         for e1, e2 in itertools.product(range(g), repeat=2):
-            out = k.bounds_ell_core(*c, cand1[e1], cand2[e2], mu3, p1, p2, p3,
+            out = k.bounds_ell_core(*c[:6], c[6] + c[7] + c[8], c[10], c[11],
+                                    cand1[e1], cand2[e2], mu3, p1, p2, p3,
                                     sec.beta, sec.eps, sec.pa_bits, lam)
             j = t * g * g + e1 * g + e2
             ell[j], reason[j] = out[0], out[10]
@@ -374,8 +376,9 @@ def test_bounds_ell_array_matches_scalar_kernel(consistent):
             sec = SecurityParams(ec_method=["binomial", "rate-factor"][rng.integers(2)])
             counts.append(c)
             lam.append(_count_leakage(c, sec)[0])
-            want.append(k.bounds_ell_core(*c, *est, p1, p2, p3, SEC.beta,
-                                          SEC.eps, SEC.pa_bits, lam[-1]))
+            want.append(k.bounds_ell_core(*c[:6], c[6] + c[7] + c[8], c[10], c[11],
+                                          *est, p1, p2, p3, SEC.beta, SEC.eps, SEC.pa_bits,
+                                          lam[-1]))
         cols = np.array(counts).T
         got = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], est,
                                (p1, p2, p3), SEC.beta, SEC.eps, SEC.pa_bits,
@@ -459,7 +462,8 @@ def test_bounds_ell_array_matches_scalar_kernel_on_every_lane():
     rate_factor = SecurityParams(ec_method="rate-factor")
     lam = np.array([_count_leakage(c, rate_factor)[0] for c in counts.tolist()])
     lam[1::50], lam[2::50] = math.inf, math.nan
-    want = [k.bounds_ell_core(*c, *mu, *p_mu, SEC.beta, SEC.eps, SEC.pa_bits, l)
+    want = [k.bounds_ell_core(*c[:6], c[6] + c[7] + c[8], c[10], c[11], *mu, *p_mu,
+                              SEC.beta, SEC.eps, SEC.pa_bits, l)
             for c, l in zip(counts.tolist(), lam.tolist())]
     cols = counts.T
     got = bounds_ell_array(cols[0:3], cols[3:6], cols[6:9], cols[9:12], mu, p_mu,
@@ -550,8 +554,8 @@ def test_batched_estimators_match_one_call_each(consistent, axis):
         assert all(np.array_equal(f[e], g) for f, g in zip(record, one))
         got = zip(*(np.broadcast_to(f[e], (40, 40)).ravel().tolist()
                     for f in (ell, raw, *bounds)))
-        want = (k.bounds_ell_core(*x[0:3], *z[3:6], *x[6:9], *z[9:12], *mu, *p,
-                                  SEC.beta, SEC.eps, SEC.pa_bits, lam_x)[:7]
+        want = (k.bounds_ell_core(*x[0:3], *z[3:6], x[6] + x[7] + x[8], z[10], z[11],
+                                  *mu, *p, SEC.beta, SEC.eps, SEC.pa_bits, lam_x)[:7]
                 for x, lam_x in zip(rows, lam[:, 0].tolist()) for z in rows)
         assert list(map(repr, got)) == list(map(repr, want))
     assert np.any(ell > 0.0) or not consistent
@@ -744,3 +748,46 @@ def test_pruned_grid_equals_full_grid(ec_method, params, channel, f, g):
     model = IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g)
     res = worst_case_key_length(model, channel, sec)
     assert (res.min_ell, res.argmin_index) == full_grid_minimum(model, channel, sec)
+
+
+VERTEX_CASES = 400
+
+
+def vertex_cases(rng: random.Random, count: int) -> list:
+    """``count`` random (nominal point, channel, f), most of them with key:
+    5 to 35 dB of loss, p_ec 1e-7 to 1e-5, a 60 s or 30 min window."""
+    out = []
+    while len(out) < count:
+        mu1 = rng.uniform(0.1, 1.0)
+        mu2 = mu1 * rng.uniform(0.05, 0.6)
+        p1 = rng.uniform(0.2, 0.9)
+        p2 = (1.0 - p1) * rng.uniform(0.1, 0.9)
+        try:
+            params = ProtocolParams(pax=rng.uniform(0.05, 0.95), pbx=rng.uniform(0.05, 0.95),
+                                    mu=(mu1, mu2, rng.choice([0.0, 1e-9, 1e-3])),
+                                    p_mu=(p1, p2, 1.0 - p1 - p2))
+        except ParameterError:
+            continue
+        channel = ChannelConditions(eta_loss_db=rng.uniform(5.0, 35.0),
+                                    p_ec=10.0 ** rng.uniform(-7.0, -5.0),
+                                    qber_i=rng.uniform(0.0, 0.05),
+                                    integration_time_s=rng.choice([60.0, 1800.0]))
+        out.append((params, channel, rng.uniform(0.01, 0.2)))
+    return out
+
+
+@pytest.mark.parametrize("ec_method", ["binomial", "rate-factor"])
+def test_grid_minimum_lies_on_the_vertices(ec_method):
+    """The 3^10 grid of endpoints and midpoints has the least key of its
+    2^10 vertices (ROADMAP item 3's property, on the grid), in well over
+    100 cases with key per leakage mode."""
+    sec = SecurityParams(ec_method=ec_method)
+    with_key = 0
+    rng = random.Random(f"vertices {ec_method}")
+    for params, channel, f in vertex_cases(rng, VERTEX_CASES):
+        grid, vertices = (worst_case_key_length(
+            IntensityUncertaintyModel(f=f, nominal=params, grid_points_per_dim=g), channel, sec)
+            for g in (3, 2))
+        assert grid.min_ell == vertices.min_ell, (params, channel, f)
+        with_key += grid.min_ell > 0
+    assert with_key >= 100

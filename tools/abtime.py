@@ -16,8 +16,9 @@ instead.  The change is this checkout's ``src``.
 Each pair runs the two sides in fresh interpreters, one after the other,
 alternating which goes first.  An interpreter first answers every query
 once with counters installed: it counts the objective's evaluations
-(``_evaluate_flat`` calls) and the scalar quantile's (``binom_ppf``) calls,
-and hashes each kind's answers (the ``repr`` of every result and its
+(``_evaluate_flat`` calls), the Nelder-Mead runs (``minimize`` calls, one
+per restart) and the scalar quantile's (``binom_ppf``) calls, and hashes
+each kind's answers (the ``repr`` of every result and its
 check's short answer).  This pass also warms the interpreter.  Then it
 answers every query ``--repeats`` times with no counters installed, and
 keeps each query's least wall time.  A kind's time in one interpreter is
@@ -92,12 +93,14 @@ def worker(src: str, workload: str, seed: int, n_queries: int, repeats: int) -> 
         sys.modules[name] for name in ("fsqkd.optimize", "fsqkd.finitekey", "fsqkd._quantile"))
     queries = workloads.first_queries(workload, seed, n_queries)
     labels = [_label(q) for q in queries]
-    counts = {label: {"evaluations": 0, "binom_ppf_calls": 0} for label in labels}
+    counts = {label: {"evaluations": 0, "minimize_calls": 0, "binom_ppf_calls": 0}
+              for label in labels}
     digests = {label: hashlib.sha256() for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         ctx = workloads.Context(workdir=Path(tmp), check_rng=random.Random(seed))
         for i, (q, label) in enumerate(zip(queries, labels)):
             restore = (_counted([optimize_mod], "_evaluate_flat", counts[label], "evaluations")
+                       + _counted([optimize_mod], "minimize", counts[label], "minimize_calls")
                        + _counted([finitekey_mod, quantile_mod], "binom_ppf", counts[label],
                                   "binom_ppf_calls"))
             try:
