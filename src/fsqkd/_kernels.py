@@ -28,17 +28,18 @@ key uses, from the one set of statistics all states share), then
 ``chain_bounds_core`` decoy bounds, then the key stage.
 
 Each straight-line step has one body, run with a float or an array set of
-operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0`` and ``clamp``
-by module name, and its array twin (``counts_array`` for ``counts_core``)
-runs the same code with the globals ``_ARRAY``, where these are
-``_libm_exp``, ``_libm_log``, ``np.sqrt`` and ``np.where`` clamps,
+operations.  It calls ``exp``, ``log``, ``sqrt``, ``floor0``, ``clamp`` and
+``per`` (a division, 0 where the total is not positive) by module name, and
+its array twin (``counts_array`` for ``counts_core``) runs the same code
+with the globals ``_ARRAY``, where these are ``_libm_exp``, ``_libm_log``,
+``np.sqrt``, ``np.where`` clamps and a masked ``np.divide``,
 ``binary_entropy`` is ``_binary_entropy`` and each step's name is its
-twin.  As an array cannot say whether two states send one intensity, a
-step asks if they are one object; equal values in two objects are both
-evaluated and averaged, which gives the same float, as 0.5 * (d + d) == d.
-An ``if`` cannot branch per element, so the steps with control flow keep
-array glue: ``_basis_counts`` masks ``basis_counts_core``'s zero-detection
-return, ``finitekey._leakage_array`` the leakage's around the
+twin; ``finitekey._count_leakage_array`` is one too.  As an array cannot
+say whether two states send one intensity, a step asks if they are one
+object; equal values in two objects are both evaluated and averaged,
+which gives the same float, as 0.5 * (d + d) == d.  An ``if`` cannot
+branch per element, so the steps with control flow keep array glue:
+``finitekey._leakage_array`` masks the leakage's around the
 ``finite_leakage_core`` twin, and ``_chain_key`` (with ``_binary_entropy``
 and ``_fluct_gamma``) the key stage that ``bounds_ell_core`` runs after its
 ``chain_bounds_core`` call.  ``_chain_bounds`` runs that step's twin at
@@ -90,6 +91,11 @@ def clamp(x, top):
     """``x`` capped at ``top``, then floored at zero."""
     x = top if x > top else x
     return 0.0 if x < 0.0 else x
+
+
+def per(x, total):
+    """``x / total``, or 0 where ``total`` is not positive (NaN included)."""
+    return x / total if total > 0.0 else 0.0
 
 
 def db_to_transmittance(eta_loss_db):
@@ -173,11 +179,9 @@ def basis_counts_core(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
     n3 = sift * p3 * d3
     sum_pd = p1 * d1 + p2 * d2 + p3 * d3
     sum_pe = p1 * e1 + p2 * e2 + p3 * e3
-    if not sum_pd > 0.0:
-        return n1, n2, n3, 0.0, 0.0, 0.0
-    m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
-    return (n1, n2, n3,
-            m_tot * p1 * d1 / sum_pd, m_tot * p2 * d2 / sum_pd, m_tot * p3 * d3 / sum_pd)
+    m_tot = per((n1 + n2 + n3) * sum_pe, sum_pd)
+    return (n1, n2, n3, per(m_tot * p1 * d1, sum_pd), per(m_tot * p2 * d2, sum_pd),
+            per(m_tot * p3 * d3, sum_pd))
 
 
 def counts_core(pax, pbx,
@@ -338,20 +342,6 @@ def _libm_exp(x) -> np.ndarray | float:
     return exp(x) if isinstance(x, float) else inv_boxcox(x, 0.0)
 
 
-def _basis_counts(sift, d1, e1, d2, e2, d3, e3, p1, p2, p3):
-    """``basis_counts_core`` over arrays, its zero-detection return a mask."""
-    n1 = sift * p1 * d1
-    n2 = sift * p2 * d2
-    n3 = sift * p3 * d3
-    sum_pd = p1 * d1 + p2 * d2 + p3 * d3
-    sum_pe = p1 * e1 + p2 * e2 + p3 * e3
-    none = ~(sum_pd > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_tot = (n1 + n2 + n3) * sum_pe / sum_pd
-        return (n1, n2, n3, *(np.where(none, 0.0, m_tot * p * d / sum_pd)
-                              for p, d in ((p1, d1), (p2, d2), (p3, d3))))
-
-
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
     """``binary_entropy`` over an array, evaluated on every lane."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,15 +367,20 @@ def _clamp_array(x, top):
     return np.where(x < 0.0, 0.0, x)
 
 
+def _per_array(x, total):
+    """``per`` over arrays; a total it does not divide by raises no warning,
+    and an overflowing quotient is inf, as a float's, with NumPy's warning."""
+    return np.divide(x, total, out=np.zeros(np.broadcast(x, total).shape), where=total > 0.0)
+
+
 # An array twin runs its straight-line step's own code with these globals:
-# the array operations, the masked ``_basis_counts`` and ``_binary_entropy``,
-# and each step's twin.
+# the array operations, the masked ``_binary_entropy``, and each step's twin.
 _ARRAY = dict(globals(), exp=_libm_exp, log=_libm_log, sqrt=np.sqrt,
               floor0=lambda x: np.where(x < 0.0, 0.0, x), clamp=_clamp_array,
-              basis_counts_core=_basis_counts, binary_entropy=_binary_entropy)
+              per=_per_array, binary_entropy=_binary_entropy)
 _ARRAY.update({step.__name__: types.FunctionType(step.__code__, _ARRAY, step.__name__)
-               for step in (detection_error_prob, pair_statistics, counts_core,
-                            chernoff_delta_plus, chernoff_delta_minus,
+               for step in (detection_error_prob, pair_statistics, basis_counts_core,
+                            counts_core, chernoff_delta_plus, chernoff_delta_minus,
                             count_lower_core, count_upper_core, vacuum_bound_core,
                             single_photon_bound_core, basis_bounds_core, intensity_terms,
                             chain_bounds_core, finite_leakage_core)})

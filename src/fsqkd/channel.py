@@ -82,13 +82,26 @@ def check_integer(name: str, value: int, domain: str) -> None:
     check_range(name, value, domain)
 
 
+def check_triple(name: str, value: Sequence[float]) -> None:
+    """Raise ParameterError unless ``value`` holds exactly three entries;
+    text, whose characters would count, is refused."""
+    try:
+        size = len(value)
+    except TypeError:
+        size = None
+    if size != 3 or isinstance(value, (str, bytes)):
+        raise ParameterError(f"{name} must be a sequence of three numbers, got {value!r}")
+
+
 def check_intensities(mu: tuple[float, float, float]) -> None:
     """The decoy-state intensity domain of Lim et al., PRA 89, 032332 (2014).
 
-    mu1 > mu2 > mu3 >= 0 and mu1 > mu2 + mu3, all finite, and the decoy
-    denominator of the single-photon bound, computed exactly as
+    ``mu`` is a triple (``check_triple``) with mu1 > mu2 > mu3 >= 0 and
+    mu1 > mu2 + mu3, all finite, and the decoy denominator of the
+    single-photon bound, computed exactly as
     ``_kernels.single_photon_bound_core`` computes it, is positive.
     """
+    check_triple("mu", mu)
     mu1, mu2, mu3 = mu
     for i, v in enumerate(mu, start=1):
         check_range(f"mu{i}", v, "intensity")
@@ -159,6 +172,7 @@ class ProtocolParams:
         check_range("pax", self.pax, "basis probability")
         check_range("pbx", self.pbx, "basis probability")
         check_intensities(self.mu)
+        check_triple("p_mu", self.p_mu)
         for i, p in enumerate(self.p_mu, start=1):
             check_range(f"p_mu{i}", p, "intensity probability")
         total = sum(self.p_mu)

@@ -17,6 +17,7 @@ matching the 21-way failure-budget split that also produces the
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -24,6 +25,7 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels as k
+from ._kernels import per
 from ._quantile import binom_ppf, binom_ppf_array
 from .channel import (BlockCounts, ChannelConditions, ParameterError, ProtocolParams,
                       check_range, expected_block_counts)
@@ -165,13 +167,11 @@ def _leakage(n_x: float, qber_x: float, sec: SecurityParams) -> tuple[float, flo
 
 
 def _count_leakage(c: tuple, sec: SecurityParams) -> tuple[float, float]:
-    """``_leakage`` of the X-basis total and QBER of a count vector.
-
-    ``c`` holds the 12 expected counts in ``counts_core`` order.
-    """
+    """``_leakage`` of the X-basis total and QBER of ``c``, the 12 expected
+    counts in ``counts_core`` order; ``_count_leakage_array`` runs this code
+    on ``_kernels.counts_array``'s arrays, with the array ``per``."""
     n_x = c[0] + c[1] + c[2]
-    qber_x = (c[6] + c[7] + c[8]) / n_x if n_x > 0.0 else 0.0
-    return _leakage(n_x, qber_x, sec)
+    return _leakage(n_x, per(c[6] + c[7] + c[8], n_x), sec)
 
 
 def _leakage_array(n_x, qber_x, sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +191,8 @@ def _leakage_array(n_x, qber_x, sec: SecurityParams) -> tuple[np.ndarray, np.nda
     return np.where((n_x <= 0.0) | (qber_x <= 0.0), 0.0, lam), f_inv
 
 
-def _count_leakage_array(c: tuple, sec: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
-    """``_count_leakage`` over the 12 broadcasting count arrays of
-    ``_kernels.counts_array``."""
-    n_x = c[0] + c[1] + c[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qber_x = np.where(n_x > 0.0, (c[6] + c[7] + c[8]) / n_x, 0.0)
-    return _leakage_array(n_x, qber_x, sec)
+_count_leakage_array = types.FunctionType(_count_leakage.__code__, dict(
+    globals(), per=k._ARRAY["per"], _leakage=_leakage_array), "_count_leakage_array")
 
 
 def _key_chain(c: tuple, mu1: float, mu2: float, mu3: float,

@@ -261,12 +261,10 @@ def minimize(fun, x0: Sequence[float], xatol: float, maxfev: int,
             return best, fsim[0], nfev
         worst, fworst = sim.pop(), fsim.pop()
         xbar = [reduce(add, col) / n for col in zip(*sim)]
-        # a step that the call limit cuts moves no vertex: the best stands
-        if nfev >= maxfev:
-            return best, fsim[0], nfev
-        nfev += 1
+        nfev += 1  # below maxfev: the loop top returned at the limit
         xr = [2.0 * a - b for a, b in zip(xbar, worst)]
         fxr = fun(xr)
+        # a step that the call limit cuts moves no vertex: the best stands
         if fxr < fsim[0]:
             if nfev >= maxfev:
                 return best, fsim[0], nfev

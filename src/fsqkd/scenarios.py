@@ -168,8 +168,8 @@ def _grid_table(axes, base: ChannelConditions, sec: SecurityParams,
     qber_i and window (s), ``base`` giving the rest, as one table: the params
     (the fixed ones, or each point's ``optimize`` answer) and ``_columns`` of
     the results.  Fixed ``params`` run as one batch: one ``counts_array``, one
-    ``_count_leakage_array`` and one ``bounds_ell_array`` call over the whole
-    grid, each field then one ``.tolist()``.
+    ``_count_leakage_array`` (each a scalar step's code) and one
+    ``bounds_ell_array`` call over the whole grid, each field one ``.tolist()``.
     Every window's pulse count is checked before any point is evaluated."""
     for tau in axes[3]:
         check_range("f_s * integration_time_s", base.f_s * tau, "pulse count")

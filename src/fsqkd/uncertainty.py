@@ -12,12 +12,12 @@ A basis' counts depend on its two states only through the mean of their
 statistics, so only on their ``(min, max)`` mu1 and mu2 pairs: R =
 (g (g + 1) / 2)^2 rows, 36 at g = 3.  One ``_kernels.counts_array`` call
 gives every row's counts for both bases, and one
-``finitekey._count_leakage_array`` call their leakage.  The decoy
-bounds (``_kernels._chain_bounds``) run once over every distinct
-estimator pair in the decoy domain of ``channel.check_intensities``; a
-pair outside it gives zero key.  A point (X row, Z row, pair) stands for
-a product set of grid points, so its first grid index is
-``(first_x * g^4 + first_z) * g^2 + first_est``.
+``finitekey._count_leakage_array`` call (``_count_leakage``'s code) their
+leakage.  The decoy bounds (``_kernels._chain_bounds``) run once over
+every distinct estimator pair in the decoy domain of
+``channel.check_intensities``; a pair outside it gives zero key.  A
+point (X row, Z row, pair) stands for a product set of grid points, so
+its first grid index is ``(first_x * g^4 + first_z) * g^2 + first_est``.
 
 The key stage (``_kernels._chain_key``) runs on few of the g^2 R^2
 points (11,664 at g = 3).  For one pair and X row, ``raw`` falls as the

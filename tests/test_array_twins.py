@@ -75,18 +75,19 @@ def test_counts_array_broadcasts_each_input_on_its_own_axis():
 
 
 # the straight-line steps, each written once for floats and arrays
-FOLDED = ("detection_error_prob", "pair_statistics", "counts_core", "chernoff_delta_plus",
-          "chernoff_delta_minus", "count_lower_core", "count_upper_core",
-          "vacuum_bound_core", "single_photon_bound_core", "basis_bounds_core",
-          "intensity_terms", "chain_bounds_core", "finite_leakage_core")
+FOLDED = ("detection_error_prob", "pair_statistics", "basis_counts_core", "counts_core",
+          "chernoff_delta_plus", "chernoff_delta_minus", "count_lower_core",
+          "count_upper_core", "vacuum_bound_core", "single_photon_bound_core",
+          "basis_bounds_core", "intensity_terms", "chain_bounds_core", "finite_leakage_core")
 # the array glue: the array operations, and the masks of the steps with control flow
-GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_basis_counts",
+GLUE = {"_libm_exp", "_libm_log", "_clamp_array", "<lambda>", "_per_array",
         "_binary_entropy", "_fluct_gamma", "binary_entropy", "_chain_bounds", "_chain_key",
         "bounds_ell_array"}
 
 
 def test_array_steps_run_the_scalar_steps_code():
     assert k.counts_array.__code__ is k.counts_core.__code__
+    assert _count_leakage_array.__code__ is _count_leakage.__code__
     for name in FOLDED:
         twin = k._ARRAY[name]
         assert twin is not getattr(k, name)
@@ -117,6 +118,25 @@ def test_array_steps_run_the_scalar_steps_code():
     assert shared <= run
     assert {code.co_name for code in run - shared} - {"<listcomp>", "<dictcomp>",
                                                        "<genexpr>"} <= GLUE
+
+
+def test_per_array_equals_scalar_per():
+    # the totals either side of the guard: zeros of both signs, negative,
+    # NaN, subnormal and positive
+    totals = [0.0, -0.0, -1.0, -5e-324, math.nan, 5e-324, 1e-310, 1e-300, 0.5, 1.0, 1e300]
+    xs = [0.0, -0.0, 5e-324, 1.0, -2.5, 1e300, math.inf, math.nan]
+    pairs = [(x, t) for x in xs for t in totals]
+    per = k._ARRAY["per"]
+    with np.errstate(over="ignore"):  # 1.0 / 5e-324 and the like; see below
+        got = per(np.array([x for x, _ in pairs]), np.array([t for _, t in pairs]))
+    assert [repr(v) for v in got.tolist()] == [repr(k.per(x, t)) for x, t in pairs]
+    assert repr(per(1.0, np.array([[0.0], [2.0]])).tolist()) == "[[0.0], [0.5]]"
+    # a zero or NaN total divides nothing; an overflowing quotient is inf,
+    # as the float's, and warns as NumPy's division does
+    with np.errstate(all="raise"):
+        per(np.ones(4), np.array([0.0, -0.0, math.nan, -1.0]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert per(1.0, np.array(5e-324)).tolist() == math.inf == k.per(1.0, 5e-324)
 
 
 @pytest.mark.parametrize("states", ["HHHH", "HVHV", "HHDD", "HVDA"])

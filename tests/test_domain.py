@@ -328,6 +328,26 @@ class TestIntensityDomain:
         assert 0 < rejected < 400
 
 
+@pytest.mark.parametrize("field", ["mu", "p_mu"])
+@pytest.mark.parametrize("value, shown", [
+    ((0.5, 0.5), "(0.5, 0.5)"), ((0.5, 0.3, 0.1, 0.1), "(0.5, 0.3, 0.1, 0.1)"),
+    ((), "()"), (0.5, "0.5"), (None, "None"), ("0.5", "'0.5'"), ("abc", "'abc'"),
+], ids=["two", "four", "empty", "scalar", "none", "text", "three-characters"])
+def test_intensity_triples_need_three_entries(field, value, shown):
+    # a mu or p_mu that is not a sequence of exactly three is refused by
+    # name, before any evaluation could fail to unpack it
+    kwargs = dict(pax=0.7, pbx=0.5, mu=(0.5, 0.15, 1e-9), p_mu=(0.8, 0.13, 0.07))
+    message = f"^{field} must be a sequence of three numbers, got {re.escape(shown)}$"
+    with pytest.raises(ParameterError, match=message):
+        ProtocolParams(**{**kwargs, field: value})
+    if field == "mu" and value is not None:  # a spec's None mu is a missing one
+        with pytest.raises(ParameterError, match=message):
+            OptimizationSpec(regime=Regime.FIXED_PBX_AND_MU, pbx=0.5, mu=value)
+    # a list or an array of three is a sequence of three
+    ProtocolParams(**{**kwargs, field: list(kwargs[field])})
+    ProtocolParams(**{**kwargs, field: np.array(kwargs[field])})
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(restarts=0),
     dict(max_evals_per_restart=0),

@@ -277,10 +277,16 @@ def test_array_twin_runs_the_scalar_search_only_where_two_probes_miss(monkeypatc
 
 def test_scalar_search_returns_after_two_probes_that_bracket(monkeypatch):
     """binom_ppf stops after its first two probes (one where the start is
-    k = 0) exactly where binom_ppf_array settles an element without it."""
+    k = 0) exactly where binom_ppf_array settles an element without it.
+
+    A probe is counted by the ``betainc`` call it makes.  A probe at k >= n
+    holds without one and is not counted; these lower-tail quantiles lie
+    far below n, and the last assertion, an equality, would fail if such a
+    probe hid a third probe of some point."""
     probes, fallbacks = [], []
-    meets, scalar = _quantile._meets, _quantile.binom_ppf
-    monkeypatch.setattr(_quantile, "_meets", lambda *args: probes.append(args) or meets(*args))
+    betainc, scalar = _quantile._betainc, _quantile.binom_ppf
+    monkeypatch.setattr(_quantile, "_betainc",
+                        lambda *args: probes.append(args) or betainc(*args))
     rng = random.Random("two probes")
     points = [(10.0 ** rng.uniform(0.0, 10.0), 1.0 - 10.0 ** rng.uniform(-4.0, -0.31))
               for _ in range(3000)]
